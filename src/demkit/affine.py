@@ -21,8 +21,8 @@ comparison needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
+from operator import add, mul
 from typing import NamedTuple
 
 from .charalg import GradedCharacter
@@ -118,60 +118,32 @@ def demazure_operator(rs, i, char, level=0):
     contributes the string w + a_i, ..., w + (-k-1) a_i negatively.  The
     operator at node 0 needs the ambient ``level``; finite nodes ignore it.
     """
-    terms = char.terms
-    out = {}
+    # node 0 walks along +theta and lowers the grade; node i walks along
+    # -alpha_i at a fixed grade.  The negative string reverses the step.
     if i == 0:
-        theta = rs.theta.coords
-        coroot = rs.theta.coroot
-        for (w, g), m in terms.items():
-            k = level - sum(t * c for t, c in zip(coroot, w))
-            if k >= 0:
-                cw, cg = w, g
-                for _ in range(k + 1):
-                    key = (cw, cg)
-                    v = out.get(key, 0) + m
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
-                    cw = tuple(c + t for c, t in zip(cw, theta))
-                    cg -= 1
-            elif k <= -2:
-                cw, cg = w, g
-                for _ in range(-k - 1):
-                    cw = tuple(c - t for c, t in zip(cw, theta))
-                    cg += 1
-                    key = (cw, cg)
-                    v = out.get(key, 0) - m
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
+        fwd, gfwd, coroot = rs.theta.coords, -1, rs.theta.coroot
     else:
-        col = rs.simple_root_coords[i - 1]
-        pos = i - 1
-        for (w, g), m in terms.items():
-            k = w[pos]
-            if k >= 0:
-                cw = w
-                for _ in range(k + 1):
-                    key = (cw, g)
-                    v = out.get(key, 0) + m
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
-                    cw = tuple(c - a for c, a in zip(cw, col))
-            elif k <= -2:
-                cw = w
-                for _ in range(-k - 1):
-                    cw = tuple(c + a for c, a in zip(cw, col))
-                    key = (cw, g)
-                    v = out.get(key, 0) - m
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
+        fwd, gfwd, pos = tuple(-a for a in rs.simple_root_coords[i - 1]), 0, i - 1
+    back = tuple(-a for a in fwd)
+    out = {}
+    for (w, g), m in char.terms.items():
+        k = w[pos] if i else level - sum(map(mul, coroot, w))
+        if k >= 0:
+            step, gstep, count = fwd, gfwd, k + 1
+        elif k <= -2:
+            step, gstep, count, m = back, -gfwd, -k - 1, -m
+            w, g = tuple(map(add, w, step)), g + gstep
+        else:
+            continue
+        for _ in range(count):
+            key = (w, g)
+            v = out.get(key, 0) + m
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+            w = tuple(map(add, w, step))
+            g += gstep
     return GradedCharacter(rs, out)
 
 
@@ -197,7 +169,8 @@ def demazure_character(rs, level, weight):
     char = GradedCharacter.monomial(rs, top.finite, top.delta)
     for letter in word:
         char = demazure_operator(rs, letter, char, level)
-    assert all(g >= 0 for (_, g) in char.terms), "grading must be non-negative"
+    if any(g < 0 for (_, g) in char.terms):
+        raise RuntimeError(f"internal error: negative grade in the character of {weight}")
     return char
 
 
@@ -265,7 +238,8 @@ def presentation(rs, level, weight):
             cap = root.d * level
             s = -(-p // cap)  # ceil
             m = p - (s - 1) * cap
-            assert 0 < m <= cap
+            if not 0 < m <= cap:
+                raise RuntimeError(f"internal error: m={m} outside 1..{cap} at root {root.root_coords}")
             nil = m + 1 if m < cap else None
         out.append(Relation(root.root_coords, p, s, m, s, nil))
     return out
@@ -286,15 +260,13 @@ def _affine_dominant_rep(rs, finite, depth, level):
 
 
 def _coordinate_bounds(rs, norm_bound):
-    """Per-coordinate bounds |c_j + 1| <= Y_j valid on the norm ball.
+    """Per-coordinate bounds |c_j + 1| <= Y_j valid on the norm ball, with
+    ``norm_bound`` in the L*D units of ``weight_norm2``.
 
     For y in the weight lattice, y_j = d_j*(y, alpha_j) and Cauchy-Schwarz
     gives y_j^2 <= 2*d_j*(y, y)."""
-    out = []
-    for d in rs.d_simple:
-        val = 2 * d * norm_bound
-        out.append(isqrt(int(val)) + 1)
-    return out
+    unit = rs.lattice_scale * rs.pairing_scale
+    return [isqrt(2 * d * norm_bound // unit) + 1 for d in rs.d_simple]
 
 
 def _ball_candidates(rs, top, depth, norm_bound):
@@ -347,11 +319,14 @@ def affine_irreducible_character_truncated(rs, level, weight, max_grade):
         raise ValueError(f"{weight} at level {level} is not affine dominant")
 
     n = rs.rank
-    hvee = rs.dual_coxeter
+    D = rs.pairing_scale
     top_norm = rs.weight_norm2(rs.add(weight, rs.rho))
+    depth_norm = 2 * (level + rs.dual_coxeter) * rs.lattice_scale * D
 
     def norm_bound(depth):
-        return top_norm + 2 * depth * (level + hvee)
+        # |mu + rho|^2 <= norm_bound(depth) iff |mu - depth*delta + rho^|^2
+        # <= |top + rho^|^2, in the L*D units of weight_norm2
+        return top_norm + depth * depth_norm
 
     # candidate dominant (finite, depth) pairs, ordered by total height of
     # the gap to the highest weight
@@ -365,7 +340,6 @@ def affine_irreducible_character_truncated(rs, level, weight, max_grade):
             candidates.append((depth + sum(gap), depth, finite))
     candidates.sort()
 
-    D = rs.pairing_scale
     mult = {}
 
     def lookup(finite, depth):
@@ -416,23 +390,17 @@ def affine_irreducible_character_truncated(rs, level, weight, max_grade):
                 if mm:
                     acc += n * D * level * m * mm
         numerator = 2 * acc
-        # denominator: |top + rho^|^2 - |mu + rho^|^2, scaled by D
-        gap = rs.dominance_gap(rs.add(weight, rs.scale(depth, rs.theta.coords)), finite)
-        assert gap is not None
-        mixed = rs.add(rs.add(weight, finite), rs.scale(2, rs.rho))
-        den = sum(
-            g * mixed[j] * (D // rs.d_simple[j]) for j, g in enumerate(gap)
-        ) - depth * sum(
-            t * mixed[j] * (D // rs.d_simple[j])
-            for j, t in enumerate(rs.theta.root_coords)
-        )
-        den += 2 * depth * (level + hvee) * D
+        # denominator: D * (|top + rho^|^2 - |mu - depth*delta + rho^|^2)
+        den = rs.freudenthal_denominator(norm_bound(depth), finite)
         if den == 0:
-            assert numerator == 0, "internal error: degenerate multiplicity"
+            if numerator:
+                raise RuntimeError(f"internal error: degenerate multiplicity at {finite}, depth {depth}")
             continue
-        assert numerator % den == 0, "internal error: non-integral multiplicity"
+        if numerator % den:
+            raise RuntimeError(f"internal error: non-integral multiplicity at {finite}, depth {depth}")
         val = numerator // den
-        assert val >= 0
+        if val < 0:
+            raise RuntimeError(f"internal error: negative multiplicity at {finite}, depth {depth}")
         if val:
             mult[(finite, depth)] = val
 

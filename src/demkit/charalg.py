@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-__all__ = ["GradedCharacter", "Character"]
+__all__ = ["GradedCharacter"]
 
 
 class GradedCharacter:
@@ -145,12 +145,6 @@ class GradedCharacter:
             self.system, {(w, g + offset): m for (w, g), m in self.terms.items()}
         )
 
-    def truncate(self, max_grade):
-        """Drop all terms of grade above ``max_grade``."""
-        return GradedCharacter(
-            self.system, {(w, g): m for (w, g), m in self.terms.items() if g <= max_grade}
-        )
-
     def grades(self):
         return sorted({g for (_, g) in self.terms})
 
@@ -224,7 +218,3 @@ class GradedCharacter:
             f"GradedCharacter({self.system.name}, {len(self.terms)} terms, "
             f"dim {self.dimension()})"
         )
-
-
-# An ungraded character is just a graded one concentrated in grade 0.
-Character = GradedCharacter

@@ -132,7 +132,8 @@ def _cmd_char(args):
         if args.kind == "kr":
             if args.index is None:
                 raise ValueError("--index is required for --kind kr")
-            weight = rs.scale(rs.d_simple[args.index - 1] * args.level, rs.fundamental_weight(args.index))
+            omega = rs.fundamental_weight(args.index)  # validates the node before d_simple is indexed
+            weight = rs.scale(rs.d_simple[args.index - 1] * args.level, omega)
         else:
             if args.weight is None:
                 raise ValueError("--weight is required for --kind demazure")

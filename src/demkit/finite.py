@@ -67,11 +67,12 @@ def weyl_character(rs, weight):
     heights = {}
     for w in dominant:
         gap = rs.dominance_gap(weight, w)
-        assert gap is not None and all(g >= 0 for g in gap)
+        if gap is None or any(g < 0 for g in gap):
+            raise RuntimeError(f"internal error: {w} is not below the highest weight {weight}")
         heights[w] = sum(gap)
     dominant.sort(key=lambda w: (heights[w], w))
 
-    D = rs.pairing_scale
+    bound = rs.weight_norm2(rs.add(weight, rs.rho))
     mult = {weight: 1}
     for mu in dominant:
         if mu == weight:
@@ -88,13 +89,13 @@ def weyl_character(rs, weight):
                     break
                 acc += (base + j * norm) * mult[rs.dominant_representative(cur)]
                 j += 1
-        gap = rs.dominance_gap(weight, mu)
-        mixed = rs.add(rs.add(weight, mu), rs.scale(2, rs.rho))
-        den = sum(g * mixed[j] * (D // rs.d_simple[j]) for j, g in enumerate(gap))
+        den = rs.freudenthal_denominator(bound, mu)
         num = 2 * acc
-        assert den > 0 and num % den == 0, "internal error: non-integral multiplicity"
+        if den <= 0 or num % den:
+            raise RuntimeError(f"internal error: non-integral multiplicity at {mu}")
         m = num // den
-        assert m > 0
+        if m <= 0:
+            raise RuntimeError(f"internal error: non-positive multiplicity at {mu}")
         mult[mu] = m
 
     terms = {(w, 0): mult[rs.dominant_representative(w)] for w in weights}
@@ -128,7 +129,8 @@ def weyl_dimension(rs, weight):
     for root in rs.positive_roots:
         num *= rs.scaled_root_pairing(shifted, root)
         den *= rs.scaled_root_pairing(rs.rho, root)
-    assert num % den == 0
+    if num % den:
+        raise RuntimeError(f"internal error: non-integral dimension for {weight}")
     return num // den
 
 

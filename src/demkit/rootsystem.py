@@ -4,8 +4,9 @@ Weights are plain tuples of integers: ``w[i]`` is the pairing of the weight
 against the (i+1)-th simple coroot, i.e. coordinates in the basis of
 fundamental weights.  Vertex numbering follows Bourbaki.  Roots additionally
 carry their expansion in simple roots, so every pairing, reflection and
-dominance test is exact integer (or stdlib Fraction) arithmetic; no floating
-point or irrational numbers appear anywhere.
+dominance test is exact integer arithmetic; stdlib Fraction is used only
+while the roots are built, and no floating point or irrational numbers
+appear anywhere.
 
 The bilinear form is normalised so that long roots have squared length 2;
 ``d`` always denotes the integer 2/(root, root), which is 1 for long roots
@@ -104,12 +105,15 @@ def _cartan_and_d(series, rank):
     for i in range(n):
         for j in range(n):
             # symmetrisability of the pairing (alpha_i, alpha_j)
-            assert cartan[i][j] * d[j] == cartan[j][i] * d[i]
+            if cartan[i][j] * d[j] != cartan[j][i] * d[i]:
+                raise RuntimeError(f"internal error: {series}{rank} Cartan matrix is not symmetrisable")
     return tuple(tuple(row) for row in cartan), tuple(d)
 
 
 def _invert_rational(mat):
-    """Exact inverse of a small integer matrix, as Fractions."""
+    """Exact inverse of a small integer matrix, returned as ``(L, L*inverse)``:
+    L is the least common denominator of the inverse's entries, so the
+    scaled inverse is an integer matrix."""
     n = len(mat)
     aug = [
         [Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
@@ -124,7 +128,8 @@ def _invert_rational(mat):
             if r != col and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    scale = lcm(*(x.denominator for row in aug for x in row[n:]))
+    return scale, tuple(tuple(int(x * scale) for x in row[n:]) for row in aug)
 
 
 @dataclass(frozen=True)
@@ -164,15 +169,17 @@ class RootSystem:
         )
         self.rho = (1,) * rank
         self.pairing_scale = lcm(*self.d_simple)
-        self._inv_cartan = _invert_rational(self.cartan)
+        # the integer lattice core: L and the integer matrix L * C^-1
+        self.lattice_scale, self._scaled_inverse = _invert_rational(self.cartan)
         self.positive_roots = self._generate_positive_roots()
         heights = [r.height for r in self.positive_roots]
         top = [i for i, h in enumerate(heights) if h == max(heights)]
-        assert len(top) == 1, "highest root must be unique"
+        if len(top) != 1:
+            raise RuntimeError(f"internal error: highest root of {self.name} is not unique")
         self.theta_index = top[0]
         theta = self.positive_roots[self.theta_index]
-        assert theta.d == 1, "highest root must be long"
-        assert all(c >= 0 for c in theta.coords), "highest root must be dominant"
+        if theta.d != 1 or any(c < 0 for c in theta.coords):
+            raise RuntimeError(f"internal error: highest root of {self.name} is not long and dominant")
         self.theta = theta
         # h-vee: 1 + height of the coroot of the highest root
         self.dual_coxeter = 1 + sum(theta.coroot)
@@ -226,12 +233,14 @@ class RootSystem:
             for j in range(n)
         )
         d = Fraction(2) / norm
-        assert d.denominator == 1 and int(d) in (1, 2, 3), f"bad root length for {root_coords}"
+        if d.denominator != 1 or d not in (1, 2, 3):
+            raise RuntimeError(f"internal error: bad root length for {root_coords}")
         d = int(d)
         coroot = []
         for j in range(n):
             t = Fraction(root_coords[j] * d, self.d_simple[j])
-            assert t.denominator == 1
+            if t.denominator != 1:
+                raise RuntimeError(f"internal error: non-integral coroot for {root_coords}")
             coroot.append(int(t))
         return Root(root_coords, coords, d, tuple(coroot), sum(root_coords))
 
@@ -332,7 +341,8 @@ class RootSystem:
                         break
                 else:
                     break
-            assert len(word) == len(self.positive_roots)
+            if len(word) != len(self.positive_roots):
+                raise RuntimeError(f"internal error: longest word of {self.name} has the wrong length")
             self._w0 = tuple(word)
         return self._w0
 
@@ -383,21 +393,17 @@ class RootSystem:
     # ------------------------------------------------------------------
     # dominance order and exact inner products
 
-    def root_lattice_coords(self, weight):
-        """Expansion of a weight in simple roots (Fractions)."""
-        return tuple(
-            sum(self._inv_cartan[j][k] * weight[k] for k in range(self.rank))
-            for j in range(self.rank)
-        )
-
     def dominance_gap(self, upper, lower):
         """Integer simple-root coordinates of upper - lower, or None if the
         difference is not in the root lattice."""
-        diff = self.sub(upper, lower)
-        coords = self.root_lattice_coords(diff)
-        if any(c.denominator != 1 for c in coords):
-            return None
-        return tuple(int(c) for c in coords)
+        diff = [u - v for u, v in zip(upper, lower)]
+        out = []
+        for row in self._scaled_inverse:
+            q, r = divmod(sum(a * x for a, x in zip(row, diff)), self.lattice_scale)
+            if r:
+                return None
+            out.append(q)
+        return tuple(out)
 
     def dominates(self, upper, lower):
         """True iff upper - lower is a non-negative integer sum of simple roots."""
@@ -417,12 +423,27 @@ class RootSystem:
         return 2 * self.pairing_scale // root.d
 
     def weight_norm2(self, weight):
-        """(weight, weight) as an exact Fraction."""
-        coords = self.root_lattice_coords(weight)
-        # (weight, alpha_j) = weight[j]/d_j
+        """L*D*(weight, weight) as an exact integer, where L is
+        ``lattice_scale`` and D is ``pairing_scale``: L makes the simple-root
+        coordinates L*C^-1*weight integral, and D does the same for
+        (weight, alpha_j) = weight[j]/d_j."""
+        D = self.pairing_scale
         return sum(
-            coords[j] * Fraction(weight[j], self.d_simple[j]) for j in range(self.rank)
+            sum(a * c for a, c in zip(row, weight)) * w * (D // d)
+            for row, w, d in zip(self._scaled_inverse, weight, self.d_simple)
         )
+
+    def freudenthal_denominator(self, bound, weight):
+        """D*(|top + rho|^2 - |weight + rho|^2), given ``bound`` =
+        ``weight_norm2(top + rho)``: the denominator of the multiplicity
+        recursion (Kac, Infinite-dimensional Lie algebras, 11.14).  The
+        bound may carry further L*D-scaled terms, such as the affine
+        level and depth ones.  The difference is divisible by L whenever
+        top - weight lies in the root lattice."""
+        den, rem = divmod(bound - self.weight_norm2(self.add(weight, self.rho)), self.lattice_scale)
+        if rem:
+            raise RuntimeError(f"internal error: norm gap to {weight} is not divisible by L")
+        return den
 
 
 @lru_cache(maxsize=None)

@@ -1,13 +1,15 @@
 """Shared helpers and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's primary code paths:
-root sets are rebuilt as Weyl orbits of the simple roots, rank-1 tensor
-products come from the classical highest-weight ladder, and small products
-are convolved by hand.
+root sets are rebuilt as Weyl orbits of the simple roots, simple-root
+coordinates come from a Fraction solve of C x = w, rank-1 tensor products
+come from the classical highest-weight ladder, and small products are
+convolved by hand.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 from demkit.rootsystem import root_system
 
@@ -21,6 +23,22 @@ def random_dominant(rng, rs, bound=4):
     return tuple(rng.randint(0, bound) for _ in range(rs.rank))
 
 
+def root_coords_oracle(rs, weight):
+    """Simple-root coordinates x of a weight, solving C x = weight exactly
+    by Gauss-Jordan elimination over Fractions."""
+    n = rs.rank
+    rows = [[Fraction(c) for c in rs.cartan[i]] + [Fraction(weight[i])] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return tuple(row[n] for row in rows)
+
+
 def roots_by_orbit(rs):
     """Independent reconstruction of the root set: the union of the Weyl
     orbits of the simple roots, filtered to positives via exact root-lattice
@@ -30,7 +48,7 @@ def roots_by_orbit(rs):
         allroots |= rs.weyl_orbit(col)
     positives = set()
     for w in allroots:
-        coords = rs.root_lattice_coords(w)
+        coords = root_coords_oracle(rs, w)
         assert all(c.denominator == 1 for c in coords)
         ints = tuple(int(c) for c in coords)
         if all(c >= 0 for c in ints) and any(ints):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -193,3 +195,36 @@ def test_domain_errors_exit_3(capsys):
     assert code == 3
     code, _, err = run(capsys, "char", "--system", "A1", "--kind", "kr", "--level", "1")
     assert code == 3  # missing --index
+    for index in ("5", "0"):
+        code, _, err = run(capsys, "char", "--system", "A1", "--kind", "kr", "--level", "1", "--index", index)
+        assert code == 3 and err.startswith("error:") and err.count("\n") == 1
+
+
+EXPECTED = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+RANK3_STABILIZATION = ("--system A3 ", "--system B3 ", "--system C3 ")
+
+
+def _replayed_requests():
+    """Every pinned verify request but the slow rank-3 stabilization ones,
+    two chars computed afresh, and the serial A2 scan."""
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
+    picked = [
+        pytest.param(key, (), expected[key], id=key)
+        for key in sorted(expected)
+        if key.startswith("verify")
+        and not (key.startswith("verify stabilization") and any(s in key for s in RANK3_STABILIZATION))
+    ]
+    for key, extra in (
+        ("char --system G2 --level 1 --weight 3,3 --graded", ("--no-cache",)),
+        ("char --system B2 --level 1 --weight 6,6 --graded", ("--no-cache",)),
+        ("scan --system A2 --height-bound 2 --no-timing", ("--jobs", "1")),
+    ):
+        picked.append(pytest.param(key, extra, expected[key], id=key))
+    return picked
+
+
+@pytest.mark.parametrize("key,extra,want", _replayed_requests())
+def test_output_matches_pinned_digest(capsys, key, extra, want):
+    code, out, _ = run(capsys, *key.split(), *extra)
+    assert code == want["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want["sha256"]

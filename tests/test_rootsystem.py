@@ -1,6 +1,12 @@
+import ast
+import pathlib
+from fractions import Fraction
+from math import lcm
+
 import pytest
 
-from conftest import dominant_box, random_dominant, roots_by_orbit, seeded
+import demkit
+from conftest import dominant_box, random_dominant, root_coords_oracle, roots_by_orbit, seeded
 from demkit.rootsystem import parse_system, root_system
 
 # classical positive-root counts, as fixtures only
@@ -218,6 +224,58 @@ def test_dominance_gap():
     assert a2.dominance_gap((1, 0), (0, 0)) is None  # not in the root lattice
     assert a2.dominates((2, 2), (1, 1))
     assert not a2.dominates((1, 1), (2, 2))
+
+
+LATTICE_SYSTEMS = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{s}{n}" for s in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", LATTICE_SYSTEMS)
+def test_integer_lattice_core_matches_fraction_solve(name):
+    rs = root_system(name)
+    n = rs.rank
+    # columns of C^-1; coordinates of any weight follow by linearity
+    inverse_columns = [root_coords_oracle(rs, rs.fundamental_weight(k + 1)) for k in range(n)]
+    L = lcm(*(x.denominator for col in inverse_columns for x in col))
+    assert rs.lattice_scale == L
+
+    def coords(w):
+        return [sum(c * col[j] for c, col in zip(w, inverse_columns)) for j in range(n)]
+
+    D = rs.pairing_scale
+    rng = seeded(f"lattice-{name}")
+    outside = 0
+    for _ in range(100):
+        upper = tuple(rng.randint(-6, 6) for _ in range(n))
+        lower = tuple(rng.randint(-6, 6) for _ in range(n))
+        x = coords([u - v for u, v in zip(upper, lower)])
+        if all(c.denominator == 1 for c in x):
+            assert rs.dominance_gap(upper, lower) == tuple(int(c) for c in x)
+        else:
+            outside += 1
+            assert rs.dominance_gap(upper, lower) is None
+        # (w, w) = sum_j x_j (w, alpha_j) with (w, alpha_j) = w_j / d_j
+        x = coords(upper)
+        norm = sum(c * Fraction(w, d) for c, w, d in zip(x, upper, rs.d_simple))
+        assert rs.weight_norm2(upper) == L * D * norm
+    # every system with a proper root sublattice must exercise the None branch
+    assert (outside > 0) == (L > 1)
+
+
+def test_library_has_no_assert_statements():
+    # internal checks must survive ``python -O``
+    package = pathlib.Path(demkit.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
 
 
 def test_dual_coxeter_numbers():
