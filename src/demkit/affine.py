@@ -188,17 +188,15 @@ class Relation:
     """Defining relations attached to one positive root in the presentation
     of a stable Demazure module as a quotient of the local Weyl module.
 
-    The lowering operator at the root always vanishes from t-power
-    ``power_exponent`` on; when ``nilpotency_order`` is not None the
-    operator at t-power ``power_exponent - 1`` is additionally nilpotent of
-    that order.
+    The lowering operator at the root always vanishes from t-power ``s``
+    on; when ``nilpotency_order`` is not None the operator at t-power
+    ``s - 1`` is additionally nilpotent of that order.
     """
 
     root_coords: tuple
     pairing: int
     s: int
     m: int
-    power_exponent: int
     nilpotency_order: object  # int or None
 
     def to_dict(self):
@@ -207,11 +205,11 @@ class Relation:
             "pairing": self.pairing,
             "s": self.s,
             "m": self.m,
-            "power_relation": {"t_exponent": self.power_exponent},
+            "power_relation": {"t_exponent": self.s},
             "nilpotency_relation": (
                 None
                 if self.nilpotency_order is None
-                else {"t_exponent": self.power_exponent - 1, "power": self.nilpotency_order}
+                else {"t_exponent": self.s - 1, "power": self.nilpotency_order}
             ),
         }
 
@@ -241,7 +239,7 @@ def presentation(rs, level, weight):
             if not 0 < m <= cap:
                 raise RuntimeError(f"internal error: m={m} outside 1..{cap} at root {root.root_coords}")
             nil = m + 1 if m < cap else None
-        out.append(Relation(root.root_coords, p, s, m, s, nil))
+        out.append(Relation(root.root_coords, p, s, m, nil))
     return out
 
 

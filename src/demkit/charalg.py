@@ -10,6 +10,7 @@ every operation returns a fresh character.
 from __future__ import annotations
 
 import json
+from operator import add
 
 __all__ = ["GradedCharacter"]
 
@@ -87,7 +88,7 @@ class GradedCharacter:
             a, b = b, a
         for (w1, g1), m1 in a.items():
             for (w2, g2), m2 in b.items():
-                key = (tuple(x + y for x, y in zip(w1, w2)), g1 + g2)
+                key = (tuple(map(add, w1, w2)), g1 + g2)
                 v = out.get(key, 0) + m1 * m2
                 if v:
                     out[key] = v

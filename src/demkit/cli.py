@@ -6,9 +6,11 @@ a certificate), ``scan`` (exhaustive surjection scan), ``cache`` (manage
 the on-disk character cache).
 
 Exit codes: 0 success/verified, 1 refuted, 2 invalid flags, 3 hypothesis
-violations and other domain errors, 4 inconclusive.  All primary output is
-UTF-8 JSON or JSON-lines; ``--no-timing`` strips the elapsed fields so
-reruns are byte-identical.
+violations and other domain errors, 4 inconclusive, 5 internal error (a
+failed internal consistency check, reported as one ``error:`` line on
+stderr).  All primary output is UTF-8 JSON or JSON-lines; ``--no-timing``
+strips the elapsed fields so reruns are byte-identical.  ``scan`` computes
+every certificate before it writes any.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_INCONCLUSIVE = 4
+EXIT_INTERNAL = 5
 
 _VERDICT_EXIT = {
     "verified": EXIT_OK,
@@ -163,7 +166,7 @@ def _cmd_presentation(args):
     if args.pretty:
         lines = ["alpha\tpairing\ts\tm\tnilpotency"]
         for rel in relations:
-            nil = "-" if rel.nilpotency_order is None else f"(t^{rel.power_exponent - 1})^{rel.nilpotency_order}"
+            nil = "-" if rel.nilpotency_order is None else f"(t^{rel.s - 1})^{rel.nilpotency_order}"
             lines.append(
                 f"{','.join(map(str, rel.root_coords))}\t{rel.pairing}\t{rel.s}\t{rel.m}\t{nil}"
             )
@@ -373,6 +376,9 @@ def main(argv=None):
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_HYPOTHESIS
+    except RuntimeError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INTERNAL
 
 
 def main_entry():

@@ -7,8 +7,9 @@ element.  The two share no algorithmic step, which is what makes their exact
 agreement a meaningful cross-check.
 
 Tensor product multiplicities are obtained by iterated extraction of maximal
-isotypic components, and the surjection criterion is multiplicity domination:
-for finite-dimensional modules over a simple Lie algebra a surjective
+isotypic components, tracking dominant weights only.  The surjection
+criterion compares two such decompositions by multiplicity domination: for
+finite-dimensional modules over a simple Lie algebra a surjective
 equivariant map exists exactly when every isotypic multiplicity of the
 target is at most the corresponding multiplicity of the source.
 """
@@ -57,6 +58,12 @@ def weyl_character(rs, weight):
     weight = rs.check_weight(weight)
     if not rs.is_dominant(weight):
         raise ValueError(f"weight {weight} is not dominant")
+    return _weyl_entry(rs, weight)[0]
+
+
+def _weyl_entry(rs, weight):
+    """``(character, dominant multiplicities)`` of the irreducible module
+    of a dominant ``weight``, memoised together in ``_char_cache``."""
     key = (rs.name, weight)
     hit = _char_cache.get(key)
     if hit is not None:
@@ -99,9 +106,8 @@ def weyl_character(rs, weight):
         mult[mu] = m
 
     terms = {(w, 0): mult[rs.dominant_representative(w)] for w in weights}
-    char = GradedCharacter(rs, terms)
-    _char_cache[key] = char
-    return char
+    entry = _char_cache[key] = (GradedCharacter(rs, terms), mult)
+    return entry
 
 
 def demazure_weyl_character(rs, weight):
@@ -139,11 +145,13 @@ def tensor_decompose(rs, char, reverse_tiebreak=False):
     weights to positive multiplicities whose irreducible characters sum back
     to the input exactly.
 
-    Works by repeatedly extracting a maximal dominant weight of the
-    remaining support (dominance order; lexicographic tie-break among
-    incomparable maxima, reversed when ``reverse_tiebreak``).  The multiset
-    returned does not depend on the extraction order; the tie-break knob
-    exists so tests can confirm that.
+    The input is Weyl-symmetric, so only its dominant multiplicities are
+    tracked (Stembridge 2001).  Each round picks a maximal weight of the
+    remaining support in one pass over it, in descending lexicographic order
+    (ascending when ``reverse_tiebreak``), moving to a weight whenever it
+    dominates the one held; then it subtracts the dominant multiplicities
+    of that irreducible.  The multiset returned does not depend on the
+    extraction order; the tie-break knob exists so tests can confirm that.
 
     Raises ValueError for inputs that are not characters (wrong grading,
     not Weyl-symmetric, or extraction driving a multiplicity negative).
@@ -152,24 +160,19 @@ def tensor_decompose(rs, char, reverse_tiebreak=False):
         raise ValueError("tensor decomposition expects an ungraded character")
     if not char.is_w_invariant():
         raise ValueError("not a character: support is not Weyl-symmetric")
-    remaining = {w: m for (w, _), m in char.terms.items()}
+    remaining = {w: m for (w, _), m in char.terms.items() if rs.is_dominant(w)}
     out = {}
     while remaining:
-        dominants = [w for w in remaining if rs.is_dominant(w)]
-        if not dominants:
-            raise ValueError("not a character: no dominant weight left in support")
-        maxima = [
-            w
-            for w in dominants
-            if not any(u != w and rs.dominates(u, w) for u in dominants)
-        ]
-        maxima.sort(reverse=not reverse_tiebreak)
-        pick = maxima[0]
+        order = iter(sorted(remaining, reverse=not reverse_tiebreak))
+        pick = next(order)
+        for w in order:
+            if rs.dominates(w, pick):
+                pick = w
         mult = remaining[pick]
         if mult < 0:
             raise ValueError(f"not a character: negative multiplicity at {pick}")
         out[pick] = mult
-        for (w, _), m in weyl_character(rs, pick).terms.items():
+        for w, m in _weyl_entry(rs, pick)[1].items():
             v = remaining.get(w, 0) - mult * m
             if v:
                 if v < 0:
@@ -180,18 +183,17 @@ def tensor_decompose(rs, char, reverse_tiebreak=False):
     return out
 
 
-def surjection_exists(rs, source, target):
-    """Whether a surjective equivariant map source -> target can exist,
-    by multiplicity domination of the isotypic decompositions.
+def surjection_exists(source, target):
+    """Whether a surjective equivariant map can exist from the module with
+    isotypic decomposition ``source`` onto the one with ``target`` (both as
+    returned by :func:`tensor_decompose`), by multiplicity domination.
 
     Returns ``(flag, witness)``; the witness is the first dominant weight
     (in sorted coordinate order) whose target multiplicity exceeds the
     source one, or None.
     """
-    src = tensor_decompose(rs, source)
-    tgt = tensor_decompose(rs, target)
-    for w in sorted(tgt):
-        if tgt[w] > src.get(w, 0):
+    for w in sorted(target):
+        if target[w] > source.get(w, 0):
             return False, w
     return True, None
 

@@ -102,6 +102,21 @@ def _char_difference_witness(lhs, rhs):
     return None
 
 
+def _domination_certificate(claim, rs, inputs, source, target, t0):
+    """Multiplicity-domination certificate for a surjection source -> target.
+    Each side is decomposed once; the same decompositions decide the
+    verdict and fill the payload."""
+    src = tensor_decompose(rs, source)
+    tgt = tensor_decompose(rs, target)
+    ok, wit = surjection_exists(src, tgt)
+    return Certificate(
+        claim, rs.name, inputs, decomp_payload(src), decomp_payload(tgt),
+        "verified" if ok else "refuted", "multiplicity-domination",
+        witness=None if ok else list(wit),
+        elapsed_ms=(perf_counter() - t0) * 1e3,
+    )
+
+
 def _hypothesis_failure(claim, rs, inputs, notion, reason):
     return Certificate(
         claim, rs.name, inputs, None, None, "hypothesis-violated", notion,
@@ -250,8 +265,10 @@ def verify_mapsdem(rs, level, parts, lam):
     for factor in factors:
         rhs_char = rhs_char * factor
     ok_char = lhs_char == rhs_char
-    fwd, fwd_wit = surjection_exists(rs, lhs_char, rhs_char)
-    bwd, bwd_wit = surjection_exists(rs, rhs_char, lhs_char)
+    lhs_decomp = tensor_decompose(rs, lhs_char)
+    rhs_decomp = tensor_decompose(rs, rhs_char)
+    fwd, fwd_wit = surjection_exists(lhs_decomp, rhs_decomp)
+    bwd, bwd_wit = surjection_exists(rhs_decomp, lhs_decomp)
     details.update({
         "domination_forward": fwd,
         "domination_backward": bwd,
@@ -445,15 +462,7 @@ def verify_twofold(rs, node, level, lam, mu1, mu2):
             )
     source = weyl_character(rs, kr_weight) * weyl_character(rs, lam)
     target = weyl_character(rs, mu1) * weyl_character(rs, mu2)
-    ok, wit = surjection_exists(rs, source, target)
-    return Certificate(
-        claim, rs.name, inputs,
-        decomp_payload(tensor_decompose(rs, source)),
-        decomp_payload(tensor_decompose(rs, target)),
-        "verified" if ok else "refuted", notion,
-        witness=None if ok else list(wit),
-        elapsed_ms=(perf_counter() - t0) * 1e3,
-    )
+    return _domination_certificate(claim, rs, inputs, source, target, t0)
 
 
 def twofold_corollary_thresholds(rs, j, level, m_level):
@@ -544,15 +553,7 @@ def verify_genschurpos(rs, node, power, level, m_level, lam, mu):
     target = demazure_character(
         rs, level, rs.add(rs.scale(power * d * level, omega), lam)
     ).collapse()
-    ok, wit = surjection_exists(rs, source, target)
-    return Certificate(
-        claim, rs.name, inputs,
-        decomp_payload(tensor_decompose(rs, source)),
-        decomp_payload(tensor_decompose(rs, target)),
-        "verified" if ok else "refuted", notion,
-        witness=None if ok else list(wit),
-        elapsed_ms=(perf_counter() - t0) * 1e3,
-    )
+    return _domination_certificate(claim, rs, inputs, source, target, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -670,16 +671,8 @@ def _scan_one(args):
     t0 = perf_counter()
     source = weyl_character(rs, mu1) * weyl_character(rs, mu2)
     target = weyl_character(rs, lam1) * weyl_character(rs, lam2)
-    ok, wit = surjection_exists(rs, source, target)
-    return Certificate(
-        "schur-surjection", rs.name,
-        {"lambda1": list(lam1), "lambda2": list(lam2), "mu1": list(mu1), "mu2": list(mu2)},
-        decomp_payload(tensor_decompose(rs, source)),
-        decomp_payload(tensor_decompose(rs, target)),
-        "verified" if ok else "refuted", "multiplicity-domination",
-        witness=None if ok else list(wit),
-        elapsed_ms=(perf_counter() - t0) * 1e3,
-    )
+    inputs = {"lambda1": list(lam1), "lambda2": list(lam2), "mu1": list(mu1), "mu2": list(mu2)}
+    return _domination_certificate("schur-surjection", rs, inputs, source, target, t0)
 
 
 def schur_scan(rs, height_bound, jobs=1):

@@ -3,14 +3,16 @@
 The oracles here deliberately avoid the library's primary code paths:
 root sets are rebuilt as Weyl orbits of the simple roots, simple-root
 coordinates come from a Fraction solve of C x = w, rank-1 tensor products
-come from the classical highest-weight ladder, and small products are
-convolved by hand.
+come from the classical highest-weight ladder, small products are
+convolved by hand, and tensor products of irreducibles are decomposed by
+the Brauer-Klimyk formula over the divided-difference character.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
+from demkit.finite import demazure_weyl_character
 from demkit.rootsystem import root_system
 
 
@@ -63,3 +65,25 @@ def clebsch_gordan_sl2(a, b):
 
 def seeded(name):
     return random.Random(f"demkit-{name}")
+
+
+def brauer_klimyk(rs, a, b):
+    """Isotypic multiplicities of V(a) (x) V(b) by the Brauer-Klimyk formula
+    (Humphreys, Introduction to Lie Algebras, 24, Ex. 9): for each weight nu
+    of V(a), straighten b + nu + rho into the dominant chamber by simple
+    reflections, flipping the sign at each step; a term that reaches a zero
+    coordinate cancels, any other adds +-mult(nu) to V(result - rho).
+    Uses neither extraction nor the dominance order."""
+    out = {}
+    for (nu, _), m in demazure_weyl_character(rs, a).terms.items():
+        v = tuple(x + y + 1 for x, y in zip(b, nu))
+        sign = 1
+        while 0 not in v:
+            i = next((i for i, c in enumerate(v) if c < 0), None)
+            if i is None:
+                lam = tuple(c - 1 for c in v)
+                out[lam] = out.get(lam, 0) + sign * m
+                break
+            v = rs.reflect(i + 1, v)
+            sign = -sign
+    return {lam: m for lam, m in out.items() if m}

@@ -267,7 +267,7 @@ def test_presentation_rank1_level2():
     (rel,) = presentation(A1, 2, (3,))
     assert rel.s == 2 and rel.m == 1
     assert rel.nilpotency_order == 2
-    assert rel.power_exponent == 2
+    assert rel.to_dict()["power_relation"] == {"t_exponent": 2}
 
 
 def test_presentation_decomposition_is_exact():

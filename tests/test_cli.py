@@ -200,13 +200,25 @@ def test_domain_errors_exit_3(capsys):
         assert code == 3 and err.startswith("error:") and err.count("\n") == 1
 
 
+def test_internal_errors_exit_5(capsys, monkeypatch):
+    import demkit.theorems
+
+    def broken(rs):
+        raise RuntimeError("internal error: simulated")
+
+    monkeypatch.setattr(demkit.theorems, "verify_minuscule", broken)
+    code, out, err = run(capsys, "verify", "minuscule", "--system", "B3")
+    assert code == 5 and out == ""
+    assert err == "error: internal error: simulated\n"
+
+
 EXPECTED = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 RANK3_STABILIZATION = ("--system A3 ", "--system B3 ", "--system C3 ")
 
 
 def _replayed_requests():
     """Every pinned verify request but the slow rank-3 stabilization ones,
-    two chars computed afresh, and the serial A2 scan."""
+    two chars computed afresh, and the three pinned scans run serially."""
     expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
     picked = [
         pytest.param(key, (), expected[key], id=key)
@@ -218,6 +230,8 @@ def _replayed_requests():
         ("char --system G2 --level 1 --weight 3,3 --graded", ("--no-cache",)),
         ("char --system B2 --level 1 --weight 6,6 --graded", ("--no-cache",)),
         ("scan --system A2 --height-bound 2 --no-timing", ("--jobs", "1")),
+        ("scan --system B2 --height-bound 2 --no-timing", ("--jobs", "1")),
+        ("scan --system A3 --height-bound 1 --no-timing", ("--jobs", "1")),
     ):
         picked.append(pytest.param(key, extra, expected[key], id=key))
     return picked

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import clebsch_gordan_sl2, dominant_box, random_dominant, seeded
+from conftest import brauer_klimyk, clebsch_gordan_sl2, dominant_box, random_dominant, seeded
 from demkit.charalg import GradedCharacter
 from demkit.finite import (
     conjecture_conditions,
@@ -16,6 +16,7 @@ A1 = root_system("A1")
 A2 = root_system("A2")
 B2 = root_system("B2")
 G2 = root_system("G2")
+A3 = root_system("A3")
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +125,17 @@ def test_decomposition_is_extraction_order_independent():
         assert tensor_decompose(A2, char) == tensor_decompose(A2, char, reverse_tiebreak=True)
 
 
+@pytest.mark.parametrize("rs,bound", [(A2, 3), (B2, 2), (G2, 2), (A3, 1)], ids=["A2", "B2", "G2", "A3"])
+def test_extraction_matches_brauer_klimyk(rs, bound):
+    box = dominant_box(rs, bound)
+    for a in box:
+        for b in box:
+            product = weyl_character(rs, a) * weyl_character(rs, b)
+            want = brauer_klimyk(rs, a, b)
+            assert tensor_decompose(rs, product) == want, (a, b)
+            assert tensor_decompose(rs, product, reverse_tiebreak=True) == want, (a, b)
+
+
 def test_rejects_non_characters():
     spike = GradedCharacter.monomial(A2, (1, 0))
     with pytest.raises(ValueError):
@@ -144,16 +156,18 @@ def test_rejects_non_characters():
 
 def test_identity_surjection():
     product = weyl_character(A2, (1, 0)) * weyl_character(A2, (1, 1))
-    ok, witness = surjection_exists(A2, product, product)
+    decomp = tensor_decompose(A2, product)
+    ok, witness = surjection_exists(decomp, decomp)
     assert ok and witness is None
 
 
 def test_rank1_surjection_pair():
     source = weyl_character(A1, (1,)) * weyl_character(A1, (1,))
     target = weyl_character(A1, (2,)) * weyl_character(A1, (0,))
-    ok, _ = surjection_exists(A1, source, target)
+    src, tgt = tensor_decompose(A1, source), tensor_decompose(A1, target)
+    ok, _ = surjection_exists(src, tgt)
     assert ok
-    ok, witness = surjection_exists(A1, target, source)
+    ok, witness = surjection_exists(tgt, src)
     assert not ok and witness == (0,)
 
 
@@ -183,5 +197,7 @@ def test_conditions_imply_domination_in_a_small_sweep():
                     continue
                 source = weyl_character(B2, mu1) * weyl_character(B2, mu2)
                 target = weyl_character(B2, lam1) * weyl_character(B2, lam2)
-                ok, witness = surjection_exists(B2, source, target)
+                ok, witness = surjection_exists(
+                    tensor_decompose(B2, source), tensor_decompose(B2, target)
+                )
                 assert ok, (lam1, lam2, mu1, mu2, witness)

@@ -2,6 +2,9 @@ import itertools
 
 import pytest
 
+import demkit.finite
+import demkit.theorems
+
 from conftest import dominant_box, seeded
 from demkit.theorems import (
     Certificate,
@@ -337,3 +340,26 @@ def test_summary_counts_every_verdict():
     summary = scan_summary([base, fake, inc])
     assert summary["total"] == 3
     assert summary["verified"] == 1 and summary["refuted"] == 1 and summary["inconclusive"] == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: schur_scan(A2, 1, jobs=1),
+    lambda: [verify_twofold(A1, 1, 2, (2,), (3,), (1,))],
+    lambda: [verify_genschurpos(A1, 1, 1, 2, 1, (0,), (1,))],
+    lambda: [verify_mapsdem(A1, 1, [(1, (2,))] * 2, (0,))],
+], ids=["scan", "twofold", "genschurpos", "mapsdem-isomorphism"])
+def test_each_side_is_decomposed_once(monkeypatch, build):
+    calls = []
+    real = demkit.theorems.tensor_decompose
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # patched in both modules, so decompositions made inside the
+    # surjection test are counted too
+    monkeypatch.setattr(demkit.theorems, "tensor_decompose", counting)
+    monkeypatch.setattr(demkit.finite, "tensor_decompose", counting)
+    certs = build()
+    assert certs and all(c.verdict == "verified" for c in certs)
+    assert len(calls) == 2 * len(certs)
