@@ -21,7 +21,6 @@ comparison needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from operator import add, mul
 from typing import NamedTuple
 
@@ -257,44 +256,6 @@ def _affine_dominant_rep(rs, finite, depth, level):
     return dom.finite, -dom.delta
 
 
-def _coordinate_bounds(rs, norm_bound):
-    """Per-coordinate bounds |c_j + 1| <= Y_j valid on the norm ball, with
-    ``norm_bound`` in the L*D units of ``weight_norm2``.
-
-    For y in the weight lattice, y_j = d_j*(y, alpha_j) and Cauchy-Schwarz
-    gives y_j^2 <= 2*d_j*(y, y)."""
-    unit = rs.lattice_scale * rs.pairing_scale
-    return [isqrt(2 * d * norm_bound // unit) + 1 for d in rs.d_simple]
-
-
-def _ball_candidates(rs, top, depth, norm_bound):
-    """All (finite, depth) below ``top + depth*theta`` within the norm ball.
-
-    Yields pairs (finite, simple-root gap); the gap certifies membership in
-    Z>=0-span of the simple roots below the depth-shifted top weight.
-    """
-    shifted_top = rs.add(top, rs.scale(depth, rs.theta.coords))
-    bounds = _coordinate_bounds(rs, norm_bound)
-    ranges = [range(-b - 1, b) for b in bounds]
-
-    def rec(prefix, j):
-        if j == rs.rank:
-            finite = tuple(prefix)
-            gap = rs.dominance_gap(shifted_top, finite)
-            if gap is None or any(g < 0 for g in gap):
-                return
-            y = rs.add(finite, rs.rho)
-            if rs.weight_norm2(y) <= norm_bound:
-                yield finite, gap
-            return
-        for c in ranges[j]:
-            prefix.append(c)
-            yield from rec(prefix, j + 1)
-            prefix.pop()
-
-    yield from rec([], 0)
-
-
 def affine_irreducible_character_truncated(rs, level, weight, max_grade):
     """Weight multiplicities of the irreducible affine highest-weight module
     of level ``level`` and finite part ``weight``, down to depth ``max_grade``.
@@ -303,10 +264,13 @@ def affine_irreducible_character_truncated(rs, level, weight, max_grade):
     highest weight sits at grade 0 and the grade-0 slice is the irreducible
     finite-type character).  Exact at every depth <= max_grade.
 
-    The recursion runs over dominant candidate weights inside the norm ball
-    |mu + rho_affine|^2 <= |top + rho_affine|^2, which every weight of the
-    module satisfies; candidates that are not weights come out with
-    multiplicity zero.  All arithmetic is exact.
+    The recursion runs over level-dominant candidate weights inside the
+    norm ball |mu + rho_affine|^2 <= |top + rho_affine|^2, which every
+    weight of the module satisfies.  The candidates at each depth come from
+    the positive-root walk down from top + depth*theta through dominant
+    weights (``RootSystem.dominant_weights_below``); those that are not
+    weights come out with multiplicity zero.  The slices are the finite
+    Weyl orbits of the dominant weights.  All arithmetic is exact.
     """
     weight = rs.check_weight(weight)
     if level < 1:
@@ -326,17 +290,25 @@ def affine_irreducible_character_truncated(rs, level, weight, max_grade):
         # <= |top + rho^|^2, in the L*D units of weight_norm2
         return top_norm + depth * depth_norm
 
-    # candidate dominant (finite, depth) pairs, ordered by total height of
-    # the gap to the highest weight
-    candidates = []
-    for depth in range(max_grade + 1):
-        for finite, gap in _ball_candidates(rs, weight, depth, norm_bound(depth)):
-            if not rs.is_dominant(finite):
-                continue
-            if rs.theta_pairing(finite) > level:
-                continue
-            candidates.append((depth + sum(gap), depth, finite))
-    candidates.sort()
+    # per depth, the dominant weights below top + depth*theta inside the
+    # norm ball, with the total height of their gap to the highest weight;
+    # the level-dominant ones are the candidates, in order of that height
+    layers = [
+        {
+            finite: depth + height
+            for finite, height in rs.dominant_weights_below(
+                rs.add(weight, rs.scale(depth, rs.theta.coords))
+            ).items()
+            if rs.weight_norm2(rs.add(finite, rs.rho)) <= norm_bound(depth)
+        }
+        for depth in range(max_grade + 1)
+    ]
+    candidates = sorted(
+        (height, depth, finite)
+        for depth, layer in enumerate(layers)
+        for finite, height in layer.items()
+        if rs.theta_pairing(finite) <= level
+    )
 
     mult = {}
 
@@ -402,11 +374,11 @@ def affine_irreducible_character_truncated(rs, level, weight, max_grade):
         if val:
             mult[(finite, depth)] = val
 
-    # expand to full slices via the orbit representatives
+    # expand to full slices: the finite Weyl group fixes the depth
     terms = {}
-    for depth in range(max_grade + 1):
-        for finite, _gap in _ball_candidates(rs, weight, depth, norm_bound(depth)):
+    for depth, layer in enumerate(layers):
+        for finite in layer:
             m = lookup(finite, depth)
             if m:
-                terms[(finite, depth)] = m
+                terms.update(((w, depth), m) for w in rs.weyl_orbit(finite))
     return GradedCharacter(rs, terms)

@@ -159,12 +159,13 @@ class GradedCharacter:
     def is_w_invariant(self):
         """True iff every graded slice is symmetric under the Weyl group.
 
-        It suffices to test the simple reflections, which generate.
+        It suffices to test the simple reflections, which generate; s_i
+        fixes every weight with a zero i-th coordinate.
         """
         rs = self.system
         for (w, g), m in self.terms.items():
-            for i in range(1, rs.rank + 1):
-                if self.terms.get((rs.reflect(i, w), g), 0) != m:
+            for i, k in enumerate(w, 1):
+                if k and self.terms.get((rs.reflect(i, w), g), 0) != m:
                     return False
         return True
 

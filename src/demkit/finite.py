@@ -1,10 +1,11 @@
 """Finite-type character oracles and the surjection-existence criterion.
 
-Irreducible characters come from the multiplicity recursion over the weight
-diagram (the primary route); a second, independent route applies the
-divided-difference operators along a reduced word for the longest Weyl
-element.  The two share no algorithmic step, which is what makes their exact
-agreement a meaningful cross-check.
+Irreducible characters come from the multiplicity recursion over the
+dominant weights below the highest weight, each multiplicity then expanded
+over its Weyl orbit (the primary route); a second, independent route
+applies the divided-difference operators along a reduced word for the
+longest Weyl element.  The two share no algorithmic step, which is what
+makes their exact agreement a meaningful cross-check.
 
 Tensor product multiplicities are obtained by iterated extraction of maximal
 isotypic components, tracking dominant weights only.  The surjection
@@ -31,27 +32,6 @@ __all__ = [
 _char_cache = {}
 
 
-def _weight_diagram(rs, top):
-    """All weights of the irreducible module of highest weight ``top``:
-    the closure of {top} under walking every root string downward."""
-    weights = {top}
-    stack = [top]
-    cols = rs.simple_root_coords
-    while stack:
-        v = stack.pop()
-        for i in range(rs.rank):
-            k = v[i]
-            if k > 0:
-                cur = v
-                col = cols[i]
-                for _ in range(k):
-                    cur = tuple(c - a for c, a in zip(cur, col))
-                    if cur not in weights:
-                        weights.add(cur)
-                        stack.append(cur)
-    return weights
-
-
 def weyl_character(rs, weight):
     """Character of the irreducible module of a dominant highest weight,
     by the exact multiplicity recursion (all grades 0)."""
@@ -69,15 +49,8 @@ def _weyl_entry(rs, weight):
     if hit is not None:
         return hit
 
-    weights = _weight_diagram(rs, weight)
-    dominant = [w for w in weights if rs.is_dominant(w)]
-    heights = {}
-    for w in dominant:
-        gap = rs.dominance_gap(weight, w)
-        if gap is None or any(g < 0 for g in gap):
-            raise RuntimeError(f"internal error: {w} is not below the highest weight {weight}")
-        heights[w] = sum(gap)
-    dominant.sort(key=lambda w: (heights[w], w))
+    heights = rs.dominant_weights_below(weight)
+    dominant = sorted(heights, key=lambda w: (heights[w], w))
 
     bound = rs.weight_norm2(rs.add(weight, rs.rho))
     mult = {weight: 1}
@@ -92,9 +65,10 @@ def _weyl_entry(rs, weight):
             j = 1
             while True:
                 cur = tuple(c + a for c, a in zip(cur, root.coords))
-                if cur not in weights:
+                rep = rs.dominant_representative(cur)
+                if rep not in heights:
                     break
-                acc += (base + j * norm) * mult[rs.dominant_representative(cur)]
+                acc += (base + j * norm) * mult[rep]
                 j += 1
         den = rs.freudenthal_denominator(bound, mu)
         num = 2 * acc
@@ -105,7 +79,7 @@ def _weyl_entry(rs, weight):
             raise RuntimeError(f"internal error: non-positive multiplicity at {mu}")
         mult[mu] = m
 
-    terms = {(w, 0): mult[rs.dominant_representative(w)] for w in weights}
+    terms = {(w, 0): m for mu, m in mult.items() for w in rs.weyl_orbit(mu)}
     entry = _char_cache[key] = (GradedCharacter(rs, terms), mult)
     return entry
 

@@ -410,6 +410,26 @@ class RootSystem:
         gap = self.dominance_gap(upper, lower)
         return gap is not None and all(c >= 0 for c in gap)
 
+    def dominant_weights_below(self, top):
+        """Every dominant weight mu with ``top`` dominating mu, mapped to the
+        height of top - mu, for a dominant ``top``.
+
+        Walks down from ``top`` by positive roots through dominant weights
+        only: any dominant mu < top is reached that way, since the dominant
+        weights below a dominant one are linked by positive-root steps
+        (Stembridge, The partial order of dominant weights, Adv. Math. 1998).
+        """
+        below = {top: 0}
+        stack = [top]
+        while stack:
+            v = stack.pop()
+            for root in self.positive_roots:
+                u = tuple(c - a for c, a in zip(v, root.coords))
+                if u not in below and all(c >= 0 for c in u):
+                    below[u] = below[v] + root.height
+                    stack.append(u)
+        return below
+
     def scaled_root_pairing(self, weight, root):
         """D*(weight, root) where D clears all d-denominators; exact integer."""
         D = self.pairing_scale

@@ -681,6 +681,8 @@ def schur_scan(rs, height_bound, jobs=1):
     refutations are collected, never raised."""
     if height_bound < 0:
         raise ValueError("height bound must be non-negative")
+    if jobs is not None and jobs < 1:
+        raise ValueError("jobs must be >= 1")
     tuples = scan_tuples(rs, height_bound)
     args = [(rs.name, *t) for t in tuples]
     if jobs is None:

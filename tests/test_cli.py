@@ -198,6 +198,9 @@ def test_domain_errors_exit_3(capsys):
     for index in ("5", "0"):
         code, _, err = run(capsys, "char", "--system", "A1", "--kind", "kr", "--level", "1", "--index", index)
         assert code == 3 and err.startswith("error:") and err.count("\n") == 1
+    for jobs in ("0", "-3"):
+        code, _, err = run(capsys, "scan", "--system", "A1", "--height-bound", "1", "--jobs", jobs)
+        assert code == 3 and err == "error: jobs must be >= 1\n"
 
 
 def test_internal_errors_exit_5(capsys, monkeypatch):
@@ -213,18 +216,16 @@ def test_internal_errors_exit_5(capsys, monkeypatch):
 
 
 EXPECTED = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
-RANK3_STABILIZATION = ("--system A3 ", "--system B3 ", "--system C3 ")
 
 
 def _replayed_requests():
-    """Every pinned verify request but the slow rank-3 stabilization ones,
-    two chars computed afresh, and the three pinned scans run serially."""
+    """Every pinned verify request, two chars computed afresh, and the three
+    pinned scans run serially."""
     expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
     picked = [
         pytest.param(key, (), expected[key], id=key)
         for key in sorted(expected)
         if key.startswith("verify")
-        and not (key.startswith("verify stabilization") and any(s in key for s in RANK3_STABILIZATION))
     ]
     for key, extra in (
         ("char --system G2 --level 1 --weight 3,3 --graded", ("--no-cache",)),

@@ -1,7 +1,8 @@
 import ast
+import itertools
 import pathlib
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 
@@ -264,6 +265,33 @@ def test_integer_lattice_core_matches_fraction_solve(name):
         assert rs.weight_norm2(upper) == L * D * norm
     # every system with a proper root sublattice must exercise the None branch
     assert (outside > 0) == (L > 1)
+
+
+# dominant tops with coordinate sum at most this, per system
+ENUMERATOR_TOPS = {
+    "A1": 6, "A2": 4, "A3": 3, "A4": 2,
+    "B2": 4, "B3": 3, "B4": 2, "C3": 2,
+    "D4": 2, "G2": 3, "F4": 2, "E6": 1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATOR_TOPS))
+def test_dominant_weights_below_matches_brute_force(name):
+    # both multiplicity recursions take their candidates from this walk
+    rs = root_system(name)
+    unit = rs.lattice_scale * rs.pairing_scale
+    tops = [t for t in dominant_box(rs, ENUMERATOR_TOPS[name]) if sum(t) <= ENUMERATOR_TOPS[name]]
+    for top in tops:
+        # a dominant mu below top has (mu, mu) <= (top, top), and every
+        # weight has mu_j^2 = d_j^2 (mu, alpha_j)^2 <= 2 d_j (mu, mu)
+        norm = rs.weight_norm2(top)
+        box = [range(isqrt(2 * d * norm // unit) + 1) for d in rs.d_simple]
+        want = {
+            mu: sum(rs.dominance_gap(top, mu))
+            for mu in itertools.product(*box)
+            if rs.dominates(top, mu)
+        }
+        assert rs.dominant_weights_below(top) == want, top
 
 
 def test_library_has_no_assert_statements():

@@ -278,6 +278,22 @@ def test_stabilization_level1(lam):
     assert cert.details["stable_from"] <= 3
 
 
+@pytest.mark.parametrize(
+    "name,lam,max_grade,n_max",
+    [
+        ("B2", (1, 0), 3, 4),
+        ("G2", (1, 0), 3, 4),
+        ("A3", (0, 1, 0), 3, 4),
+        ("D4", (0, 0, 0, 0), 2, 3),
+        ("D4", (1, 0, 0, 0), 2, 3),
+    ],
+    ids=["B2", "G2", "A3", "D4-0", "D4-omega1"],
+)
+def test_stabilization_higher_rank_at_depth_two_and_more(name, lam, max_grade, n_max):
+    cert = verify_stabilization(root_system(name), 1, lam, max_grade, n_max)
+    assert cert.verdict == "verified"
+
+
 def test_stabilization_inconclusive_when_window_too_small():
     cert = verify_stabilization(A1, 1, (0,), 2, 2)
     assert cert.verdict == "inconclusive"
