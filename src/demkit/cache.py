@@ -1,12 +1,17 @@
 """On-disk character cache.
 
-One character per file, in the JSON-lines format of
-:meth:`GradedCharacter.to_jsonl`.  Keys are injective over distinct
-mathematical objects and carry a format version; bumping the version
-orphans every prior entry.  Writes are atomic (write to a temp file in the
-same directory, then rename), so concurrent readers never observe a torn
-file and concurrent writers of the same key simply race to identical
-content.
+One character per file.  An entry is the :meth:`GradedCharacter.to_jsonl`
+text of the character, except that its header line also carries the
+body's term count and the SHA-256 of the body (every line after the
+header), e.g. ``{"system":"A2","kind":"graded","terms":7,"sha256":"…"}``.
+``load`` checks system, kind, count and digest before it parses the body,
+so an edited or truncated body is a miss, and so is any entry
+``from_jsonl`` rejects.  Keys are injective over distinct mathematical
+objects and carry a format version (2 since entries carry the digest);
+bumping the version orphans every prior entry.  Writes are atomic (write
+to a temp file in the same directory, then rename), so concurrent readers
+never observe a torn file and concurrent writers of the same key simply
+race to identical content.
 """
 
 from __future__ import annotations
@@ -18,9 +23,17 @@ from dataclasses import dataclass
 
 from .charalg import GradedCharacter
 
+try:  # the builtin module, as in ``random``: hashlib loads OpenSSL, ~4 MB of RSS
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python >= 3.12
+    except ImportError:
+        from hashlib import sha256
+
 __all__ = ["FORMAT_VERSION", "CacheKey", "CharacterCache", "resolve_cache_dir"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 ENV_VAR = "DEMKIT_CACHE"
 
@@ -64,29 +77,46 @@ class CharacterCache:
         return os.path.join(self.directory, key.filename())
 
     def load(self, key):
-        """The cached character, or None on a miss.  The header line is
-        re-validated; stale or corrupt entries count as misses."""
-        path = self._path(key)
+        """The cached character, or None on a miss.  Stale, corrupt or
+        malformed entries count as misses."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(self._path(key), "rb") as fh:
+                data = fh.read()
         except OSError:
             return None
+        start = data.find(b"\n") + 1  # where the body begins
         try:
-            header = json.loads(text.splitlines()[0])
-            if header.get("system") != key.system or header.get("kind") != key.expected_header_kind:
+            header = json.loads(data[:start])
+            if (
+                type(header) is not dict
+                or header.get("system") != key.system
+                or header.get("kind") != key.expected_header_kind
+                or header.get("terms") != data.count(b"\n", start)
+                or header.get("sha256") != sha256(memoryview(data)[start:]).hexdigest()
+            ):
                 return None
-            return GradedCharacter.from_jsonl(text, expect_system=key.system)
-        except (ValueError, IndexError):
+            return GradedCharacter.from_jsonl(data.decode("utf-8"), expect_system=key.system)
+        except ValueError:
             return None
 
     def store(self, key, char):
+        """Write ``char`` under ``key``; returns its ``to_jsonl`` text in
+        the key's kind, so a caller that prints it serializes once."""
         os.makedirs(self.directory, exist_ok=True)
-        payload = char.to_jsonl(kind=key.expected_header_kind)
+        text = char.to_jsonl(kind=key.expected_header_kind)
+        data = text.encode("utf-8")
+        body = memoryview(data)[data.index(b"\n") + 1:]
+        header = {
+            "system": key.system,
+            "kind": key.expected_header_kind,
+            "terms": len(char.terms),
+            "sha256": sha256(body).hexdigest(),
+        }
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
+                fh.write(body)
             os.replace(tmp, self._path(key))
         except BaseException:
             try:
@@ -94,6 +124,7 @@ class CharacterCache:
             except OSError:
                 pass
             raise
+        return text
 
     def entries(self):
         try:

@@ -5,14 +5,24 @@ A :class:`GradedCharacter` is a finitely supported map
 tuples in the fundamental basis and grades are plain integers.  Coefficients
 are Python ints, so multiplicities never overflow.  Values are immutable:
 every operation returns a fresh character.
+
+Characters serialize as JSON lines (:meth:`GradedCharacter.to_jsonl`): a
+``{"system":…,"kind":…}`` header, then one ``{"w":[…],"g":…,"m":"…"}``
+line per term in sorted (weight, grade) order, multiplicities as decimal
+strings.  The term lines are formatted by hand, byte-identical to
+``json.dumps`` with compact separators; :meth:`GradedCharacter.from_jsonl`
+parses them back and raises ``ValueError`` on any malformed file.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from operator import add
 
 __all__ = ["GradedCharacter"]
+
+_PARSE_CHUNK = 1024  # term lines per json.loads call in from_jsonl
 
 
 class GradedCharacter:
@@ -174,42 +184,69 @@ class GradedCharacter:
     # decimal strings so arbitrary precision survives every consumer
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
+        terms = self.terms
+        return [(key, terms[key]) for key in sorted(terms)]
 
     def to_jsonl(self, kind=None):
         if kind is None:
             kind = "plain" if self.is_plain else "graded"
         if kind not in ("plain", "graded"):
             raise ValueError(f"unknown serialization kind {kind!r}")
-        lines = [json.dumps({"system": self.system.name, "kind": kind}, separators=(",", ":"))]
-        for (w, g), m in self.sorted_terms():
-            lines.append(
-                json.dumps({"w": list(w), "g": g, "m": str(m)}, separators=(",", ":"))
-            )
-        return "\n".join(lines) + "\n"
+        header = json.dumps({"system": self.system.name, "kind": kind}, separators=(",", ":"))
+        terms = self.terms
+        body = "".join([
+            '{"w":[%s],"g":%d,"m":"%d"}\n' % (",".join(map(str, w)), g, terms[w, g])
+            for w, g in sorted(terms)
+        ])
+        return header + "\n" + body
 
     @classmethod
     def from_jsonl(cls, text, expect_system=None):
+        """Parse :meth:`to_jsonl` output.  Raises ``ValueError`` for
+        anything that is not a well-formed character file: a header or
+        record that is not a JSON object, a weight that is not a list of
+        ``rank`` ints, a grade that is not an int, a multiplicity that is
+        not a decimal string, or a repeated term."""
         from .rootsystem import root_system
 
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty character file")
         header = json.loads(lines[0])
-        if "system" not in header or header.get("kind") not in ("plain", "graded"):
+        if (
+            type(header) is not dict
+            or type(header.get("system")) is not str
+            or header.get("kind") not in ("plain", "graded")
+        ):
             raise ValueError(f"bad character header {lines[0]!r}")
         if expect_system is not None and header["system"] != expect_system:
             raise ValueError(
                 f"character file is for {header['system']}, expected {expect_system}"
             )
         rs = root_system(header["system"])
+        rank = rs.rank
         terms = {}
-        for ln in lines[1:]:
-            rec = json.loads(ln)
-            key = (tuple(rec["w"]), int(rec["g"]))
-            if key in terms:
-                raise ValueError(f"duplicate term {key} in character file")
-            terms[key] = int(rec["m"])
+        # One json.loads per chunk of lines is faster than one per line and
+        # keeps memory bounded; a record count other than the chunk's line
+        # count means some line did not hold exactly one record.
+        for start in range(1, len(lines), _PARSE_CHUNK):
+            chunk = lines[start:start + _PARSE_CHUNK]
+            records = json.loads("[" + ",".join(chunk) + "]")
+            if len(records) != len(chunk):
+                raise ValueError("character file must hold one record per line")
+            for rec in records:
+                try:  # TypeError: not an object, or an unhashable coordinate
+                    w, g, m = rec["w"], rec["g"], rec["m"]
+                    if (type(w) is not list or len(w) != rank
+                            or type(g) is not int or type(m) is not str):
+                        raise ValueError(f"bad character record {rec!r}")
+                    terms[tuple(w), g] = int(m)
+                except (TypeError, KeyError):
+                    raise ValueError(f"bad character record {rec!r}") from None
+        if len(terms) != len(lines) - 1:
+            raise ValueError("repeated term in character file")
+        if not set(map(type, chain.from_iterable(w for w, _ in terms))) <= {int}:
+            raise ValueError("weight coordinates must be ints")
         char = cls(rs, terms)
         if header["kind"] == "plain" and not char.is_plain:
             raise ValueError("character file declared plain but carries nonzero grades")

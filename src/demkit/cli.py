@@ -116,19 +116,11 @@ def _pretty_character(char):
 
 def _cmd_char(args):
     rs = root_system(args.system)
-    cache = None
-    if not args.no_cache:
-        cache = CharacterCache(resolve_cache_dir(args.cache_dir))
-
     if args.kind == "weyl":
         if args.weight is None:
             raise ValueError("--weight is required for --kind weyl")
         key = CacheKey(rs.name, "weyl", 0, args.weight)
-        char = cache.load(key) if cache else None
-        if char is None:
-            char = weyl_character(rs, args.weight)
-            if cache:
-                cache.store(key, char)
+        build = lambda: weyl_character(rs, args.weight)
     else:
         if args.level is None:
             raise ValueError("--level is required for Demazure characters")
@@ -137,21 +129,29 @@ def _cmd_char(args):
                 raise ValueError("--index is required for --kind kr")
             omega = rs.fundamental_weight(args.index)  # validates the node before d_simple is indexed
             weight = rs.scale(rs.d_simple[args.index - 1] * args.level, omega)
+            build = lambda: kr_character(rs, args.level, args.index)
         else:
             if args.weight is None:
                 raise ValueError("--weight is required for --kind demazure")
             weight = rs.check_weight(args.weight)
+            build = lambda: demazure_character(rs, args.level, weight)
         key = CacheKey(rs.name, "demazure", args.level, weight)
-        char = cache.load(key) if cache else None
-        if char is None:
-            char = kr_character(rs, args.level, args.index) if args.kind == "kr" \
-                else demazure_character(rs, args.level, weight)
-            if cache:
-                cache.store(key, char)
 
-    shown = char if (args.graded or args.kind == "weyl") else char.collapse()
-    kind = "plain" if args.kind == "weyl" or not args.graded else "graded"
-    text = _pretty_character(shown) if args.pretty else shown.to_jsonl(kind=kind)
+    cache = None if args.no_cache else CharacterCache(resolve_cache_dir(args.cache_dir))
+    char = cache.load(key) if cache else None
+    text = None  # the stored serialization, reused when the output is the same
+    if char is None:
+        char = build()
+        if cache:
+            text = cache.store(key, char)
+
+    whole = args.graded or args.kind == "weyl"  # else the grading is collapsed away
+    if args.pretty:
+        text = _pretty_character(char if whole else char.collapse())
+    elif not whole:
+        text = char.collapse().to_jsonl(kind="plain")
+    elif text is None:
+        text = char.to_jsonl(kind=key.expected_header_kind)
     _emit(text, args.out)
     return EXIT_OK
 

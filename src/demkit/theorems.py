@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from time import perf_counter
@@ -688,6 +687,9 @@ def schur_scan(rs, height_bound, jobs=1):
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs > 1 and len(args) > 1:
+        # imported here: the pool modules cost every other command start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             certs = list(pool.map(_scan_one, args, chunksize=max(1, len(args) // (4 * jobs))))
     else:

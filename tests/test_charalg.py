@@ -171,3 +171,64 @@ def test_serialization_is_canonically_ordered():
     recs = [json.loads(ln) for ln in x.to_jsonl().splitlines()[1:]]
     keys = [(tuple(r["w"]), r["g"]) for r in recs]
     assert keys == sorted(keys)
+
+
+def _reference_jsonl(x, kind):
+    """The codec spelled out with one ``json.dumps`` per line."""
+    import json
+
+    sep = (",", ":")
+    lines = [json.dumps({"system": x.system.name, "kind": kind}, separators=sep)]
+    for (w, g), m in sorted(x.terms.items(), key=lambda kv: kv[0]):
+        lines.append(json.dumps({"w": list(w), "g": g, "m": str(m)}, separators=sep))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("system", ["A1", "B2", "G2", "E8"])
+def test_jsonl_matches_json_dumps_reference(system):
+    rs = root_system(system)
+    rng = seeded(f"codec-{system}")
+    samples = [GradedCharacter(rs), weyl_character(rs, rs.zero_weight())]
+    for _ in range(6):
+        x = random_character(rng, rs, nterms=12, coeff_span=9)
+        samples.append(x)
+        samples.append(x.shift(-2))  # negative grades
+        samples.append(x.scaled(2**64 + rng.randint(1, 99)))  # past 64 bits
+        samples.append(x.scaled(-(3**50)))  # large and negative
+    for x in samples:
+        for kind in ("plain", "graded") if x.is_plain else ("graded",):
+            text = x.to_jsonl(kind=kind)
+            assert text == _reference_jsonl(x, kind)
+            assert GradedCharacter.from_jsonl(text) == x
+        assert x.to_jsonl() == x.to_jsonl(kind="plain" if x.is_plain else "graded")
+        assert x.sorted_terms() == sorted(x.terms.items())
+
+
+@pytest.mark.parametrize("header", [
+    pytest.param("[1]", id="not-an-object"),
+    pytest.param('{"system":["A1"],"kind":"graded"}', id="system-not-a-string"),
+])
+def test_from_jsonl_rejects_malformed_headers(header):
+    with pytest.raises(ValueError):
+        GradedCharacter.from_jsonl(header + '\n{"w":[0],"g":0,"m":"1"}\n')
+
+
+@pytest.mark.parametrize("record", [
+    pytest.param("[1]", id="list"),
+    pytest.param("7", id="number"),
+    pytest.param('{"w":2,"g":0,"m":"1"}', id="weight-not-a-list"),
+    pytest.param('{"w":[0.5],"g":0,"m":"1"}', id="weight-float"),
+    pytest.param('{"w":[true],"g":0,"m":"1"}', id="weight-bool"),
+    pytest.param('{"w":[[0]],"g":0,"m":"1"}', id="weight-nested"),
+    pytest.param('{"w":[0,0],"g":0,"m":"1"}', id="weight-wrong-rank"),
+    pytest.param('{"w":[0],"g":"0","m":"1"}', id="grade-string"),
+    pytest.param('{"w":[0],"g":[0],"m":"1"}', id="grade-list"),
+    pytest.param('{"w":[0],"g":0,"m":1}', id="mult-not-a-string"),
+    pytest.param('{"w":[0],"g":0,"m":"1.5"}', id="mult-not-decimal"),
+    pytest.param('{"w":[0],"g":0}', id="mult-missing"),
+    pytest.param('{"w":[0],"g":0,"m":"1"},{"w":[2],"g":0,"m":"1"}', id="two-on-one-line"),
+    pytest.param('{"w":[0],"g":0,"m":"1"}\n{"w":[0],"g":0,"m":"2"}', id="repeated-term"),
+])
+def test_from_jsonl_rejects_malformed_records(record):
+    with pytest.raises(ValueError):
+        GradedCharacter.from_jsonl('{"system":"A1","kind":"graded"}\n' + record + "\n")

@@ -81,6 +81,101 @@ def test_cache_header_revalidation(capsys, isolated_cache):
     assert again == first
 
 
+def _cached_entry(capsys, isolated_cache, args):
+    """Run ``args`` once to fill the cache; the entry's path and its
+    header and body lines."""
+    run(capsys, *args)
+    (name,) = os.listdir(isolated_cache)
+    path = isolated_cache / name
+    head, *body = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    return path, json.loads(head), body
+
+
+def _entry_with_valid_digest(*body):
+    """An A1 graded cache entry whose header passes the count and digest
+    checks for the ``body`` lines, so only the parse can reject it."""
+    text = "".join(body)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    header = {"system": "A1", "kind": "graded", "terms": len(body), "sha256": digest}
+    return json.dumps(header, separators=(",", ":")) + "\n" + text
+
+
+A1_GRADED = ("char", "--system", "A1", "--level", "1", "--weight", "2", "--graded")
+
+
+def test_cache_entry_carries_term_count_and_digest(capsys, isolated_cache):
+    path, header, body = _cached_entry(capsys, isolated_cache, A1_GRADED)
+    assert path.name.startswith("v2_")
+    assert header["terms"] == len(body) == 4
+    assert header["sha256"] == hashlib.sha256("".join(body).encode("utf-8")).hexdigest()
+    _, uncached, _ = run(capsys, *A1_GRADED, "--no-cache")
+    assert uncached.splitlines(keepends=True)[1:] == body
+
+
+@pytest.mark.parametrize("entry", [
+    lambda body: "[1]\n" + "".join(body),  # header not an object
+    lambda body: '{"system":"A1","kind":"graded"}\n' + "".join(body),  # version-1 header
+    lambda body: _entry_with_valid_digest('{"w":2,"g":0,"m":"1"}\n'),
+    lambda body: _entry_with_valid_digest("[0]\n"),  # record not an object
+    lambda body: b"\xff\xfe\n",  # not UTF-8
+], ids=["header-list", "no-digest", "weight-not-list", "record-list", "not-utf8"])
+def test_malformed_cache_entries_are_misses(capsys, isolated_cache, entry):
+    path, _, body = _cached_entry(capsys, isolated_cache, A1_GRADED)
+    raw = entry(body)
+    path.write_bytes(raw if isinstance(raw, bytes) else raw.encode("utf-8"))
+    code, out, err = run(capsys, *A1_GRADED)
+    assert code == 0 and err == ""
+    _, uncached, _ = run(capsys, *A1_GRADED, "--no-cache")
+    assert out == uncached
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: [ln.replace('"m":"1"', '"m":"5"', 1) for ln in lines],  # one multiplicity
+    lambda lines: lines[:-1],  # last term dropped
+    lambda lines: lines[:-1] + [lines[-1][:-6]],  # cut inside the last line
+    lambda lines: lines + [lines[-1]],  # a term repeated
+], ids=["multiplicity", "dropped-line", "cut-line", "extra-line"])
+def test_edited_cache_bodies_are_recomputed(capsys, isolated_cache, edit):
+    args = ("char", "--system", "B2", "--level", "1", "--weight", "0,2", "--graded")
+    path, header, body = _cached_entry(capsys, isolated_cache, args)
+    edited = edit(body)
+    assert edited != body
+    path.write_text(json.dumps(header, separators=(",", ":")) + "\n" + "".join(edited))
+    code, out, _ = run(capsys, *args)
+    _, uncached, _ = run(capsys, *args, "--no-cache")
+    assert code == 0 and out == uncached
+    assert path.read_text().splitlines(keepends=True)[1:] == body  # rewritten
+
+
+@pytest.mark.parametrize("args,cold_calls", [
+    (A1_GRADED, 1),
+    (("char", "--system", "A2", "--weight", "1,1", "--kind", "weyl"), 1),
+    (("char", "--system", "A2", "--level", "2", "--kind", "kr", "--index", "1", "--graded"), 1),
+    (("char", "--system", "A1", "--level", "1", "--weight", "2"), 2),  # collapsed output
+], ids=["demazure-graded", "weyl", "kr-graded", "demazure-collapsed"])
+def test_cold_request_serializes_once(capsys, monkeypatch, args, cold_calls):
+    from demkit.charalg import GradedCharacter
+
+    calls = []
+    real_to, real_from = GradedCharacter.to_jsonl, GradedCharacter.from_jsonl.__func__
+
+    def counting_to(self, *a, **kw):
+        calls.append("to")
+        return real_to(self, *a, **kw)
+
+    def counting_from(cls, *a, **kw):
+        calls.append("from")
+        return real_from(cls, *a, **kw)
+
+    monkeypatch.setattr(GradedCharacter, "to_jsonl", counting_to)
+    monkeypatch.setattr(GradedCharacter, "from_jsonl", classmethod(counting_from))
+    _, cold, _ = run(capsys, *args)
+    assert calls == ["to"] * cold_calls
+    calls.clear()
+    _, warm, _ = run(capsys, *args)
+    assert calls == ["from", "to"] and warm == cold
+
+
 def test_cache_commands(capsys, isolated_cache):
     code, out, _ = run(capsys, "cache", "stats")
     assert code == 0 and json.loads(out) == {"entries": 0}

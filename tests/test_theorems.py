@@ -325,6 +325,24 @@ def test_scan_parallel_matches_serial():
     assert [c.to_json(False) for c in serial] == [c.to_json(False) for c in parallel]
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    """Only a parallel scan pays for importing the pool modules."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.theorems.__file__)))
+    code = (
+        "import sys, demkit, demkit.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
 def test_scan_rejects_negative_bound():
     with pytest.raises(ValueError):
         schur_scan(A1, -1)
