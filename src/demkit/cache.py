@@ -8,7 +8,8 @@ header), e.g. ``{"system":"A2","kind":"graded","terms":7,"sha256":"…"}``.
 so an edited or truncated body is a miss, and so is any entry
 ``from_jsonl`` rejects.  Keys are injective over distinct mathematical
 objects and carry a format version (2 since entries carry the digest);
-bumping the version orphans every prior entry.  Writes are atomic (write
+bumping the version orphans every prior entry, which ``stats`` does not
+count and ``clear`` removes.  Writes are atomic (write
 to a temp file in the same directory, then rename), so concurrent readers
 never observe a torn file and concurrent writers of the same key simply
 race to identical content.
@@ -126,19 +127,27 @@ class CharacterCache:
             raise
         return text
 
-    def entries(self):
+    def _names(self):
+        """Every entry file, of any format version."""
         try:
             names = os.listdir(self.directory)
         except OSError:
             return []
         return sorted(n for n in names if n.endswith(".jsonl"))
 
+    def entries(self):
+        """Entries of the current format version, the only ones ``load``
+        can read."""
+        prefix = f"v{FORMAT_VERSION}_"
+        return [n for n in self._names() if n.startswith(prefix)]
+
     def stats(self):
         return {"entries": len(self.entries())}
 
     def clear(self):
+        """Remove every entry, stale format versions included."""
         removed = 0
-        for name in self.entries():
+        for name in self._names():
             try:
                 os.unlink(os.path.join(self.directory, name))
                 removed += 1

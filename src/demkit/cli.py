@@ -9,8 +9,10 @@ Exit codes: 0 success/verified, 1 refuted, 2 invalid flags, 3 hypothesis
 violations and other domain errors, 4 inconclusive, 5 internal error (a
 failed internal consistency check, reported as one ``error:`` line on
 stderr).  All primary output is UTF-8 JSON or JSON-lines; ``--no-timing``
-strips the elapsed fields so reruns are byte-identical.  ``scan`` computes
-every certificate before it writes any.
+strips the elapsed fields so reruns are byte-identical.  ``scan`` runs in
+one process, decomposes each distinct product of two irreducibles once,
+and computes every certificate before it writes any; its ``--jobs`` flag
+is validated but changes neither the work nor the output.
 """
 
 from __future__ import annotations
@@ -229,8 +231,10 @@ def _cmd_verify(args):
 
 
 def _cmd_scan(args):
+    if args.jobs < 1:
+        raise ValueError("jobs must be >= 1")
     rs = root_system(args.system)
-    certs = theorems.schur_scan(rs, args.height_bound, jobs=args.jobs)
+    certs = theorems.schur_scan(rs, args.height_bound)
     lines = [c.to_json(include_timing=not args.no_timing) for c in certs]
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -353,7 +357,7 @@ def build_parser():
     p_scan = sub.add_parser("scan", help="exhaustive surjection scan")
     p_scan.add_argument("--system", required=True, type=_system_arg)
     p_scan.add_argument("--height-bound", dest="height_bound", required=True, type=int)
-    p_scan.add_argument("--jobs", type=int, default=None, help="worker count; defaults to available parallelism")
+    p_scan.add_argument("--jobs", type=int, default=1, help="accepted (>= 1) but unused: the scan is serial")
     p_scan.add_argument("--out", help="directory for the certificate stream")
     p_scan.add_argument("--no-timing", action="store_true")
     p_scan.set_defaults(func=_cmd_scan)

@@ -12,7 +12,6 @@ scan.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from itertools import product
 from time import perf_counter
@@ -20,7 +19,6 @@ from time import perf_counter
 from .affine import affine_irreducible_character_truncated, demazure_character, kr_character
 from .charalg import GradedCharacter
 from .finite import surjection_exists, tensor_decompose, weyl_character, weyl_dimension
-from .rootsystem import root_system
 
 __all__ = [
     "Certificate",
@@ -102,14 +100,12 @@ def _char_difference_witness(lhs, rhs):
 
 
 def _domination_certificate(claim, rs, inputs, source, target, t0):
-    """Multiplicity-domination certificate for a surjection source -> target.
-    Each side is decomposed once; the same decompositions decide the
-    verdict and fill the payload."""
-    src = tensor_decompose(rs, source)
-    tgt = tensor_decompose(rs, target)
-    ok, wit = surjection_exists(src, tgt)
+    """Multiplicity-domination certificate for a surjection from the module
+    with isotypic decomposition ``source`` onto the one with ``target``.
+    The same decompositions decide the verdict and fill the payload."""
+    ok, wit = surjection_exists(source, target)
     return Certificate(
-        claim, rs.name, inputs, decomp_payload(src), decomp_payload(tgt),
+        claim, rs.name, inputs, decomp_payload(source), decomp_payload(target),
         "verified" if ok else "refuted", "multiplicity-domination",
         witness=None if ok else list(wit),
         elapsed_ms=(perf_counter() - t0) * 1e3,
@@ -459,8 +455,8 @@ def verify_twofold(rs, node, level, lam, mu1, mu2):
                 claim, rs, inputs, notion,
                 {"failing_alpha": list(root.root_coords), "min_mu": lo, "min_source": hi},
             )
-    source = weyl_character(rs, kr_weight) * weyl_character(rs, lam)
-    target = weyl_character(rs, mu1) * weyl_character(rs, mu2)
+    source = tensor_decompose(rs, weyl_character(rs, kr_weight) * weyl_character(rs, lam))
+    target = tensor_decompose(rs, weyl_character(rs, mu1) * weyl_character(rs, mu2))
     return _domination_certificate(claim, rs, inputs, source, target, t0)
 
 
@@ -491,7 +487,8 @@ def verify_twofold_corollary(rs, node, j, level, m_level, mu1, mu2):
     """The two-fold check specialised to lam = d_j * m_level * omega_j,
     guarded by the per-type thresholds; under those thresholds lam is
     automatically level-dominant, which is asserted."""
-    lam = rs.scale(rs.d_simple[j - 1] * m_level, rs.fundamental_weight(j))
+    omega = rs.fundamental_weight(j)  # validates j before d_simple is indexed
+    lam = rs.scale(rs.d_simple[j - 1] * m_level, omega)
     if not twofold_corollary_thresholds(rs, j, level, m_level):
         return _hypothesis_failure(
             "twofold-corollary", rs,
@@ -546,12 +543,12 @@ def verify_genschurpos(rs, node, power, level, m_level, lam, mu):
         return _hypothesis_failure(claim, rs, inputs, notion, "weights do not balance")
     if rs.theta_pairing(lam) > level:
         raise RuntimeError("internal error: lambda must be level-dominant when the hypotheses hold")
-    source = demazure_character(
+    source = tensor_decompose(rs, demazure_character(
         rs, m_level, rs.add(rs.scale(power * d * m_level, omega), mu)
-    ).collapse()
-    target = demazure_character(
+    ).collapse())
+    target = tensor_decompose(rs, demazure_character(
         rs, level, rs.add(rs.scale(power * d * level, omega), lam)
-    ).collapse()
+    ).collapse())
     return _domination_certificate(claim, rs, inputs, source, target, t0)
 
 
@@ -664,36 +661,29 @@ def scan_tuples(rs, height_bound):
     return out
 
 
-def _scan_one(args):
-    name, lam1, lam2, mu1, mu2 = args
-    rs = root_system(name)
-    t0 = perf_counter()
-    source = weyl_character(rs, mu1) * weyl_character(rs, mu2)
-    target = weyl_character(rs, lam1) * weyl_character(rs, lam2)
-    inputs = {"lambda1": list(lam1), "lambda2": list(lam2), "mu1": list(mu1), "mu2": list(mu2)}
-    return _domination_certificate("schur-surjection", rs, inputs, source, target, t0)
-
-
-def schur_scan(rs, height_bound, jobs=1):
+def schur_scan(rs, height_bound):
     """Run the surjection check over every hypothesis-satisfying tuple in
     the coordinate box.  Returns the certificate list in enumeration order;
-    refutations are collected, never raised."""
+    refutations are collected, never raised.  Tuples outnumber the distinct
+    unordered products of two irreducibles, so each product is decomposed
+    once per scan and shared by every certificate that names it."""
     if height_bound < 0:
         raise ValueError("height bound must be non-negative")
-    if jobs is not None and jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    tuples = scan_tuples(rs, height_bound)
-    args = [(rs.name, *t) for t in tuples]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs > 1 and len(args) > 1:
-        # imported here: the pool modules cost every other command start-up time
-        from concurrent.futures import ProcessPoolExecutor
+    decomps = {}
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            certs = list(pool.map(_scan_one, args, chunksize=max(1, len(args) // (4 * jobs))))
-    else:
-        certs = [_scan_one(a) for a in args]
+    def decompose(a, b):
+        key = (a, b) if a <= b else (b, a)
+        if key not in decomps:
+            decomps[key] = tensor_decompose(rs, weyl_character(rs, a) * weyl_character(rs, b))
+        return decomps[key]
+
+    certs = []
+    for lam1, lam2, mu1, mu2 in scan_tuples(rs, height_bound):
+        t0 = perf_counter()
+        inputs = {"lambda1": list(lam1), "lambda2": list(lam2), "mu1": list(mu1), "mu2": list(mu2)}
+        certs.append(_domination_certificate(
+            "schur-surjection", rs, inputs, decompose(mu1, mu2), decompose(lam1, lam2), t0
+        ))
     return certs
 
 

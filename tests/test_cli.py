@@ -190,6 +190,16 @@ def test_cache_commands(capsys, isolated_cache):
     assert json.loads(out) == {"entries": 0}
 
 
+def test_cache_stats_skip_stale_versions_and_clear_removes_them(capsys, isolated_cache):
+    isolated_cache.mkdir()
+    stale = isolated_cache / "v1_demazure_A1_l1_w2.jsonl"
+    stale.write_text('{"system":"A1","kind":"graded"}\n', encoding="utf-8")
+    code, out, _ = run(capsys, "cache", "stats")
+    assert code == 0 and json.loads(out) == {"entries": 0}
+    run(capsys, "cache", "clear")
+    assert not stale.exists()
+
+
 def test_cache_dir_flag_beats_environment(capsys, tmp_path):
     other = tmp_path / "elsewhere"
     code, out, _ = run(capsys, "cache", "path", "--cache-dir", str(other))

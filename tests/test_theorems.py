@@ -246,6 +246,15 @@ def test_twofold_corollary_wrapper():
     assert cert.verdict == "hypothesis-violated"
 
 
+def test_twofold_corollary_rejects_out_of_range_node():
+    from demkit.theorems import verify_twofold_corollary
+
+    b3 = root_system("B3")
+    for j in (0, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            verify_twofold_corollary(b3, 1, j, 2, 1, (1, 0, 0), (1, 0, 0))
+
+
 def test_genschurpos_identity():
     cert = verify_genschurpos(A1, 1, 1, 1, 1, (1,), (1,))
     assert cert.verdict == "verified"
@@ -319,28 +328,26 @@ def test_scan_enumeration_is_deterministic():
     assert scan_tuples(A1, 2) == scan_tuples(A1, 2)
 
 
-def test_scan_parallel_matches_serial():
-    serial = schur_scan(A1, 2, jobs=1)
-    parallel = schur_scan(A1, 2, jobs=2)
-    assert [c.to_json(False) for c in serial] == [c.to_json(False) for c in parallel]
-
-
 def test_import_leaves_the_process_pool_unloaded():
-    """Only a parallel scan pays for importing the pool modules."""
+    """Neither importing demkit nor a scan at --jobs 2 loads the pool
+    modules: the scan runs in one process."""
     import os
     import subprocess
     import sys
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.theorems.__file__)))
-    code = (
-        "import sys, demkit, demkit.cli\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
-    )
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "[]\n"
+    scan = '["scan", "--system", "A1", "--height-bound", "1", "--jobs", "2", "--no-timing"]'
+    for run in ("pass", f"assert demkit.cli.main({scan}) == 0"):
+        code = (
+            "import sys, demkit, demkit.cli\n"
+            f"{run}\n"
+            "sys.stderr.write(repr(sorted(m for m in sys.modules\n"
+            "                 if m.split('.')[0] in ('concurrent', 'multiprocessing'))))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == "[]", run
 
 
 def test_scan_rejects_negative_bound():
@@ -376,13 +383,20 @@ def test_summary_counts_every_verdict():
     assert summary["verified"] == 1 and summary["refuted"] == 1 and summary["inconclusive"] == 1
 
 
-@pytest.mark.parametrize("build", [
-    lambda: schur_scan(A2, 1, jobs=1),
-    lambda: [verify_twofold(A1, 1, 2, (2,), (3,), (1,))],
-    lambda: [verify_genschurpos(A1, 1, 1, 2, 1, (0,), (1,))],
-    lambda: [verify_mapsdem(A1, 1, [(1, (2,))] * 2, (0,))],
+# distinct unordered pairs among the two products of each (lam1, lam2, mu1, mu2)
+SCAN_PRODUCTS = len({tuple(sorted(p)) for t in scan_tuples(A2, 1) for p in (t[:2], t[2:])})
+
+
+@pytest.mark.parametrize("build,decompositions", [
+    (lambda: schur_scan(A2, 1), SCAN_PRODUCTS),
+    (lambda: [verify_twofold(A1, 1, 2, (2,), (3,), (1,))], 2),
+    (lambda: [verify_genschurpos(A1, 1, 1, 2, 1, (0,), (1,))], 2),
+    (lambda: [verify_mapsdem(A1, 1, [(1, (2,))] * 2, (0,))], 2),
 ], ids=["scan", "twofold", "genschurpos", "mapsdem-isomorphism"])
-def test_each_side_is_decomposed_once(monkeypatch, build):
+def test_each_side_is_decomposed_once(monkeypatch, build, decompositions):
+    """A verification decomposes each of its two sides once; a scan
+    decomposes each distinct unordered product once, for all its
+    certificates."""
     calls = []
     real = demkit.theorems.tensor_decompose
 
@@ -396,4 +410,4 @@ def test_each_side_is_decomposed_once(monkeypatch, build):
     monkeypatch.setattr(demkit.finite, "tensor_decompose", counting)
     certs = build()
     assert certs and all(c.verdict == "verified" for c in certs)
-    assert len(calls) == 2 * len(certs)
+    assert len(calls) == decompositions
