@@ -206,7 +206,7 @@ class GradedCharacter:
         anything that is not a well-formed character file: a header or
         record that is not a JSON object, a weight that is not a list of
         ``rank`` ints, a grade that is not an int, a multiplicity that is
-        not a decimal string, or a repeated term."""
+        zero or not a canonical decimal string, or a repeated term."""
         from .rootsystem import root_system
 
         lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -237,10 +237,11 @@ class GradedCharacter:
             for rec in records:
                 try:  # TypeError: not an object, or an unhashable coordinate
                     w, g, m = rec["w"], rec["g"], rec["m"]
-                    if (type(w) is not list or len(w) != rank
-                            or type(g) is not int or type(m) is not str):
+                    # m must read back exactly as to_jsonl writes it
+                    if (type(w) is not list or len(w) != rank or type(g) is not int
+                            or type(m) is not str or str(n := int(m)) != m or not n):
                         raise ValueError(f"bad character record {rec!r}")
-                    terms[tuple(w), g] = int(m)
+                    terms[tuple(w), g] = n
                 except (TypeError, KeyError):
                     raise ValueError(f"bad character record {rec!r}") from None
         if len(terms) != len(lines) - 1:

@@ -26,10 +26,9 @@ __all__ = [
     "weyl_dimension",
     "tensor_decompose",
     "surjection_exists",
+    "min_condition_failure",
     "conjecture_conditions",
 ]
-
-_char_cache = {}
 
 
 def weyl_character(rs, weight):
@@ -43,9 +42,8 @@ def weyl_character(rs, weight):
 
 def _weyl_entry(rs, weight):
     """``(character, dominant multiplicities)`` of the irreducible module
-    of a dominant ``weight``, memoised together in ``_char_cache``."""
-    key = (rs.name, weight)
-    hit = _char_cache.get(key)
+    of a dominant ``weight``, memoised together on ``rs``."""
+    hit = rs._weyl_cache.get(weight)
     if hit is not None:
         return hit
 
@@ -80,7 +78,7 @@ def _weyl_entry(rs, weight):
         mult[mu] = m
 
     terms = {(w, 0): m for mu, m in mult.items() for w in rs.weyl_orbit(mu)}
-    entry = _char_cache[key] = (GradedCharacter(rs, terms), mult)
+    entry = rs._weyl_cache[weight] = (GradedCharacter(rs, terms), mult)
     return entry
 
 
@@ -172,6 +170,17 @@ def surjection_exists(source, target):
     return True, None
 
 
+def min_condition_failure(rs, lower, upper):
+    """Index of the first positive root at which the smaller pairing of the
+    two weights ``lower`` exceeds the smaller pairing of the two weights
+    ``upper``, or None when the componentwise-minimum condition holds."""
+    (a, b), (c, d) = lower, upper
+    for idx in range(len(rs.positive_roots)):
+        if min(rs.pairing(a, idx), rs.pairing(b, idx)) > min(rs.pairing(c, idx), rs.pairing(d, idx)):
+            return idx
+    return None
+
+
 def conjecture_conditions(rs, lam1, lam2, mu1, mu2):
     """The weight-balance and componentwise-minimum conditions under which a
     surjection between the products of irreducibles is expected: the sums
@@ -180,11 +189,5 @@ def conjecture_conditions(rs, lam1, lam2, mu1, mu2):
     for w in (lam1, lam2, mu1, mu2):
         if not rs.is_dominant(w):
             raise ValueError(f"weight {tuple(w)} is not dominant")
-    if rs.add(lam1, lam2) != rs.add(mu1, mu2):
-        return False
-    for idx in range(len(rs.positive_roots)):
-        lo = min(rs.pairing(lam1, idx), rs.pairing(lam2, idx))
-        hi = min(rs.pairing(mu1, idx), rs.pairing(mu2, idx))
-        if lo > hi:
-            return False
-    return True
+    return rs.add(lam1, lam2) == rs.add(mu1, mu2) and \
+        min_condition_failure(rs, (lam1, lam2), (mu1, mu2)) is None

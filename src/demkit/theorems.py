@@ -4,21 +4,28 @@ Certificate that embeds both computed sides.
 Every certificate names the notion it actually checked (graded character
 equality, ungraded character equality, dimension comparison, multiplicity
 domination, or an index-set comparison), so a reader can tell exactly what
-was established.  A refuted certificate always carries a minimal witness.
-Hypothesis failures are reported as their own verdict and never abort a
-scan.
+was established.  Every certificate is built in one place, :class:`_Claim`.
+
+Each claim checks its hypotheses in a fixed order; the first that fails is
+the witness of a ``hypothesis-violated`` certificate, and hypothesis
+failures never abort a scan.  A refuted certificate always carries a
+minimal witness: one without it is an internal error (``RuntimeError``,
+CLI exit 5).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
+from math import prod
 from time import perf_counter
 
 from .affine import affine_irreducible_character_truncated, demazure_character, kr_character
 from .charalg import GradedCharacter
-from .finite import surjection_exists, tensor_decompose, weyl_character, weyl_dimension
+from .finite import (
+    min_condition_failure, surjection_exists, tensor_decompose, weyl_character, weyl_dimension,
+)
 
 __all__ = [
     "Certificate",
@@ -41,6 +48,7 @@ __all__ = [
 ]
 
 VERDICTS = ("verified", "refuted", "hypothesis-violated", "inconclusive")
+_OUTCOMES = {True: "verified", False: "refuted", None: "inconclusive"}
 
 
 @dataclass
@@ -59,17 +67,7 @@ class Certificate:
     elapsed_ms: float = 0.0
 
     def to_dict(self, include_timing=True):
-        out = {
-            "claim": self.claim,
-            "system": self.system,
-            "inputs": self.inputs,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "verdict": self.verdict,
-            "notion": self.notion,
-            "witness": self.witness,
-            "details": self.details,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "elapsed_ms"}
         if include_timing:
             out["elapsed_ms"] = round(self.elapsed_ms, 3)
         return out
@@ -99,24 +97,79 @@ def _char_difference_witness(lhs, rhs):
     return None
 
 
-def _domination_certificate(claim, rs, inputs, source, target, t0):
-    """Multiplicity-domination certificate for a surjection from the module
-    with isotypic decomposition ``source`` onto the one with ``target``.
-    The same decompositions decide the verdict and fill the payload."""
-    ok, wit = surjection_exists(source, target)
-    return Certificate(
-        claim, rs.name, inputs, decomp_payload(source), decomp_payload(target),
-        "verified" if ok else "refuted", "multiplicity-domination",
-        witness=None if ok else list(wit),
-        elapsed_ms=(perf_counter() - t0) * 1e3,
-    )
+class _Claim:
+    """One claim's certificate in the making: the claim id, the notion it
+    checks, the system, the echoed inputs and the start time."""
+
+    def __init__(self, claim, rs, inputs, notion):
+        self.claim = claim
+        self.system = rs.name
+        self.inputs = inputs
+        self.notion = notion
+        self.t0 = perf_counter()
+
+    def violated(self, reason):
+        """The certificate of a failed hypothesis; ``reason`` is its witness."""
+        return Certificate(
+            self.claim, self.system, self.inputs, None, None,
+            "hypothesis-violated", self.notion, witness=reason,
+        )
+
+    def conclude(self, ok, lhs, rhs, witness, details=None):
+        """The verdict of a computed comparison: ``ok`` True, False or None
+        (verified, refuted, inconclusive).  ``witness()`` is called, and
+        must return one, only when ``ok`` is not True."""
+        verdict = _OUTCOMES[ok]
+        found = None if ok else witness()
+        if not ok and found is None:
+            raise RuntimeError(f"internal error: {self.claim} {verdict} without a witness")
+        return Certificate(
+            self.claim, self.system, self.inputs, lhs, rhs, verdict, self.notion,
+            witness=found, details=details or {},
+            elapsed_ms=(perf_counter() - self.t0) * 1e3,
+        )
+
+    def equal(self, lhs, rhs, details):
+        """Character equality; the witness is the first term that differs."""
+        return self.conclude(
+            lhs == rhs, char_payload(lhs), char_payload(rhs),
+            lambda: _char_difference_witness(lhs, rhs), details,
+        )
+
+    def dominates(self, source, target):
+        """Multiplicity domination of the isotypic decomposition ``target``
+        by ``source``; the same decompositions fill the payload."""
+        ok, wit = surjection_exists(source, target)
+        return self.conclude(ok, decomp_payload(source), decomp_payload(target), lambda: list(wit))
 
 
-def _hypothesis_failure(claim, rs, inputs, notion, reason):
-    return Certificate(
-        claim, rs.name, inputs, None, None, "hypothesis-violated", notion,
-        witness=reason,
-    )
+# Hypothesis checks shared by several claims: each returns the reason the
+# hypothesis fails, or None.
+
+
+def _level_failure(level):
+    return "level must be >= 1" if level < 1 else None
+
+
+def _lambda_failure(rs, lam, level=None):
+    """lam must be dominant and, when ``level`` is given, level-dominant."""
+    if not rs.is_dominant(lam):
+        return f"lambda {list(lam)} not dominant"
+    if level is not None and not rs.is_level_dominant(lam, level):
+        return f"lambda(h_theta) = {rs.theta_pairing(lam)} exceeds level {level}"
+    return None
+
+
+def _part_failure(rs, weights):
+    for w in weights:
+        if not rs.is_dominant(w) or not rs.in_gamma(w):
+            return f"part {list(w)} not in the d-divisible sublattice"
+    return None
+
+
+def _product_decomposition(rs, a, b):
+    """Isotypic decomposition of the product of two irreducibles."""
+    return tensor_decompose(rs, weyl_character(rs, a) * weyl_character(rs, b))
 
 
 # ---------------------------------------------------------------------------
@@ -131,42 +184,28 @@ def verify_demprop(rs, level, parts, lam):
     Hypotheses: every part lies in the d-divisible sublattice, and lam pairs
     with the highest coroot at most ``level``.
     """
-    t0 = perf_counter()
     lam = rs.check_weight(lam)
     parts = [rs.check_weight(p) for p in parts]
-    inputs = {"level": level, "parts": [list(p) for p in parts], "lambda": list(lam)}
-    notion = "ungraded-character"
-    claim = "demprop"
-    if level < 1:
-        return _hypothesis_failure(claim, rs, inputs, notion, "level must be >= 1")
-    if not rs.is_dominant(lam):
-        return _hypothesis_failure(claim, rs, inputs, notion, f"lambda {list(lam)} not dominant")
-    if not rs.is_level_dominant(lam, level):
-        return _hypothesis_failure(
-            claim, rs, inputs, notion,
-            f"lambda(h_theta) = {rs.theta_pairing(lam)} exceeds level {level}",
-        )
-    for p in parts:
-        if not rs.is_dominant(p) or not rs.in_gamma(p):
-            return _hypothesis_failure(
-                claim, rs, inputs, notion, f"part {list(p)} not in the d-divisible sublattice"
-            )
+    claim = _Claim(
+        "demprop", rs,
+        {"level": level, "parts": [list(p) for p in parts], "lambda": list(lam)},
+        "ungraded-character",
+    )
+    reason = _level_failure(level) or _lambda_failure(rs, lam, level) or _part_failure(rs, parts)
+    if reason:
+        return claim.violated(reason)
 
     mu = rs.zero_weight()
     for p in parts:
         mu = rs.add(mu, p)
-    big = rs.add(rs.scale(level, mu), lam)
-    lhs = demazure_character(rs, level, big).collapse()
+    lhs = demazure_character(rs, level, rs.add(rs.scale(level, mu), lam)).collapse()
     rhs = weyl_character(rs, lam)
     factor_dims = []
     for p in parts:
         factor = demazure_character(rs, level, rs.scale(level, p))
         factor_dims.append(factor.dimension())
         rhs = rhs * factor.collapse()
-    ok = lhs == rhs
-    indep_rhs_dim = weyl_dimension(rs, lam)
-    for d in factor_dims:
-        indep_rhs_dim *= d
+    indep_rhs_dim = prod(factor_dims, start=weyl_dimension(rs, lam))
     details = {
         "lhs_dim": str(lhs.dimension()),
         "rhs_dim": str(rhs.dimension()),
@@ -174,12 +213,7 @@ def verify_demprop(rs, level, parts, lam):
         "rhs_dim_independent": str(indep_rhs_dim),
         "dimension_equal": lhs.dimension() == indep_rhs_dim,
     }
-    return Certificate(
-        claim, rs.name, inputs, char_payload(lhs), char_payload(rhs),
-        "verified" if ok else "refuted", notion,
-        witness=None if ok else _char_difference_witness(lhs, rhs),
-        details=details, elapsed_ms=(perf_counter() - t0) * 1e3,
-    )
+    return claim.equal(lhs, rhs, details)
 
 
 def verify_mapsdem(rs, level, parts, lam):
@@ -193,53 +227,41 @@ def verify_mapsdem(rs, level, parts, lam):
     requires level * mu = sum of part_level * part_weight for some mu in
     the d-divisible sublattice dominating the parts root-wise.
     """
-    t0 = perf_counter()
     lam = rs.check_weight(lam)
     parts = [(int(p), rs.check_weight(w)) for p, w in parts]
-    inputs = {
-        "level": level,
-        "parts": [{"level": p, "weight": list(w)} for p, w in parts],
-        "lambda": list(lam),
-    }
     iso_clause = bool(parts) and all(p == level for p, _ in parts) and \
         rs.is_dominant(lam) and rs.theta_pairing(lam) <= level
-    claim = "mapsdem-isomorphism" if iso_clause else "mapsdem-surjection"
-    notion = "ungraded-character" if iso_clause else "dimension"
-    if level < 1:
-        return _hypothesis_failure(claim, rs, inputs, notion, "level must be >= 1")
-    if not rs.is_dominant(lam):
-        return _hypothesis_failure(claim, rs, inputs, notion, f"lambda {list(lam)} not dominant")
+    claim = _Claim(
+        "mapsdem-isomorphism" if iso_clause else "mapsdem-surjection", rs,
+        {
+            "level": level,
+            "parts": [{"level": p, "weight": list(w)} for p, w in parts],
+            "lambda": list(lam),
+        },
+        "ungraded-character" if iso_clause else "dimension",
+    )
+    reason = _level_failure(level) or _lambda_failure(rs, lam)
     for p, w in parts:
-        if p < 1:
-            return _hypothesis_failure(claim, rs, inputs, notion, f"part level {p} must be >= 1")
-        if not rs.is_dominant(w) or not rs.in_gamma(w):
-            return _hypothesis_failure(
-                claim, rs, inputs, notion, f"part {list(w)} not in the d-divisible sublattice"
-            )
+        reason = reason or (f"part level {p} must be >= 1" if p < 1 else _part_failure(rs, [w]))
+    if reason:
+        return claim.violated(reason)
     total = rs.zero_weight()
     for p, w in parts:
         total = rs.add(total, rs.scale(p, w))
     if any(c % level for c in total):
-        return _hypothesis_failure(
-            claim, rs, inputs, notion,
-            f"sum of weighted parts {list(total)} is not divisible by level {level}",
-        )
+        return claim.violated(f"sum of weighted parts {list(total)} is not divisible by level {level}")
     mu = tuple(c // level for c in total)
     if not rs.is_dominant(mu) or not rs.in_gamma(mu):
-        return _hypothesis_failure(
-            claim, rs, inputs, notion, f"mu {list(mu)} not in the d-divisible sublattice"
-        )
+        return claim.violated(f"mu {list(mu)} not in the d-divisible sublattice")
     for idx, root in enumerate(rs.positive_roots):
         have = rs.pairing(mu, idx)
         need = sum(rs.pairing(w, idx) for _, w in parts)
         if have < need:
-            return _hypothesis_failure(
-                claim, rs, inputs, notion,
-                {"failing_alpha": list(root.root_coords), "mu_pairing": have, "parts_pairing": need},
+            return claim.violated(
+                {"failing_alpha": list(root.root_coords), "mu_pairing": have, "parts_pairing": need}
             )
 
-    big = rs.add(rs.scale(level, mu), lam)
-    lhs_char = demazure_character(rs, level, big).collapse()
+    lhs_char = demazure_character(rs, level, rs.add(rs.scale(level, mu), lam)).collapse()
     lhs_dim = lhs_char.dimension()
     rhs_dim = demazure_character(rs, level, lam).dimension()
     factors = []
@@ -249,34 +271,23 @@ def verify_mapsdem(rs, level, parts, lam):
         rhs_dim *= factor.dimension()
     details = {"lhs_dim": str(lhs_dim), "rhs_dim": str(rhs_dim)}
     if not iso_clause:
-        ok = lhs_dim >= rhs_dim
-        return Certificate(
-            claim, rs.name, inputs, str(lhs_dim), str(rhs_dim),
-            "verified" if ok else "refuted", notion,
-            witness=None if ok else {"dimension_deficit": str(rhs_dim - lhs_dim)},
-            details=details, elapsed_ms=(perf_counter() - t0) * 1e3,
+        return claim.conclude(
+            lhs_dim >= rhs_dim, str(lhs_dim), str(rhs_dim),
+            lambda: {"dimension_deficit": str(rhs_dim - lhs_dim)}, details,
         )
     rhs_char = weyl_character(rs, lam)
     for factor in factors:
         rhs_char = rhs_char * factor
-    ok_char = lhs_char == rhs_char
     lhs_decomp = tensor_decompose(rs, lhs_char)
     rhs_decomp = tensor_decompose(rs, rhs_char)
     fwd, fwd_wit = surjection_exists(lhs_decomp, rhs_decomp)
     bwd, bwd_wit = surjection_exists(rhs_decomp, lhs_decomp)
-    details.update({
-        "domination_forward": fwd,
-        "domination_backward": bwd,
-    })
-    ok = ok_char and fwd and bwd
-    witness = None
-    if not ok:
-        witness = _char_difference_witness(lhs_char, rhs_char) or \
-            {"domination_witness": list(fwd_wit or bwd_wit)}
-    return Certificate(
-        claim, rs.name, inputs, char_payload(lhs_char), char_payload(rhs_char),
-        "verified" if ok else "refuted", notion, witness=witness,
-        details=details, elapsed_ms=(perf_counter() - t0) * 1e3,
+    details.update(domination_forward=fwd, domination_backward=bwd)
+    return claim.conclude(
+        lhs_char == rhs_char and fwd and bwd, char_payload(lhs_char), char_payload(rhs_char),
+        lambda: _char_difference_witness(lhs_char, rhs_char)
+        or {"domination_witness": list(fwd_wit or bwd_wit)},
+        details,
     )
 
 
@@ -285,76 +296,53 @@ def verify_krdecom(rs, level, s_vector, lam):
     character at level*mu + lam, mu = sum_i d_i s_i omega_i, equals the
     product of node characters raised to the s_i times the irreducible
     character of lam."""
-    t0 = perf_counter()
     lam = rs.check_weight(lam)
     s_vector = tuple(int(s) for s in s_vector)
-    inputs = {"level": level, "s_vector": list(s_vector), "lambda": list(lam)}
-    notion = "ungraded-character"
-    claim = "krdecom"
-    if level < 1:
-        return _hypothesis_failure(claim, rs, inputs, notion, "level must be >= 1")
-    if len(s_vector) != rs.rank or any(s < 0 for s in s_vector):
-        return _hypothesis_failure(
-            claim, rs, inputs, notion, f"s-vector {list(s_vector)} must be {rs.rank} non-negative integers"
-        )
-    if not rs.is_dominant(lam):
-        return _hypothesis_failure(claim, rs, inputs, notion, f"lambda {list(lam)} not dominant")
-    if not rs.is_level_dominant(lam, level):
-        return _hypothesis_failure(
-            claim, rs, inputs, notion,
-            f"lambda(h_theta) = {rs.theta_pairing(lam)} exceeds level {level}",
-        )
+    claim = _Claim(
+        "krdecom", rs, {"level": level, "s_vector": list(s_vector), "lambda": list(lam)},
+        "ungraded-character",
+    )
+    bad_s = len(s_vector) != rs.rank or any(s < 0 for s in s_vector)
+    reason = (
+        _level_failure(level)
+        or (f"s-vector {list(s_vector)} must be {rs.rank} non-negative integers" if bad_s else None)
+        or _lambda_failure(rs, lam, level)
+    )
+    if reason:
+        return claim.violated(reason)
     mu = tuple(d * s for d, s in zip(rs.d_simple, s_vector))
-    big = rs.add(rs.scale(level, mu), lam)
-    lhs = demazure_character(rs, level, big).collapse()
+    lhs = demazure_character(rs, level, rs.add(rs.scale(level, mu), lam)).collapse()
     rhs = weyl_character(rs, lam)
     for node, s in enumerate(s_vector, start=1):
         if s:
             rhs = rhs * kr_character(rs, level, node).collapse() ** s
-    ok = lhs == rhs
     details = {"lhs_dim": str(lhs.dimension()), "rhs_dim": str(rhs.dimension())}
-    return Certificate(
-        claim, rs.name, inputs, char_payload(lhs), char_payload(rhs),
-        "verified" if ok else "refuted", notion,
-        witness=None if ok else _char_difference_witness(lhs, rhs),
-        details=details, elapsed_ms=(perf_counter() - t0) * 1e3,
-    )
+    return claim.equal(lhs, rhs, details)
 
 
 def verify_ev0(rs, level, lam):
     """Check the evaluation-module criterion: the graded Demazure character
     is concentrated in grade 0 and equals the irreducible character exactly
     when lam is level-dominant; otherwise grade 1 must be non-empty."""
-    t0 = perf_counter()
     lam = rs.check_weight(lam)
-    inputs = {"level": level, "lambda": list(lam)}
-    notion = "graded-character"
-    claim = "ev0"
-    if level < 1:
-        return _hypothesis_failure(claim, rs, inputs, notion, "level must be >= 1")
-    if not rs.is_dominant(lam):
-        return _hypothesis_failure(claim, rs, inputs, notion, f"lambda {list(lam)} not dominant")
+    claim = _Claim("ev0", rs, {"level": level, "lambda": list(lam)}, "graded-character")
+    reason = _level_failure(level) or _lambda_failure(rs, lam)
+    if reason:
+        return claim.violated(reason)
     graded = demazure_character(rs, level, lam)
     irr = weyl_character(rs, lam)
     concentrated = graded.is_plain
     in_level = rs.theta_pairing(lam) <= level
-    grade1 = graded.slice(1)
-    if in_level:
-        ok = concentrated and graded == irr
-    else:
-        ok = bool(grade1)
     details = {
         "level_dominant": in_level,
         "concentrated_in_grade_0": concentrated,
         "graded_dimension": {str(g): str(m) for g, m in graded.graded_dimension().items()},
     }
-    witness = None
-    if not ok:
-        witness = _char_difference_witness(graded, irr) if in_level else "grade 1 empty"
-    return Certificate(
-        claim, rs.name, inputs, char_payload(graded), char_payload(irr),
-        "verified" if ok else "refuted", notion, witness=witness,
-        details=details, elapsed_ms=(perf_counter() - t0) * 1e3,
+    return claim.conclude(
+        (concentrated and graded == irr) if in_level else bool(graded.slice(1)),
+        char_payload(graded), char_payload(irr),
+        lambda: _char_difference_witness(graded, irr) if in_level else "grade 1 empty",
+        details,
     )
 
 
@@ -393,15 +381,12 @@ def expected_minuscule_nodes(series, rank):
 def verify_minuscule(rs):
     """Compare the computed minuscule-coweight nodes with the classical
     table for this type."""
-    t0 = perf_counter()
+    claim = _Claim("minuscule", rs, {}, "index-set")
     computed = minuscule_nodes(rs)
     expected = expected_minuscule_nodes(rs.series, rs.rank)
-    ok = computed == expected
-    return Certificate(
-        "minuscule", rs.name, {}, computed, expected,
-        "verified" if ok else "refuted", "index-set",
-        witness=None if ok else sorted(set(computed) ^ set(expected)),
-        elapsed_ms=(perf_counter() - t0) * 1e3,
+    return claim.conclude(
+        computed == expected, computed, expected,
+        lambda: sorted(set(computed) ^ set(expected)),
     )
 
 
@@ -420,44 +405,36 @@ def verify_twofold(rs, node, level, lam, mu1, mu2):
     the exact criterion for a surjection of modules over the finite-type
     algebra, a necessary condition for the graded current-algebra one.
     """
-    t0 = perf_counter()
     lam = rs.check_weight(lam)
     mu1 = rs.check_weight(mu1)
     mu2 = rs.check_weight(mu2)
-    inputs = {
-        "node": node, "level": level, "lambda": list(lam),
-        "mu1": list(mu1), "mu2": list(mu2),
-    }
-    notion = "multiplicity-domination"
-    claim = "twofold"
+    claim = _Claim(
+        "twofold", rs,
+        {"node": node, "level": level, "lambda": list(lam), "mu1": list(mu1), "mu2": list(mu2)},
+        "multiplicity-domination",
+    )
     if not 1 <= node <= rs.rank:
-        return _hypothesis_failure(claim, rs, inputs, notion, f"node {node} out of range")
+        return claim.violated(f"node {node} out of range")
     if node not in minuscule_nodes(rs):
-        return _hypothesis_failure(claim, rs, inputs, notion, f"node {node} is not a minuscule-coweight node")
-    if level < 1:
-        return _hypothesis_failure(claim, rs, inputs, notion, "level must be >= 1")
-    for w in (lam, mu1, mu2):
-        if not rs.is_dominant(w):
-            return _hypothesis_failure(claim, rs, inputs, notion, f"weight {list(w)} not dominant")
-    if not rs.is_level_dominant(lam, level):
-        return _hypothesis_failure(
-            claim, rs, inputs, notion,
-            f"lambda(h_theta) = {rs.theta_pairing(lam)} exceeds level {level}",
-        )
+        return claim.violated(f"node {node} is not a minuscule-coweight node")
+    reason = _level_failure(level) or next(
+        (f"weight {list(w)} not dominant" for w in (lam, mu1, mu2) if not rs.is_dominant(w)), None
+    ) or _lambda_failure(rs, lam, level)
+    if reason:
+        return claim.violated(reason)
     kr_weight = rs.scale(rs.d_simple[node - 1] * level, rs.fundamental_weight(node))
     if rs.add(kr_weight, lam) != rs.add(mu1, mu2):
-        return _hypothesis_failure(claim, rs, inputs, notion, "weights do not balance")
-    for idx, root in enumerate(rs.positive_roots):
-        lo = min(rs.pairing(mu1, idx), rs.pairing(mu2, idx))
-        hi = min(rs.pairing(kr_weight, idx), rs.pairing(lam, idx))
-        if lo > hi:
-            return _hypothesis_failure(
-                claim, rs, inputs, notion,
-                {"failing_alpha": list(root.root_coords), "min_mu": lo, "min_source": hi},
-            )
-    source = tensor_decompose(rs, weyl_character(rs, kr_weight) * weyl_character(rs, lam))
-    target = tensor_decompose(rs, weyl_character(rs, mu1) * weyl_character(rs, mu2))
-    return _domination_certificate(claim, rs, inputs, source, target, t0)
+        return claim.violated("weights do not balance")
+    idx = min_condition_failure(rs, (mu1, mu2), (kr_weight, lam))
+    if idx is not None:
+        return claim.violated({
+            "failing_alpha": list(rs.positive_roots[idx].root_coords),
+            "min_mu": min(rs.pairing(mu1, idx), rs.pairing(mu2, idx)),
+            "min_source": min(rs.pairing(kr_weight, idx), rs.pairing(lam, idx)),
+        })
+    return claim.dominates(
+        _product_decomposition(rs, kr_weight, lam), _product_decomposition(rs, mu1, mu2)
+    )
 
 
 def twofold_corollary_thresholds(rs, j, level, m_level):
@@ -490,13 +467,12 @@ def verify_twofold_corollary(rs, node, j, level, m_level, mu1, mu2):
     omega = rs.fundamental_weight(j)  # validates j before d_simple is indexed
     lam = rs.scale(rs.d_simple[j - 1] * m_level, omega)
     if not twofold_corollary_thresholds(rs, j, level, m_level):
-        return _hypothesis_failure(
+        return _Claim(
             "twofold-corollary", rs,
             {"node": node, "j": j, "level": level, "m_level": m_level,
              "mu1": list(mu1), "mu2": list(mu2)},
             "multiplicity-domination",
-            f"level {level} below the threshold for node {j} in type {rs.series}",
-        )
+        ).violated(f"level {level} below the threshold for node {j} in type {rs.series}")
     if rs.theta_pairing(lam) > level:
         raise RuntimeError("internal error: thresholds must force level-dominance")
     cert = verify_twofold(rs, node, level, lam, mu1, mu2)
@@ -515,32 +491,24 @@ def verify_genschurpos(rs, node, power, level, m_level, lam, mu):
     with mu m_level-dominant and level >= m_level; lam is then forced to be
     level-dominant and this is asserted, not assumed.
     """
-    t0 = perf_counter()
     lam = rs.check_weight(lam)
     mu = rs.check_weight(mu)
-    inputs = {
+    claim = _Claim("genschurpos", rs, {
         "node": node, "power": power, "level": level, "m_level": m_level,
         "lambda": list(lam), "mu": list(mu),
-    }
-    notion = "multiplicity-domination"
-    claim = "genschurpos"
+    }, "multiplicity-domination")
     if not 1 <= node <= rs.rank:
-        return _hypothesis_failure(claim, rs, inputs, notion, f"node {node} out of range")
+        return claim.violated(f"node {node} out of range")
     if power < 1 or m_level < 1 or level < m_level:
-        return _hypothesis_failure(
-            claim, rs, inputs, notion, "need power >= 1 and level >= m_level >= 1"
-        )
+        return claim.violated("need power >= 1 and level >= m_level >= 1")
     if not rs.is_dominant(lam) or not rs.is_dominant(mu):
-        return _hypothesis_failure(claim, rs, inputs, notion, "weights must be dominant")
+        return claim.violated("weights must be dominant")
     if not rs.is_level_dominant(mu, m_level):
-        return _hypothesis_failure(
-            claim, rs, inputs, notion,
-            f"mu(h_theta) = {rs.theta_pairing(mu)} exceeds source level {m_level}",
-        )
+        return claim.violated(f"mu(h_theta) = {rs.theta_pairing(mu)} exceeds source level {m_level}")
     d = rs.d_simple[node - 1]
     omega = rs.fundamental_weight(node)
     if rs.add(rs.scale(power * d * level, omega), lam) != rs.add(rs.scale(power * d * m_level, omega), mu):
-        return _hypothesis_failure(claim, rs, inputs, notion, "weights do not balance")
+        return claim.violated("weights do not balance")
     if rs.theta_pairing(lam) > level:
         raise RuntimeError("internal error: lambda must be level-dominant when the hypotheses hold")
     source = tensor_decompose(rs, demazure_character(
@@ -549,7 +517,7 @@ def verify_genschurpos(rs, node, power, level, m_level, lam, mu):
     target = tensor_decompose(rs, demazure_character(
         rs, level, rs.add(rs.scale(power * d * level, omega), lam)
     ).collapse())
-    return _domination_certificate(claim, rs, inputs, source, target, t0)
+    return claim.dominates(source, target)
 
 
 # ---------------------------------------------------------------------------
@@ -575,24 +543,21 @@ def verify_stabilization(rs, level, lam, max_grade, n_max, cache=None):
     ``cache``, when given, stores and re-serves the truncated affine oracle
     character (cache kind ``affine-truncated``).
     """
-    t0 = perf_counter()
     lam = rs.check_weight(lam)
-    inputs = {"level": level, "lambda": list(lam), "max_grade": max_grade, "n_max": n_max}
-    notion = "graded-character"
-    claim = "stabilization"
-    if level < 1:
-        return _hypothesis_failure(claim, rs, inputs, notion, "level must be >= 1")
-    if not rs.is_dominant(lam) or rs.theta_pairing(lam) > level:
-        return _hypothesis_failure(claim, rs, inputs, notion, "lambda must be level-dominant")
+    claim = _Claim(
+        "stabilization", rs,
+        {"level": level, "lambda": list(lam), "max_grade": max_grade, "n_max": n_max},
+        "graded-character",
+    )
+    if level < 1 or _lambda_failure(rs, lam, level):
+        return claim.violated(_level_failure(level) or "lambda must be level-dominant")
     if max_grade < 0 or n_max < 2:
-        return _hypothesis_failure(claim, rs, inputs, notion, "need max_grade >= 0 and n_max >= 2")
+        return claim.violated("need max_grade >= 0 and n_max >= 2")
 
     truncations = {}
     for n in range(1, n_max + 1):
         big = rs.add(rs.scale(n * level, rs.theta.coords), lam)
-        truncations[n] = _top_aligned_truncation(
-            demazure_character(rs, level, big), max_grade
-        )
+        truncations[n] = _top_aligned_truncation(demazure_character(rs, level, big), max_grade)
     stable_from = None
     for n in range(1, n_max):
         if all(truncations[m] == truncations[n] for m in range(n + 1, n_max + 1)):
@@ -605,16 +570,12 @@ def verify_stabilization(rs, level, lam, max_grade, n_max, cache=None):
         }
     }
     if stable_from is None:
-        return Certificate(
-            claim, rs.name, inputs,
-            char_payload(truncations[n_max]), None, "inconclusive", notion,
-            witness="no stabilization observed up to n_max",
-            details=details, elapsed_ms=(perf_counter() - t0) * 1e3,
+        return claim.conclude(
+            None, char_payload(truncations[n_max]), None,
+            lambda: "no stabilization observed up to n_max", details,
         )
     details["stable_from"] = stable_from
-    stable = truncations[stable_from]
-    oracle = None
-    key = None
+    oracle = key = None
     if cache is not None:
         from .cache import CacheKey
 
@@ -624,13 +585,7 @@ def verify_stabilization(rs, level, lam, max_grade, n_max, cache=None):
         oracle = affine_irreducible_character_truncated(rs, level, lam, max_grade)
         if cache is not None:
             cache.store(key, oracle)
-    ok = stable == oracle
-    return Certificate(
-        claim, rs.name, inputs, char_payload(stable), char_payload(oracle),
-        "verified" if ok else "refuted", notion,
-        witness=None if ok else _char_difference_witness(stable, oracle),
-        details=details, elapsed_ms=(perf_counter() - t0) * 1e3,
-    )
+    return claim.equal(truncations[stable_from], oracle, details)
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +599,8 @@ def _dominant_box(rank, bound):
 def scan_tuples(rs, height_bound):
     """All (lam1, lam2, mu1, mu2) with equal sums and coordinates bounded by
     ``height_bound`` that satisfy the minimum conditions, in enumeration
-    order."""
-    from .finite import conjecture_conditions
-
+    order.  The box is dominant and mu2 balances the sums by construction,
+    so only the minimum conditions are checked."""
     box = _dominant_box(rs.rank, height_bound)
     out = []
     for lam1 in box:
@@ -656,7 +610,7 @@ def scan_tuples(rs, height_bound):
                 mu2 = rs.sub(total, mu1)
                 if any(c < 0 or c > height_bound for c in mu2):
                     continue
-                if conjecture_conditions(rs, lam1, lam2, mu1, mu2):
+                if min_condition_failure(rs, (lam1, lam2), (mu1, mu2)) is None:
                     out.append((lam1, lam2, mu1, mu2))
     return out
 
@@ -674,27 +628,23 @@ def schur_scan(rs, height_bound):
     def decompose(a, b):
         key = (a, b) if a <= b else (b, a)
         if key not in decomps:
-            decomps[key] = tensor_decompose(rs, weyl_character(rs, a) * weyl_character(rs, b))
+            decomps[key] = _product_decomposition(rs, *key)
         return decomps[key]
 
     certs = []
     for lam1, lam2, mu1, mu2 in scan_tuples(rs, height_bound):
-        t0 = perf_counter()
-        inputs = {"lambda1": list(lam1), "lambda2": list(lam2), "mu1": list(mu1), "mu2": list(mu2)}
-        certs.append(_domination_certificate(
-            "schur-surjection", rs, inputs, decompose(mu1, mu2), decompose(lam1, lam2), t0
-        ))
+        claim = _Claim(
+            "schur-surjection", rs,
+            {"lambda1": list(lam1), "lambda2": list(lam2), "mu1": list(mu1), "mu2": list(mu2)},
+            "multiplicity-domination",
+        )
+        certs.append(claim.dominates(decompose(mu1, mu2), decompose(lam1, lam2)))
     return certs
 
 
 def scan_summary(certs):
+    """Certificate count per verdict, plus the total."""
     counts = {v: 0 for v in VERDICTS}
     for c in certs:
         counts[c.verdict] += 1
-    return {
-        "total": len(certs),
-        "verified": counts["verified"],
-        "refuted": counts["refuted"],
-        "hypothesis_violated": counts["hypothesis-violated"],
-        "inconclusive": counts["inconclusive"],
-    }
+    return {"total": len(certs), **{v.replace("-", "_"): n for v, n in counts.items()}}

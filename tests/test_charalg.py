@@ -226,6 +226,13 @@ def test_from_jsonl_rejects_malformed_headers(header):
     pytest.param('{"w":[0],"g":0,"m":1}', id="mult-not-a-string"),
     pytest.param('{"w":[0],"g":0,"m":"1.5"}', id="mult-not-decimal"),
     pytest.param('{"w":[0],"g":0}', id="mult-missing"),
+    pytest.param('{"w":[0],"g":0,"m":"1_0"}', id="mult-underscore"),
+    pytest.param('{"w":[0],"g":0,"m":" 7"}', id="mult-space"),
+    pytest.param('{"w":[0],"g":0,"m":"+5"}', id="mult-plus"),
+    pytest.param('{"w":[0],"g":0,"m":"007"}', id="mult-leading-zeros"),
+    pytest.param('{"w":[0],"g":0,"m":"\u0663"}', id="mult-non-ascii-digit"),
+    pytest.param('{"w":[0],"g":0,"m":"0"}', id="mult-zero"),
+    pytest.param('{"w":[0],"g":0,"m":"-0"}', id="mult-negative-zero"),
     pytest.param('{"w":[0],"g":0,"m":"1"},{"w":[2],"g":0,"m":"1"}', id="two-on-one-line"),
     pytest.param('{"w":[0],"g":0,"m":"1"}\n{"w":[0],"g":0,"m":"2"}', id="repeated-term"),
 ])

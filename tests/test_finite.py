@@ -5,12 +5,14 @@ from demkit.charalg import GradedCharacter
 from demkit.finite import (
     conjecture_conditions,
     demazure_weyl_character,
+    min_condition_failure,
     surjection_exists,
     tensor_decompose,
     weyl_character,
     weyl_dimension,
 )
-from demkit.rootsystem import root_system
+from demkit.rootsystem import RootSystem, root_system
+from demkit.theorems import verify_demprop, verify_ev0
 
 A1 = root_system("A1")
 A2 = root_system("A2")
@@ -21,6 +23,17 @@ A3 = root_system("A3")
 
 # ---------------------------------------------------------------------------
 # irreducible characters
+
+
+def test_weyl_memo_is_per_root_system():
+    """A second instance of a type is never served characters attached to
+    the shared one: before the memo lived on the instance, this made ev0
+    refute without a witness and demprop refuse to combine characters."""
+    weyl_character(A2, (1, 0))
+    fresh = RootSystem("A", 2)
+    assert weyl_character(fresh, (1, 0)).system is fresh
+    assert verify_ev0(fresh, 1, (1, 0)).verdict == "verified"
+    assert verify_demprop(fresh, 1, [(1, 0)], (1, 0)).verdict == "verified"
 
 
 def test_trivial_module():
@@ -181,6 +194,16 @@ def test_conjecture_condition_examples():
 
 def test_condition_failure_on_sum_mismatch():
     assert not conjecture_conditions(A2, (1, 0), (0, 0), (0, 1), (0, 0))
+
+
+def test_min_condition_failure_names_the_first_failing_root():
+    lower, upper = ((1, 1), (0, 1)), ((1, 0), (0, 2))
+    # alpha_1 passes (0 <= 0); alpha_2 fails: min(1, 1) = 1 > min(0, 2) = 0
+    idx = min_condition_failure(A2, lower, upper)
+    assert A2.positive_roots[idx].root_coords == (0, 1)
+    for i in range(idx):
+        assert min(A2.pairing(w, i) for w in lower) <= min(A2.pairing(w, i) for w in upper)
+    assert min_condition_failure(A2, upper, lower) is None
 
 
 def test_conditions_imply_domination_in_a_small_sweep():

@@ -306,6 +306,8 @@ def test_stabilization_higher_rank_at_depth_two_and_more(name, lam, max_grade, n
 def test_stabilization_inconclusive_when_window_too_small():
     cert = verify_stabilization(A1, 1, (0,), 2, 2)
     assert cert.verdict == "inconclusive"
+    assert cert.witness == "no stabilization observed up to n_max"
+    assert cert.rhs is None and cert.lhs
 
 
 def test_stabilization_hypothesis():
