@@ -81,7 +81,7 @@ def affine_apply_word(rs, word, aw):
     return aw
 
 
-def straighten(rs, aw, step_cap=STRAIGHTEN_STEP_CAP):
+def straighten(rs, aw):
     """Raise a positive-level affine weight into the dominant chamber.
 
     Returns ``(dominant, word)`` where replaying ``word`` on ``dominant``
@@ -91,14 +91,14 @@ def straighten(rs, aw, step_cap=STRAIGHTEN_STEP_CAP):
     coset representative; this is what makes it legal to feed straight into
     the Demazure operators.
 
-    Termination is guaranteed at positive level; ``step_cap`` is a defensive
-    bound and tripping it is reported as an internal error.
+    Termination is guaranteed at positive level; ``STRAIGHTEN_STEP_CAP`` is
+    a defensive bound and tripping it is reported as an internal error.
     """
     if aw.level < 1:
         raise ValueError("straightening requires level >= 1; level 0 weights index the trivial module")
     letters = []
     cur = aw
-    for _ in range(step_cap):
+    for _ in range(STRAIGHTEN_STEP_CAP):
         for i in range(rs.rank + 1):
             if affine_pairing(rs, cur, i) < 0:
                 cur = affine_reflect(rs, cur, i)
@@ -106,7 +106,7 @@ def straighten(rs, aw, step_cap=STRAIGHTEN_STEP_CAP):
                 break
         else:
             return cur, tuple(reversed(letters))
-    raise RuntimeError(f"internal error: straightening exceeded {step_cap} steps from {aw}")
+    raise RuntimeError(f"internal error: straightening exceeded {STRAIGHTEN_STEP_CAP} steps from {aw}")
 
 
 def demazure_operator(rs, i, char, level=0):

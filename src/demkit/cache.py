@@ -8,11 +8,11 @@ header), e.g. ``{"system":"A2","kind":"graded","terms":7,"sha256":"…"}``.
 so an edited or truncated body is a miss, and so is any entry
 ``from_jsonl`` rejects.  Keys are injective over distinct mathematical
 objects and carry a format version (2 since entries carry the digest);
-bumping the version orphans every prior entry, which ``stats`` does not
-count and ``clear`` removes.  Writes are atomic (write
-to a temp file in the same directory, then rename), so concurrent readers
-never observe a torn file and concurrent writers of the same key simply
-race to identical content.
+bumping the version orphans every prior entry.  ``stats`` counts only
+current-version ``demazure`` and ``weyl`` entries; ``clear`` removes every
+entry file.  Writes are atomic (write to a temp file in the same directory,
+then rename), so concurrent readers never observe a torn file and
+concurrent writers of the same key simply race to identical content.
 """
 
 from __future__ import annotations
@@ -54,16 +54,14 @@ def resolve_cache_dir(explicit=None):
 @dataclass(frozen=True)
 class CacheKey:
     system: str
-    kind: str  # demazure | weyl | affine-truncated
+    kind: str  # demazure | weyl
     level: int
     weight: tuple
-    truncation: object = None  # int for affine-truncated, else None
     version: int = FORMAT_VERSION
 
     def filename(self):
         coords = "_".join(str(c) for c in self.weight)
-        trunc = "" if self.truncation is None else f"_g{self.truncation}"
-        return f"v{self.version}_{self.kind}_{self.system}_l{self.level}_w{coords}{trunc}.jsonl"
+        return f"v{self.version}_{self.kind}_{self.system}_l{self.level}_w{coords}.jsonl"
 
     @property
     def expected_header_kind(self):
@@ -136,16 +134,16 @@ class CharacterCache:
         return sorted(n for n in names if n.endswith(".jsonl"))
 
     def entries(self):
-        """Entries of the current format version, the only ones ``load``
-        can read."""
-        prefix = f"v{FORMAT_VERSION}_"
-        return [n for n in self._names() if n.startswith(prefix)]
+        """Entries of the current format version and a known kind, the only
+        ones ``load`` can read."""
+        prefixes = tuple(f"v{FORMAT_VERSION}_{kind}_" for kind in ("demazure", "weyl"))
+        return [n for n in self._names() if n.startswith(prefixes)]
 
     def stats(self):
         return {"entries": len(self.entries())}
 
     def clear(self):
-        """Remove every entry, stale format versions included."""
+        """Remove every entry, stale versions and kinds included."""
         removed = 0
         for name in self._names():
             try:

@@ -9,10 +9,13 @@ Exit codes: 0 success/verified, 1 refuted, 2 invalid flags, 3 hypothesis
 violations and other domain errors, 4 inconclusive, 5 internal error (a
 failed internal consistency check, reported as one ``error:`` line on
 stderr).  All primary output is UTF-8 JSON or JSON-lines; ``--no-timing``
-strips the elapsed fields so reruns are byte-identical.  ``scan`` runs in
-one process, decomposes each distinct product of two irreducibles once,
-and computes every certificate before it writes any; its ``--jobs`` flag
-is validated but changes neither the work nor the output.
+strips the elapsed fields so reruns are byte-identical.  Each ``verify``
+subcommand runs ``theorems.verify_<name>`` on the arguments its parser
+names; only ``char`` and ``cache`` touch the cache, and ``verify
+stabilization --no-cache`` is accepted but unused.  ``scan`` runs in one
+process, decomposes each distinct product of two irreducibles once, and
+computes every certificate before it writes any; its ``--jobs`` flag is
+validated but changes neither the work nor the output.
 """
 
 from __future__ import annotations
@@ -189,39 +192,10 @@ def _cmd_presentation(args):
 # verify
 
 
-def _run_verify(args):
-    rs = root_system(args.system)
-    sub = args.verify_command
-    if sub == "demprop":
-        cert = theorems.verify_demprop(rs, args.level, args.parts, args.lam)
-    elif sub == "mapsdem":
-        cert = theorems.verify_mapsdem(rs, args.level, args.parts, args.lam)
-    elif sub == "krdecom":
-        cert = theorems.verify_krdecom(rs, args.level, args.s_vector, args.lam)
-    elif sub == "ev0":
-        cert = theorems.verify_ev0(rs, args.level, args.lam)
-    elif sub == "twofold":
-        cert = theorems.verify_twofold(rs, args.index, args.level, args.lam, args.mu1, args.mu2)
-    elif sub == "genschurpos":
-        cert = theorems.verify_genschurpos(
-            rs, args.index, args.power, args.level, args.source_level, args.lam, args.mu
-        )
-    elif sub == "stabilization":
-        cache = None
-        if not args.no_cache:
-            cache = CharacterCache(resolve_cache_dir(args.cache_dir))
-        cert = theorems.verify_stabilization(
-            rs, args.level, args.lam, args.max_grade, args.n_max, cache=cache
-        )
-    elif sub == "minuscule":
-        cert = theorems.verify_minuscule(rs)
-    else:  # pragma: no cover - argparse prevents this
-        raise ValueError(f"unknown verification {sub!r}")
-    return cert
-
-
 def _cmd_verify(args):
-    cert = _run_verify(args)
+    # looked up per call, so a wrapper rebound on ``theorems`` is the one run
+    verify = getattr(theorems, "verify_" + args.verify_command)
+    cert = verify(root_system(args.system), *(getattr(args, name) for name in args.claim_args))
     _emit(cert.to_json(include_timing=not args.no_timing) + "\n", args.out)
     return _VERDICT_EXIT[cert.verdict]
 
@@ -301,42 +275,44 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="run one verification, emit a certificate")
     vsub = p_verify.add_subparsers(dest="verify_command", required=True)
 
-    def common(p, *, level=True):
+    def common(p, *claim_args):
+        """Shared flags; ``claim_args`` names the parsed arguments passed,
+        in order after the root system, to the claim's ``verify_*``."""
         p.add_argument("--system", required=True, type=_system_arg)
-        if level:
+        if "level" in claim_args:
             p.add_argument("--level", required=True, type=int)
         p.add_argument("--out")
         p.add_argument("--no-timing", action="store_true")
-        p.set_defaults(func=_cmd_verify)
+        p.set_defaults(func=_cmd_verify, claim_args=claim_args)
 
     p = vsub.add_parser("demprop")
-    common(p)
+    common(p, "level", "parts", "lam")
     p.add_argument("--parts", type=_parts_arg, default=[], help="semicolon-separated weights, e.g. '2' or '1,0;0,1'")
     p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
 
     p = vsub.add_parser("mapsdem")
-    common(p)
+    common(p, "level", "parts", "lam")
     p.add_argument("--parts", type=_leveled_parts_arg, default=[], help="semicolon-separated level:weight pairs, e.g. '1:2;1:2'")
     p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
 
     p = vsub.add_parser("krdecom")
-    common(p)
+    common(p, "level", "s_vector", "lam")
     p.add_argument("--s-vector", dest="s_vector", required=True, type=_weight_arg)
     p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
 
     p = vsub.add_parser("ev0")
-    common(p)
+    common(p, "level", "lam")
     p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
 
     p = vsub.add_parser("twofold")
-    common(p)
+    common(p, "index", "level", "lam", "mu1", "mu2")
     p.add_argument("--index", required=True, type=int)
     p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
     p.add_argument("--mu1", required=True, type=_weight_arg)
     p.add_argument("--mu2", required=True, type=_weight_arg)
 
     p = vsub.add_parser("genschurpos")
-    common(p)
+    common(p, "index", "power", "level", "source_level", "lam", "mu")
     p.add_argument("--index", required=True, type=int)
     p.add_argument("--power", required=True, type=int)
     p.add_argument("--source-level", dest="source_level", required=True, type=int)
@@ -344,15 +320,14 @@ def build_parser():
     p.add_argument("--mu", required=True, type=_weight_arg)
 
     p = vsub.add_parser("stabilization")
-    common(p)
+    common(p, "level", "lam", "max_grade", "n_max")
     p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
     p.add_argument("--max-grade", dest="max_grade", required=True, type=int)
     p.add_argument("--n-max", dest="n_max", required=True, type=int)
-    p.add_argument("--cache-dir")
-    p.add_argument("--no-cache", action="store_true")
+    p.add_argument("--no-cache", action="store_true", help="accepted but unused: nothing is cached")
 
     p = vsub.add_parser("minuscule")
-    common(p, level=False)
+    common(p)
 
     p_scan = sub.add_parser("scan", help="exhaustive surjection scan")
     p_scan.add_argument("--system", required=True, type=_system_arg)

@@ -8,7 +8,9 @@ longest Weyl element.  The two share no algorithmic step, which is what
 makes their exact agreement a meaningful cross-check.
 
 Tensor product multiplicities are obtained by iterated extraction of maximal
-isotypic components, tracking dominant weights only.  The surjection
+isotypic components in one fixed order, tracking dominant weights only; the
+multiset extracted does not depend on that order, since irreducible
+characters are linearly independent.  The surjection
 criterion compares two such decompositions by multiplicity domination: for
 finite-dimensional modules over a simple Lie algebra a surjective
 equivariant map exists exactly when every isotypic multiplicity of the
@@ -112,18 +114,16 @@ def weyl_dimension(rs, weight):
     return num // den
 
 
-def tensor_decompose(rs, char, reverse_tiebreak=False):
+def tensor_decompose(rs, char):
     """Isotypic multiplicities of a genuine character: a map from dominant
     weights to positive multiplicities whose irreducible characters sum back
     to the input exactly.
 
     The input is Weyl-symmetric, so only its dominant multiplicities are
     tracked (Stembridge 2001).  Each round picks a maximal weight of the
-    remaining support in one pass over it, in descending lexicographic order
-    (ascending when ``reverse_tiebreak``), moving to a weight whenever it
-    dominates the one held; then it subtracts the dominant multiplicities
-    of that irreducible.  The multiset returned does not depend on the
-    extraction order; the tie-break knob exists so tests can confirm that.
+    remaining support in one pass over it, in descending lexicographic order,
+    moving to a weight whenever it dominates the one held; then it subtracts
+    the dominant multiplicities of that irreducible.
 
     Raises ValueError for inputs that are not characters (wrong grading,
     not Weyl-symmetric, or extraction driving a multiplicity negative).
@@ -135,7 +135,7 @@ def tensor_decompose(rs, char, reverse_tiebreak=False):
     remaining = {w: m for (w, _), m in char.terms.items() if rs.is_dominant(w)}
     out = {}
     while remaining:
-        order = iter(sorted(remaining, reverse=not reverse_tiebreak))
+        order = iter(sorted(remaining, reverse=True))
         pick = next(order)
         for w in order:
             if rs.dominates(w, pick):

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import dominant_box, seeded
+from demkit import affine
 from demkit.affine import (
     AffineWeight,
     affine_apply_word,
@@ -88,9 +89,10 @@ def test_straighten_rejects_level_zero():
         straighten(A1, AffineWeight((0,), 0, 0))
 
 
-def test_straighten_step_cap_is_an_internal_error():
-    with pytest.raises(RuntimeError):
-        straighten(A1, AffineWeight((-40,), 1, 0), step_cap=3)
+def test_straighten_step_cap_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(affine, "STRAIGHTEN_STEP_CAP", 3)
+    with pytest.raises(RuntimeError, match="exceeded 3 steps"):
+        straighten(A1, AffineWeight((-40,), 1, 0))
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2"])

@@ -149,6 +149,14 @@ def test_first_failing_hypothesis_is_the_witness(verify, system, args, expected)
     assert verify(root_system(system), *args).to_json(include_timing=False) == expected
 
 
+def test_hypothesis_failure_records_elapsed_time(monkeypatch):
+    clock = iter([10.0, 10.0025])
+    monkeypatch.setattr(demkit.theorems, "perf_counter", lambda: next(clock))
+    cert = verify_ev0(root_system("A1"), 0, (1,))
+    assert cert.verdict == "hypothesis-violated"
+    assert cert.to_dict()["elapsed_ms"] == 2.5
+
+
 # ---------------------------------------------------------------------------
 # refuted paths: one corrupted builder per claim
 

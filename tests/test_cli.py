@@ -200,6 +200,16 @@ def test_cache_stats_skip_stale_versions_and_clear_removes_them(capsys, isolated
     assert not stale.exists()
 
 
+def test_cache_stats_skip_unknown_kinds_and_clear_removes_them(capsys, isolated_cache):
+    isolated_cache.mkdir()
+    oracle = isolated_cache / "v2_affine-truncated_A1_l1_w0_g2.jsonl"
+    oracle.write_text('{"system":"A1","kind":"graded"}\n', encoding="utf-8")
+    code, out, _ = run(capsys, "cache", "stats")
+    assert code == 0 and json.loads(out) == {"entries": 0}
+    run(capsys, "cache", "clear")
+    assert not oracle.exists()
+
+
 def test_cache_dir_flag_beats_environment(capsys, tmp_path):
     other = tmp_path / "elsewhere"
     code, out, _ = run(capsys, "cache", "path", "--cache-dir", str(other))
@@ -243,6 +253,14 @@ def test_verify_stabilization(capsys):
     assert code == 0
     cert = json.loads(out)
     assert cert["verdict"] == "verified" and cert["details"]["stable_from"] == 2
+
+
+def test_verify_stabilization_writes_no_cache(capsys, isolated_cache):
+    args = ("verify", "stabilization", "--system", "A1", "--level", "1",
+            "--lambda", "1", "--max-grade", "2", "--n-max", "4", "--no-timing")
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and not isolated_cache.exists()
+    assert run(capsys, *args, "--no-cache") == (0, out, "")  # accepted but unused
 
 
 def test_verify_writes_to_file(capsys, tmp_path):

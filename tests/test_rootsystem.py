@@ -306,6 +306,30 @@ def test_library_has_no_assert_statements():
     assert offenders == []
 
 
+def _import_targets(node):
+    """Module names an import statement may bind; relative names keep
+    their leading dots."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = "." * node.level + (node.module or "")
+        sep = "" if base.endswith(".") else "."
+        return [base] + [base + sep + a.name for a in node.names]
+    return []
+
+
+def test_only_the_cli_imports_the_cache():
+    # the library layers do no disk I/O; the cache serves the front end alone
+    package = pathlib.Path(demkit.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py")) if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if {".cache", "demkit.cache"} & set(_import_targets(node))
+    ]
+    assert offenders == []
+
+
 def test_dual_coxeter_numbers():
     assert root_system("A1").dual_coxeter == 2
     assert root_system("A2").dual_coxeter == 3

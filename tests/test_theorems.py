@@ -255,6 +255,50 @@ def test_twofold_corollary_rejects_out_of_range_node():
             verify_twofold_corollary(b3, 1, j, 2, 1, (1, 0, 0), (1, 0, 0))
 
 
+def paper_threshold_factor(series, rank, j):
+    """The paper's per-type table: the two-fold corollary covers level >=
+    factor * m, the factor rising above 1 away from the end nodes."""
+    if series == "B" and j != 1:
+        return 2
+    if series == "C" and j != rank:
+        return 2
+    if series == "D" and j not in (1, rank - 1, rank):
+        return 2
+    if series == "E" and rank == 6:
+        return {2: 2, 3: 2, 5: 2, 4: 3}.get(j, 1)
+    if series == "E" and rank == 7:
+        return {1: 2, 2: 2, 6: 2, 3: 3, 5: 3, 4: 4}.get(j, 1)
+    return 1
+
+
+@pytest.mark.parametrize("name", [
+    *(f"A{n}" for n in range(1, 9)), *(f"B{n}" for n in range(2, 9)),
+    *(f"C{n}" for n in range(2, 9)), *(f"D{n}" for n in range(4, 9)), "E6", "E7",
+])
+def test_twofold_corollary_thresholds_match_the_paper_table(name):
+    from demkit.theorems import twofold_corollary_thresholds
+
+    rs = root_system(name)
+    for j in range(1, rs.rank + 1):
+        factor = paper_threshold_factor(rs.series, rs.rank, j)
+        assert factor == rs.d_simple[j - 1] * rs.theta.coroot[j - 1], j
+        for m in (1, 2):
+            for level in range(1, 5 * m + 1):
+                assert twofold_corollary_thresholds(rs, j, level, m) == (level >= factor * m)
+
+
+@pytest.mark.parametrize("name", ["E8", "F4", "G2"])
+def test_twofold_corollary_without_minuscule_nodes_is_hypothesis_violated(name):
+    from demkit.theorems import verify_twofold_corollary
+
+    rs = root_system(name)
+    zero = rs.zero_weight()
+    for j in range(1, rs.rank + 1):
+        for level in range(1, 5):
+            cert = verify_twofold_corollary(rs, 1, j, level, 1, zero, zero)
+            assert cert.verdict == "hypothesis-violated", (j, level)
+
+
 def test_genschurpos_identity():
     cert = verify_genschurpos(A1, 1, 1, 1, 1, (1,), (1,))
     assert cert.verdict == "verified"
