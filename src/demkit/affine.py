@@ -1,6 +1,12 @@
-"""The affine engine: affine weights, straightening, Demazure operators, and
-graded Demazure characters, plus a grade-truncated multiplicity oracle for
-irreducible affine characters.
+"""The affine engine: affine weights, straightening, Demazure operators,
+graded Demazure characters and their graded isotypic decompositions, plus a
+grade-truncated multiplicity oracle for irreducible affine characters.
+
+Two routes reach a stable Demazure module: ``demazure_character`` applies
+the operators of a reduced word for its whole Weyl group element w0*u, and
+``graded_isotypic`` applies only u's and reads off graded isotypic
+multiplicities by Bott's rule.  The claims layer reads decompositions from
+the second route; the tests hold it to the first.
 
 Conventions.  An affine weight is ``(finite, level, delta)``: a finite weight
 in fundamental coordinates, the coefficient of the level-defining fundamental
@@ -36,6 +42,7 @@ __all__ = [
     "straighten",
     "demazure_operator",
     "demazure_character",
+    "graded_isotypic",
     "kr_character",
     "presentation",
     "affine_irreducible_character_truncated",
@@ -146,6 +153,29 @@ def demazure_operator(rs, i, char, level=0):
     return GradedCharacter(rs, out)
 
 
+def _check_stable_input(rs, level, weight):
+    """Validate a (level, dominant weight) pair; level 0 admits only the
+    zero weight (trivial module)."""
+    weight = rs.check_weight(weight)
+    if not rs.is_dominant(weight):
+        raise ValueError(f"weight {weight} is not dominant")
+    if level < 0:
+        raise ValueError("level must be non-negative")
+    if level == 0 and any(weight):
+        raise ValueError("level 0 admits only the zero weight")
+    return weight
+
+
+def _demazure_from(rs, level, extremal):
+    """Apply the Demazure operators of the word that straightens the affine
+    weight ``(extremal, level, 0)``, starting from the dominant monomial."""
+    top, word = straighten(rs, AffineWeight(extremal, level, 0))
+    char = GradedCharacter.monomial(rs, top.finite, top.delta)
+    for letter in word:
+        char = demazure_operator(rs, letter, char, level)
+    return char
+
+
 def demazure_character(rs, level, weight):
     """Graded character of the level-``level`` stable Demazure module of a
     dominant weight, computed along the straightened reduced word.
@@ -154,23 +184,46 @@ def demazure_character(rs, level, weight):
     character of ``weight``, and ``weight`` itself carries multiplicity 1.
     At level 0 only the zero weight is admissible (trivial module).
     """
-    weight = rs.check_weight(weight)
-    if not rs.is_dominant(weight):
-        raise ValueError(f"weight {weight} is not dominant")
-    if level < 0:
-        raise ValueError("level must be non-negative")
+    weight = _check_stable_input(rs, level, weight)
     if level == 0:
-        if any(weight):
-            raise ValueError("level 0 admits only the zero weight")
         return GradedCharacter.unit(rs)
-    lowest = rs.apply_word(rs.longest_element(), weight)
-    top, word = straighten(rs, AffineWeight(lowest, level, 0))
-    char = GradedCharacter.monomial(rs, top.finite, top.delta)
-    for letter in word:
-        char = demazure_operator(rs, letter, char, level)
+    char = _demazure_from(rs, level, rs.apply_word(rs.longest_element(), weight))
     if any(g < 0 for (_, g) in char.terms):
         raise RuntimeError(f"internal error: negative grade in the character of {weight}")
     return char
+
+
+def graded_isotypic(rs, level, weight):
+    """Graded isotypic decomposition of the same module as
+    :func:`demazure_character`: ``{(dominant weight, grade): multiplicity}``,
+    every multiplicity positive.
+
+    The module is stable under the finite Lie algebra, so its Weyl group
+    element factors as w0*u with lengths adding, and D_w = D_w0 D_u; u is
+    the word that straightens ``(weight, level, 0)``.  Only u's operators
+    are applied.  D_w0 then sends each monomial e^mu to the Weyl character
+    sign(v)*chi(v.mu) when mu + rho is regular and to 0 otherwise (the
+    Demazure character formula with Bott's rule).  A negative multiplicity
+    would contradict the stability and is an internal error.
+    """
+    weight = _check_stable_input(rs, level, weight)
+    if level == 0:
+        return {(weight, 0): 1}
+    out = {}
+    bott = {}  # one weight recurs at many grades
+    for (mu, g), m in _demazure_from(rs, level, weight).terms.items():
+        if mu not in bott:
+            bott[mu] = rs.dot_straighten(mu)
+        hit = bott[mu]
+        if hit is not None:
+            key = (hit[0], g)
+            out[key] = out.get(key, 0) + hit[1] * m
+    for (lam, g), m in out.items():
+        if m < 0 or g < 0:
+            raise RuntimeError(
+                f"internal error: multiplicity {m} of {lam} at grade {g} in the module of {weight}"
+            )
+    return {key: m for key, m in out.items() if m}
 
 
 def kr_character(rs, level, node):

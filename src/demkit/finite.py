@@ -25,6 +25,7 @@ from .charalg import GradedCharacter
 __all__ = [
     "weyl_character",
     "demazure_weyl_character",
+    "isotypic_character",
     "weyl_dimension",
     "tensor_decompose",
     "surjection_exists",
@@ -82,6 +83,20 @@ def _weyl_entry(rs, weight):
     terms = {(w, 0): m for mu, m in mult.items() for w in rs.weyl_orbit(mu)}
     entry = rs._weyl_cache[weight] = (GradedCharacter(rs, terms), mult)
     return entry
+
+
+def isotypic_character(rs, components):
+    """The graded character whose isotypic decomposition is ``components``,
+    a map ``{(dominant weight, grade): multiplicity}``.  The dominant
+    multiplicities of the irreducibles are summed per grade first, so each
+    (weight, grade) is expanded over its Weyl orbit once."""
+    dominant = {}
+    for (lam, g), c in components.items():
+        for mu, m in _weyl_entry(rs, lam)[1].items():
+            dominant[(mu, g)] = dominant.get((mu, g), 0) + c * m
+    return GradedCharacter(
+        rs, {(w, g): m for (mu, g), m in dominant.items() for w in rs.weyl_orbit(mu)}
+    )
 
 
 def demazure_weyl_character(rs, weight):

@@ -314,6 +314,25 @@ class RootSystem:
                 self._dominant_cache[weight] = cur
                 return cur
 
+    def dot_straighten(self, weight):
+        """Bott's rule for the dot action v.mu = v(mu + rho) - rho.
+
+        Returns ``(dominant, sign)``, where ``dominant`` is the dominant
+        weight in the dot orbit of ``weight`` and ``sign`` is the sign of
+        the Weyl element that reaches it, or None when ``weight + rho`` lies
+        on a wall (some reflection then fixes it, and its Weyl character
+        vanishes).
+        """
+        cur = self.add(weight, self.rho)
+        sign = 1
+        while 0 not in cur:
+            i = next((i for i, c in enumerate(cur) if c < 0), None)
+            if i is None:
+                return self.sub(cur, self.rho), sign
+            cur = self.reflect(i + 1, cur)
+            sign = -sign
+        return None
+
     def weyl_orbit(self, weight):
         """The full Weyl orbit of a weight, as a set of tuples."""
         seen = {tuple(weight)}

@@ -6,6 +6,12 @@ equality, ungraded character equality, dimension comparison, multiplicity
 domination, or an index-set comparison), so a reader can tell exactly what
 was established.  Every certificate is built in one place, :class:`_Claim`.
 
+Where a claim needs the isotypic decomposition of a stable Demazure module
+(the stabilization windows, ``genschurpos`` and the ``mapsdem``
+isomorphism clause), it reads it from :func:`affine.graded_isotypic`
+rather than extracting it from the whole character; the other side of
+such a comparison keeps its own route.
+
 Each claim checks its hypotheses in a fixed order; the first that fails is
 the witness of a ``hypothesis-violated`` certificate, and hypothesis
 failures never abort a scan.  A refuted certificate always carries a
@@ -21,10 +27,12 @@ from itertools import product
 from math import prod
 from time import perf_counter
 
-from .affine import affine_irreducible_character_truncated, demazure_character, kr_character
-from .charalg import GradedCharacter
+from .affine import (
+    affine_irreducible_character_truncated, demazure_character, graded_isotypic, kr_character,
+)
 from .finite import (
-    min_condition_failure, surjection_exists, tensor_decompose, weyl_character, weyl_dimension,
+    isotypic_character, min_condition_failure, surjection_exists, tensor_decompose,
+    weyl_character, weyl_dimension,
 )
 
 __all__ = [
@@ -173,6 +181,15 @@ def _product_decomposition(rs, a, b):
     return tensor_decompose(rs, weyl_character(rs, a) * weyl_character(rs, b))
 
 
+def _demazure_decomposition(rs, level, weight):
+    """Ungraded isotypic decomposition of a stable Demazure module: its
+    graded decomposition summed over grades."""
+    out = {}
+    for (lam, _), m in graded_isotypic(rs, level, weight).items():
+        out[lam] = out.get(lam, 0) + m
+    return out
+
+
 # ---------------------------------------------------------------------------
 # character factorization of stable Demazure modules
 
@@ -262,7 +279,8 @@ def verify_mapsdem(rs, level, parts, lam):
                 {"failing_alpha": list(root.root_coords), "mu_pairing": have, "parts_pairing": need}
             )
 
-    lhs_char = demazure_character(rs, level, rs.add(rs.scale(level, mu), lam)).collapse()
+    lhs_weight = rs.add(rs.scale(level, mu), lam)
+    lhs_char = demazure_character(rs, level, lhs_weight).collapse()
     lhs_dim = lhs_char.dimension()
     rhs_dim = demazure_character(rs, level, lam).dimension()
     factors = []
@@ -279,7 +297,9 @@ def verify_mapsdem(rs, level, parts, lam):
     rhs_char = weyl_character(rs, lam)
     for factor in factors:
         rhs_char = rhs_char * factor
-    lhs_decomp = tensor_decompose(rs, lhs_char)
+    # the two sides come from independent routes: D_u and Bott's rule on
+    # the left, extraction from the product character on the right
+    lhs_decomp = _demazure_decomposition(rs, level, lhs_weight)
     rhs_decomp = tensor_decompose(rs, rhs_char)
     fwd, fwd_wit = surjection_exists(lhs_decomp, rhs_decomp)
     bwd, bwd_wit = surjection_exists(rhs_decomp, lhs_decomp)
@@ -476,8 +496,9 @@ def verify_twofold_corollary(rs, node, j, level, m_level, mu1, mu2):
 def verify_genschurpos(rs, node, power, level, m_level, lam, mu):
     """Check multiplicity domination for the level-lowering surjection
     between iterated node-module fusions: the level-``m_level`` source
-    character dominates the level-``level`` target character, both realised
-    as ungraded Demazure characters.
+    module dominates the level-``level`` target module, both stable Demazure
+    modules whose isotypic decompositions are read off
+    :func:`graded_isotypic` and summed over grades.
 
     Hypothesis: power*d_i*level*omega_i + lam = power*d_i*m_level*omega_i + mu
     with mu m_level-dominant and level >= m_level; lam is then forced to be
@@ -503,12 +524,8 @@ def verify_genschurpos(rs, node, power, level, m_level, lam, mu):
         return claim.violated("weights do not balance")
     if rs.theta_pairing(lam) > level:
         raise RuntimeError("internal error: lambda must be level-dominant when the hypotheses hold")
-    source = tensor_decompose(rs, demazure_character(
-        rs, m_level, rs.add(rs.scale(power * d * m_level, omega), mu)
-    ).collapse())
-    target = tensor_decompose(rs, demazure_character(
-        rs, level, rs.add(rs.scale(power * d * level, omega), lam)
-    ).collapse())
+    source = _demazure_decomposition(rs, m_level, rs.add(rs.scale(power * d * m_level, omega), mu))
+    target = _demazure_decomposition(rs, level, rs.add(rs.scale(power * d * level, omega), lam))
     return claim.dominates(source, target)
 
 
@@ -516,14 +533,16 @@ def verify_genschurpos(rs, node, power, level, m_level, lam, mu):
 # stabilization of depth-truncated characters
 
 
-def _top_aligned_truncation(char, max_depth):
-    """Re-grade a Demazure character by depth below its highest grade and
-    truncate; this is the grading in which the direct limit stabilizes."""
-    anchor = max(g for (_, g) in char.terms)
-    return GradedCharacter(
-        char.system,
-        {(w, anchor - g): m for (w, g), m in char.terms.items() if anchor - g <= max_depth},
-    )
+def _top_window(rs, level, weight, max_depth):
+    """The Demazure character of ``weight``, re-graded by depth below its
+    highest grade and truncated at ``max_depth``; this is the grading in
+    which the direct limit stabilizes.  Only the isotypic components inside
+    the window are expanded."""
+    components = graded_isotypic(rs, level, weight)
+    anchor = max(g for (_, g) in components)
+    return isotypic_character(rs, {
+        (lam, anchor - g): m for (lam, g), m in components.items() if anchor - g <= max_depth
+    })
 
 
 def verify_stabilization(rs, level, lam, max_grade, n_max):
@@ -545,7 +564,7 @@ def verify_stabilization(rs, level, lam, max_grade, n_max):
     truncations = {}
     for n in range(1, n_max + 1):
         big = rs.add(rs.scale(n * level, rs.theta.coords), lam)
-        truncations[n] = _top_aligned_truncation(demazure_character(rs, level, big), max_grade)
+        truncations[n] = _top_window(rs, level, big, max_grade)
     stable_from = None
     for n in range(1, n_max):
         if all(truncations[m] == truncations[n] for m in range(n + 1, n_max + 1)):

@@ -4,14 +4,16 @@ The oracles here deliberately avoid the library's primary code paths:
 root sets are rebuilt as Weyl orbits of the simple roots, simple-root
 coordinates come from a Fraction solve of C x = w, rank-1 tensor products
 come from the classical highest-weight ladder, small products are
-convolved by hand, and tensor products of irreducibles are decomposed by
-the Brauer-Klimyk formula over the divided-difference character.
+convolved by hand, tensor products of irreducibles are decomposed by
+the Brauer-Klimyk formula over the divided-difference character, and
+stabilization windows are cut from the full-word Demazure character.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
+from demkit.charalg import GradedCharacter
 from demkit.finite import demazure_weyl_character
 from demkit.rootsystem import root_system
 
@@ -87,3 +89,14 @@ def brauer_klimyk(rs, a, b):
             v = rs.reflect(i + 1, v)
             sign = -sign
     return {lam: m for lam, m in out.items() if m}
+
+
+def top_aligned_truncation(char, max_depth):
+    """Re-grade a whole Demazure character by depth below its highest grade
+    and truncate at ``max_depth``: the stabilization window, cut from the
+    full-word character rather than from isotypic components."""
+    anchor = max(g for (_, g) in char.terms)
+    return GradedCharacter(
+        char.system,
+        {(w, anchor - g): m for (w, g), m in char.terms.items() if anchor - g <= max_depth},
+    )

@@ -10,13 +10,16 @@ from demkit.affine import (
     affine_reflect,
     demazure_character,
     demazure_operator,
+    graded_isotypic,
     is_affine_dominant,
     kr_character,
     presentation,
     straighten,
 )
 from demkit.charalg import GradedCharacter
-from demkit.finite import demazure_weyl_character, weyl_character
+from demkit.finite import (
+    demazure_weyl_character, isotypic_character, tensor_decompose, weyl_character,
+)
 from demkit.rootsystem import root_system
 
 A1 = root_system("A1")
@@ -217,6 +220,41 @@ def test_finite_word_consistency(name):
     bound = 3 if rs.rank <= 3 else 2
     for lam in dominant_box(rs, bound)[: 40]:
         assert demazure_weyl_character(rs, lam) == weyl_character(rs, lam)
+
+
+# ---------------------------------------------------------------------------
+# graded isotypic decomposition: D_u and Bott's rule against the full word
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"])
+def test_graded_isotypic_matches_the_full_word(name, level):
+    # the 0/1 box, plus level*theta + omega_i so that every level reaches
+    # grades above 0
+    rs = root_system(name)
+    weights = set(dominant_box(rs, 1)) | {
+        rs.add(rs.scale(level, rs.theta.coords), rs.fundamental_weight(i))
+        for i in range(1, rs.rank + 1)
+    }
+    for lam in sorted(weights):
+        full = demazure_character(rs, level, lam)
+        components = graded_isotypic(rs, level, lam)
+        assert all(m > 0 for m in components.values())
+        assert isotypic_character(rs, components).to_jsonl() == full.to_jsonl()
+        summed = {}
+        for (mu, _), m in components.items():
+            summed[mu] = summed.get(mu, 0) + m
+        assert summed == tensor_decompose(rs, full.collapse())
+
+
+def test_graded_isotypic_small_cases():
+    # V(2) at level 1 is V(2) + q V(0); level 0 is the trivial module
+    assert graded_isotypic(A1, 1, (2,)) == {((2,), 0): 1, ((0,), 1): 1}
+    assert graded_isotypic(A2, 0, (0, 0)) == {((0, 0), 0): 1}
+    with pytest.raises(ValueError):
+        graded_isotypic(A1, 1, (-1,))
+    with pytest.raises(ValueError):
+        graded_isotypic(A1, 0, (1,))
 
 
 # ---------------------------------------------------------------------------

@@ -250,8 +250,14 @@ def test_twofold_refuted(monkeypatch):
 
 
 def test_genschurpos_refuted(monkeypatch):
-    # only the level-2 target is built at level 2
-    _doubling(monkeypatch, "demazure_character", lambda rs, level, w: level == 2)
+    # only the level-2 target is decomposed at level 2
+    real = demkit.theorems.graded_isotypic
+
+    def corrupted(rs, level, weight):
+        out = real(rs, level, weight)
+        return {k: 2 * m for k, m in out.items()} if level == 2 else out
+
+    monkeypatch.setattr(demkit.theorems, "graded_isotypic", corrupted)
     _assert_domination_witness(verify_genschurpos(A1, 1, 1, 2, 1, (0,), (1,)))
 
 

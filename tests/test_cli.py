@@ -326,6 +326,23 @@ def test_domain_errors_exit_3(capsys):
         assert code == 3 and err == "error: jobs must be >= 1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("genschurpos", "--system", "A1", "--level", "2", "--source-level", "1", "--index", "1",
+     "--power", "1", "--lambda", "0", "--mu", "1"),
+    ("stabilization", "--system", "A1", "--level", "1", "--lambda", "0",
+     "--max-grade", "2", "--n-max", "3"),
+], ids=["genschurpos", "stabilization"])
+def test_negative_graded_multiplicity_exits_5(capsys, monkeypatch, argv):
+    # every Weyl character comes back with sign -1, so the decomposition
+    # of a stable Demazure module goes negative
+    from demkit.rootsystem import RootSystem
+
+    monkeypatch.setattr(RootSystem, "dot_straighten", lambda rs, mu: (mu, -1))
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 5 and out == ""
+    assert err.startswith("error: internal error: multiplicity -")
+
+
 def test_internal_errors_exit_5(capsys, monkeypatch):
     import demkit.theorems
 

@@ -170,6 +170,35 @@ def test_weyl_orbits():
     assert a2.weyl_orbit((0, 0)) == {(0, 0)}
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_dot_straighten_inverts_the_dot_action(name):
+    # walk the dot orbit of a dominant weight, tracking the sign of the
+    # Weyl element; every weight walks back with that sign
+    rs = root_system(name)
+    for lam in dominant_box(rs, 1):
+        seen = {lam: 1}
+        stack = [lam]
+        while stack:
+            mu = stack.pop()
+            for i in range(1, rs.rank + 1):
+                nu = rs.sub(rs.reflect(i, rs.add(mu, rs.rho)), rs.rho)
+                if nu not in seen:
+                    seen[nu] = -seen[mu]
+                    stack.append(nu)
+        assert len(seen) == len(rs.weyl_orbit(rs.add(lam, rs.rho)))
+        for mu, sign in seen.items():
+            assert rs.dot_straighten(mu) == (lam, sign)
+
+
+def test_dot_straighten_singular_weights():
+    a1, a2 = root_system("A1"), root_system("A2")
+    assert a1.dot_straighten((-1,)) is None
+    assert a1.dot_straighten((-3,)) == ((1,), -1)
+    assert a2.dot_straighten((1, -1)) is None  # mu + rho = (2, 0) lies on a wall
+    assert a2.dot_straighten((-2, 0)) is None  # mu + rho = (-1, 1), s_1 moves it onto a wall
+    assert a2.dot_straighten((1, -2)) == ((0, 0), -1)  # mu = s_2 . 0
+
+
 def test_gamma_membership():
     a2 = root_system("A2")
     for w in dominant_box(a2, 3):

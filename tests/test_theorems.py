@@ -5,7 +5,7 @@ import pytest
 import demkit.finite
 import demkit.theorems
 
-from conftest import dominant_box, seeded
+from conftest import dominant_box, seeded, top_aligned_truncation
 from demkit.theorems import (
     Certificate,
     expected_minuscule_nodes,
@@ -23,6 +23,7 @@ from demkit.theorems import (
     verify_twofold,
 )
 from demkit.theorems import _char_difference_witness
+from demkit.affine import demazure_character
 from demkit.charalg import GradedCharacter
 from demkit.finite import weyl_dimension
 from demkit.rootsystem import root_system
@@ -347,6 +348,33 @@ def test_stabilization_higher_rank_at_depth_two_and_more(name, lam, max_grade, n
     assert cert.verdict == "verified"
 
 
+@pytest.mark.parametrize(
+    "name,lam,max_grade",
+    [
+        # the six benchmark stabilization inputs
+        ("B2", (0, 0), 3),
+        ("A3", (0, 0, 1), 2),
+        ("A3", (1, 0, 0), 2),
+        ("G2", (1, 0), 3),
+        ("B3", (0, 0, 1), 1),
+        ("C3", (0, 1, 0), 1),
+        # and a few others
+        ("A1", (1,), 4),
+        ("A2", (1, 0), 3),
+        ("C2", (1, 0), 3),
+        ("D4", (0, 0, 0, 0), 2),
+    ],
+)
+def test_stabilization_windows_match_the_full_word(name, lam, max_grade):
+    # the window read from the isotypic components equals the one cut from
+    # the whole full-word character, for every N the claims use
+    rs = root_system(name)
+    for n in range(1, 5):
+        big = rs.add(rs.scale(n, rs.theta.coords), lam)
+        assert demkit.theorems._top_window(rs, 1, big, max_grade) == \
+            top_aligned_truncation(demazure_character(rs, 1, big), max_grade)
+
+
 def test_stabilization_inconclusive_when_window_too_small():
     cert = verify_stabilization(A1, 1, (0,), 2, 2)
     assert cert.verdict == "inconclusive"
@@ -442,18 +470,23 @@ SCAN_PRODUCTS = len({tuple(sorted(p)) for t in scan_tuples(A2, 1) for p in (t[:2
 def test_each_side_is_decomposed_once(monkeypatch, build, decompositions):
     """A verification decomposes each of its two sides once; a scan
     decomposes each distinct unordered product once, for all its
-    certificates."""
+    certificates.  A side is decomposed either by extraction
+    (``tensor_decompose``) or, for a stable Demazure module, by
+    ``graded_isotypic``; both routes are counted."""
     calls = []
-    real = demkit.theorems.tensor_decompose
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(real):
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return wrapped
 
     # patched in both modules, so decompositions made inside the
     # surjection test are counted too
-    monkeypatch.setattr(demkit.theorems, "tensor_decompose", counting)
-    monkeypatch.setattr(demkit.finite, "tensor_decompose", counting)
+    extraction = counting(demkit.theorems.tensor_decompose)
+    monkeypatch.setattr(demkit.theorems, "tensor_decompose", extraction)
+    monkeypatch.setattr(demkit.finite, "tensor_decompose", extraction)
+    monkeypatch.setattr(demkit.theorems, "graded_isotypic", counting(demkit.theorems.graded_isotypic))
     certs = build()
     assert certs and all(c.verdict == "verified" for c in certs)
     assert len(calls) == decompositions
