@@ -26,9 +26,8 @@ comparison needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add, mul
-from typing import NamedTuple
 
 from .charalg import GradedCharacter
 
@@ -51,10 +50,7 @@ __all__ = [
 STRAIGHTEN_STEP_CAP = 10**6
 
 
-class AffineWeight(NamedTuple):
-    finite: tuple
-    level: int
-    delta: int
+AffineWeight = namedtuple("AffineWeight", "finite level delta")
 
 
 def affine_pairing(rs, aw, i):
@@ -235,21 +231,16 @@ def kr_character(rs, level, node):
     return demazure_character(rs, level, weight)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(namedtuple("Relation", "root_coords pairing s m nilpotency_order")):
     """Defining relations attached to one positive root in the presentation
     of a stable Demazure module as a quotient of the local Weyl module.
 
     The lowering operator at the root always vanishes from t-power ``s``
-    on; when ``nilpotency_order`` is not None the operator at t-power
-    ``s - 1`` is additionally nilpotent of that order.
+    on; when ``nilpotency_order`` (an int or None) is not None the operator
+    at t-power ``s - 1`` is additionally nilpotent of that order.
     """
 
-    root_coords: tuple
-    pairing: int
-    s: int
-    m: int
-    nilpotency_order: object  # int or None
+    __slots__ = ()
 
     def to_dict(self):
         return {
@@ -364,12 +355,15 @@ def affine_irreducible_character_truncated(rs, level, weight, max_grade):
     )
 
     mult = {}
+    reps = {}  # (finite, depth) -> its dominant representative
 
     def lookup(finite, depth):
         if depth < 0:
             return 0
-        key = _affine_dominant_rep(rs, finite, depth, level)
-        return mult.get(key, 0)
+        rep = reps.get((finite, depth))
+        if rep is None:
+            rep = reps[finite, depth] = _affine_dominant_rep(rs, finite, depth, level)
+        return mult.get(rep, 0)
 
     for height, depth, finite in candidates:
         if height == 0:

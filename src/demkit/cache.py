@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .charalg import GradedCharacter
 
@@ -51,13 +51,12 @@ def resolve_cache_dir(explicit=None):
     return os.path.join(base, "demkit")
 
 
-@dataclass(frozen=True)
-class CacheKey:
-    system: str
-    kind: str  # demazure | weyl
-    level: int
-    weight: tuple
-    version: int = FORMAT_VERSION
+class CacheKey(
+    namedtuple("CacheKey", "system kind level weight version", defaults=(FORMAT_VERSION,))
+):
+    """One cached character: ``kind`` is ``demazure`` or ``weyl``."""
+
+    __slots__ = ()
 
     def filename(self):
         coords = "_".join(str(c) for c in self.weight)

@@ -16,6 +16,14 @@ stabilization --no-cache`` is accepted but unused.  ``scan`` runs in one
 process, decomposes each distinct product of two irreducibles once, and
 computes every certificate before it writes any; its ``--jobs`` flag is
 validated but changes neither the work nor the output.
+
+Each command imports the modules it runs when it runs: every command loads
+``rootsystem``; ``char`` adds ``affine``, ``charalg`` and ``cache`` (and
+``finite`` for ``--kind weyl``), ``presentation`` adds ``affine`` and
+``charalg``, ``verify`` and ``scan`` add ``theorems`` with ``affine``,
+``finite`` and ``charalg``, and ``cache`` adds ``cache`` and ``charalg``.
+The package's own exports resolve lazily too, so ``char`` never compiles
+``theorems`` and no command but ``char`` and ``cache`` loads ``cache``.
 """
 
 from __future__ import annotations
@@ -25,10 +33,6 @@ import json
 import os
 import sys
 
-from . import theorems
-from .affine import demazure_character, kr_character, presentation
-from .cache import CacheKey, CharacterCache, resolve_cache_dir
-from .finite import weyl_character
 from .rootsystem import parse_system, root_system
 
 EXIT_OK = 0
@@ -120,10 +124,15 @@ def _pretty_character(char):
 
 
 def _cmd_char(args):
+    from .affine import demazure_character, kr_character
+    from .cache import CacheKey, CharacterCache, resolve_cache_dir
+
     rs = root_system(args.system)
     if args.kind == "weyl":
         if args.weight is None:
             raise ValueError("--weight is required for --kind weyl")
+        from .finite import weyl_character
+
         key = CacheKey(rs.name, "weyl", 0, args.weight)
         build = lambda: weyl_character(rs, args.weight)
     else:
@@ -166,6 +175,8 @@ def _cmd_char(args):
 
 
 def _cmd_presentation(args):
+    from .affine import presentation
+
     rs = root_system(args.system)
     relations = presentation(rs, args.level, args.weight)
     if args.pretty:
@@ -193,6 +204,8 @@ def _cmd_presentation(args):
 
 
 def _cmd_verify(args):
+    from . import theorems
+
     # looked up per call, so a wrapper rebound on ``theorems`` is the one run
     verify = getattr(theorems, "verify_" + args.verify_command)
     cert = verify(root_system(args.system), *(getattr(args, name) for name in args.claim_args))
@@ -205,6 +218,8 @@ def _cmd_verify(args):
 
 
 def _cmd_scan(args):
+    from . import theorems
+
     if args.jobs < 1:
         raise ValueError("jobs must be >= 1")
     rs = root_system(args.system)
@@ -228,6 +243,8 @@ def _cmd_scan(args):
 
 
 def _cmd_cache(args):
+    from .cache import CharacterCache, resolve_cache_dir
+
     directory = resolve_cache_dir(args.cache_dir)
     cache = CharacterCache(directory)
     if args.cache_command == "path":

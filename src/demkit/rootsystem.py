@@ -4,8 +4,8 @@ Weights are plain tuples of integers: ``w[i]`` is the pairing of the weight
 against the (i+1)-th simple coroot, i.e. coordinates in the basis of
 fundamental weights.  Vertex numbering follows Bourbaki.  Roots additionally
 carry their expansion in simple roots, so every pairing, reflection and
-dominance test is exact integer arithmetic; stdlib Fraction is used only
-while the roots are built, and no floating point or irrational numbers
+dominance test is exact integer arithmetic, the roots and the inverse
+Cartan matrix included; no fractions, floating point or irrational numbers
 appear anywhere.
 
 The bilinear form is normalised so that long roots have squared length 2;
@@ -16,10 +16,9 @@ and 2 or 3 for short ones.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 __all__ = [
     "Root",
@@ -113,27 +112,25 @@ def _cartan_and_d(series, rank):
 def _invert_rational(mat):
     """Exact inverse of a small integer matrix, returned as ``(L, L*inverse)``:
     L is the least common denominator of the inverse's entries, so the
-    scaled inverse is an integer matrix."""
+    scaled inverse is an integer matrix.  Fraction-free Gauss-Jordan: each
+    integer row of ``[mat | I]`` ends as its pivot times a row of the
+    inverse."""
     n = len(mat)
-    aug = [
-        [Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
+    aug = [list(mat[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        piv = next(r for r in range(col, n) if aug[r][col])
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
+        p = aug[col]
         for r in range(n):
             if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    scale = lcm(*(x.denominator for row in aug for x in row[n:]))
-    return scale, tuple(tuple(int(x * scale) for x in row[n:]) for row in aug)
+                row = [p[col] * x - aug[r][col] * y for x, y in zip(aug[r], p)]
+                g = gcd(*row)
+                aug[r] = [x // g for x in row]
+    scale = lcm(*(row[i] // gcd(row[i], x) for i, row in enumerate(aug) for x in row[n:]))
+    return scale, tuple(tuple(x * scale // row[i] for x in row[n:]) for i, row in enumerate(aug))
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(namedtuple("Root", "root_coords coords d coroot height")):
     """A positive root with all derived data precomputed.
 
     root_coords -- expansion in simple roots (integers)
@@ -143,11 +140,7 @@ class Root:
     height      -- sum of root_coords
     """
 
-    root_coords: tuple
-    coords: tuple
-    d: int
-    coroot: tuple
-    height: int
+    __slots__ = ()
 
 
 class RootSystem:
@@ -230,21 +223,22 @@ class RootSystem:
         coords = tuple(
             sum(self.cartan[i][j] * root_coords[j] for j in range(n)) for i in range(n)
         )
+        # D*(root, root), with (alpha_i, alpha_j) = C[i][j]/d_i and D = pairing_scale
+        D = self.pairing_scale
         norm = sum(
-            Fraction(self.cartan[i][j], self.d_simple[i]) * root_coords[i] * root_coords[j]
+            self.cartan[i][j] * (D // self.d_simple[i]) * root_coords[i] * root_coords[j]
             for i in range(n)
             for j in range(n)
         )
-        d = Fraction(2) / norm
-        if d.denominator != 1 or d not in (1, 2, 3):
+        d, rem = divmod(2 * D, norm)
+        if rem or d not in (1, 2, 3):
             raise RuntimeError(f"internal error: bad root length for {root_coords}")
-        d = int(d)
         coroot = []
-        for j in range(n):
-            t = Fraction(root_coords[j] * d, self.d_simple[j])
-            if t.denominator != 1:
+        for a, dj in zip(root_coords, self.d_simple):
+            t, rem = divmod(a * d, dj)
+            if rem:
                 raise RuntimeError(f"internal error: non-integral coroot for {root_coords}")
-            coroot.append(int(t))
+            coroot.append(t)
         return Root(root_coords, coords, d, tuple(coroot), sum(root_coords))
 
     # ------------------------------------------------------------------

@@ -22,7 +22,6 @@ CLI exit 5).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
 from itertools import product
 from math import prod
 from time import perf_counter
@@ -59,23 +58,22 @@ VERDICTS = ("verified", "refuted", "hypothesis-violated", "inconclusive")
 _OUTCOMES = {True: "verified", False: "refuted", None: "inconclusive"}
 
 
-@dataclass
 class Certificate:
     """Machine-checkable record of one verified/refuted claim."""
 
-    claim: str
-    system: str
-    inputs: dict
-    lhs: object
-    rhs: object
-    verdict: str
-    notion: str
-    witness: object = None
-    details: dict = field(default_factory=dict)
-    elapsed_ms: float = 0.0
+    # every field but ``elapsed_ms``, which ``to_dict`` adds on request
+    _FIELDS = ("claim", "system", "inputs", "lhs", "rhs", "verdict", "notion", "witness", "details")
+
+    def __init__(self, claim, system, inputs, lhs, rhs, verdict, notion,
+                 witness=None, details=None, elapsed_ms=0.0):
+        self.claim, self.system, self.inputs = claim, system, inputs
+        self.lhs, self.rhs, self.verdict, self.notion = lhs, rhs, verdict, notion
+        self.witness = witness
+        self.details = {} if details is None else details
+        self.elapsed_ms = elapsed_ms
 
     def to_dict(self, include_timing=True):
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "elapsed_ms"}
+        out = {name: getattr(self, name) for name in self._FIELDS}
         if include_timing:
             out["elapsed_ms"] = round(self.elapsed_ms, 3)
         return out
@@ -134,7 +132,7 @@ class _Claim:
             raise RuntimeError(f"internal error: {self.claim} {verdict} without a witness")
         return Certificate(
             self.claim, self.system, self.inputs, lhs, rhs, verdict, self.notion,
-            witness=found, details=details or {},
+            witness=found, details=details,
             elapsed_ms=(perf_counter() - self.t0) * 1e3,
         )
 

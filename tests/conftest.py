@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's primary code paths:
 root sets are rebuilt as Weyl orbits of the simple roots, simple-root
-coordinates come from a Fraction solve of C x = w, rank-1 tensor products
+coordinates come from a Fraction solve of C x = w, which also gives the
+inverse Cartan matrix, root lengths and coroots are computed over
+Fractions from the symmetrised form, rank-1 tensor products
 come from the classical highest-weight ladder, small products are
 convolved by hand, tensor products of irreducibles are decomposed by
 the Brauer-Klimyk formula over the divided-difference character, and
@@ -41,6 +43,27 @@ def root_coords_oracle(rs, weight):
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
     return tuple(row[n] for row in rows)
+
+
+def cartan_inverse_oracle(rs):
+    """C^-1 as rows of Fractions: its column k solves C x = omega_k."""
+    columns = [root_coords_oracle(rs, rs.fundamental_weight(k + 1)) for k in range(rs.rank)]
+    return [[col[i] for col in columns] for i in range(rs.rank)]
+
+
+def root_oracle(rs, root_coords):
+    """(root_coords, coords, d, coroot, height) of a positive root, over
+    Fractions: (alpha_i, alpha_j) = C[i][j] / d_i, d = 2 / (root, root),
+    and the coroot h_root = sum_j (d / d_j) root_coords[j] h_j."""
+    n = rs.rank
+    coords = tuple(sum(rs.cartan[i][j] * root_coords[j] for j in range(n)) for i in range(n))
+    norm = sum(
+        Fraction(rs.cartan[i][j], rs.d_simple[i]) * root_coords[i] * root_coords[j]
+        for i in range(n) for j in range(n)
+    )
+    d = Fraction(2) / norm
+    coroot = tuple(d * a / dj for a, dj in zip(root_coords, rs.d_simple))
+    return tuple(root_coords), coords, d, coroot, sum(root_coords)
 
 
 def roots_by_orbit(rs):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conftest import dominant_box, seeded
@@ -363,3 +365,32 @@ def test_truncated_rejects_bad_inputs():
         affine_irreducible_character_truncated(A1, 1, (2,), 1)  # not level-dominant
     with pytest.raises(ValueError):
         affine_irreducible_character_truncated(A1, 1, (0,), -1)
+
+
+# the six stabilization inputs of the benchmark, (system, level, lambda,
+# max grade), with the SHA-256 of each truncated character's graded
+# serialization as the oracle computed it before it memoised its
+# representatives
+BENCHMARK_TRUNCATIONS = [
+    ("A3", 1, (0, 0, 1), 2, "8d4ee34565c93728465be346dad0458c96e699c3ad7651ec78f19600e7307676"),
+    ("A3", 1, (1, 0, 0), 2, "07e9b0283db8fb2a1646c1ff6f5144f54f47f1e37959917adbf5af0a780a5ca6"),
+    ("B2", 1, (0, 0), 3, "2cca730b70967efc60995efb4d5db1b8cd78ec7257bb12edacf61740d8e16beb"),
+    ("B3", 1, (0, 0, 1), 1, "57e05c47e7f9ceee286887e9d697973d8f9087210978f79779157f22a3eab5f3"),
+    ("C3", 1, (0, 1, 0), 1, "48792af99484471e48ba391ca0fd362f3f112aff944a3fd1d33c902ffa51db43"),
+    ("G2", 1, (1, 0), 3, "ad0820cd118adc2e934359357aa3383fc90aa904664eba0b6317f918564dbed6"),
+]
+
+
+@pytest.mark.parametrize("name,level,lam,max_grade,digest", BENCHMARK_TRUNCATIONS,
+                         ids=[f"{t[0]}-{','.join(map(str, t[2]))}" for t in BENCHMARK_TRUNCATIONS])
+def test_truncated_straightens_each_weight_once(monkeypatch, name, level, lam, max_grade, digest):
+    calls = []
+
+    def counting(rs, aw):
+        calls.append(aw)
+        return straighten(rs, aw)
+
+    monkeypatch.setattr(affine, "straighten", counting)
+    ch = affine_irreducible_character_truncated(root_system(name), level, lam, max_grade)
+    assert calls and len(calls) == len(set(calls))
+    assert hashlib.sha256(ch.to_jsonl(kind="graded").encode("utf-8")).hexdigest() == digest

@@ -2,9 +2,12 @@ import hashlib
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import demkit
 from demkit.cli import main
 
 pytestmark = pytest.mark.usefixtures("isolated_cache")
@@ -353,6 +356,76 @@ def test_internal_errors_exit_5(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "minuscule", "--system", "B3")
     assert code == 5 and out == ""
     assert err == "error: internal error: simulated\n"
+
+
+# ---------------------------------------------------------------------------
+# each command imports only what it runs
+
+# loaded for dataclasses and Fraction alone, at a cost every request paid
+SLOW_IMPORTS = {"dataclasses", "inspect", "fractions", "decimal"}
+
+COMMANDS = {
+    "char": ["char", "--system", "A1", "--level", "1", "--weight", "2"],
+    "char-weyl": ["char", "--system", "A2", "--weight", "1,1", "--kind", "weyl"],
+    "presentation": ["presentation", "--system", "A2", "--level", "1", "--weight", "1,1"],
+    "demprop": ["verify", "demprop", "--system", "A1", "--level", "1", "--parts", "2", "--lambda", "1"],
+    "mapsdem": ["verify", "mapsdem", "--system", "A1", "--level", "1", "--parts", "1:2;1:2",
+                "--lambda", "0"],
+    "krdecom": ["verify", "krdecom", "--system", "A2", "--level", "1", "--s-vector", "1,1",
+                "--lambda", "0,0"],
+    "ev0": ["verify", "ev0", "--system", "A1", "--level", "2", "--lambda", "2"],
+    "twofold": ["verify", "twofold", "--system", "A1", "--index", "1", "--level", "2",
+                "--lambda", "2", "--mu1", "3", "--mu2", "1"],
+    "genschurpos": ["verify", "genschurpos", "--system", "A1", "--level", "2", "--source-level", "1",
+                    "--index", "1", "--power", "1", "--lambda", "0", "--mu", "1"],
+    "stabilization": ["verify", "stabilization", "--system", "A1", "--level", "1", "--lambda", "0",
+                      "--max-grade", "2", "--n-max", "4"],
+    "minuscule": ["verify", "minuscule", "--system", "A2"],
+    "scan": ["scan", "--system", "A1", "--height-bound", "1"],
+    "cache-stats": ["cache", "stats"],
+}
+
+
+def loaded_by(code):
+    """The modules a fresh interpreter loads while it runs ``code``; those
+    it had loaded before (``site`` may preload some) do not count."""
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(demkit.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, stdout=subprocess.DEVNULL,
+                         stderr=subprocess.PIPE, text=True)
+    assert out.returncode == 0, out.stderr
+    return set(out.stderr.split())
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=list(COMMANDS))
+def test_each_command_imports_only_what_it_runs(argv):
+    loaded = loaded_by(f"import demkit.cli\nassert demkit.cli.main({argv!r}) == 0")
+    assert "demkit.cli" in loaded and not SLOW_IMPORTS & loaded
+    if argv[0] == "char":
+        assert "demkit.theorems" not in loaded
+    if argv[0] in ("verify", "scan", "presentation"):
+        assert "demkit.cache" not in loaded
+
+
+def test_importing_the_package_loads_only_what_is_used():
+    loaded = loaded_by("import demkit\ndemkit.root_system('A2')")
+    assert {m for m in loaded if m.split(".")[0] == "demkit"} == {"demkit", "demkit.rootsystem"}
+    assert not SLOW_IMPORTS & loaded
+    # a module is loaded on first access as an attribute of the package too
+    assert "demkit.charalg" in loaded_by("import demkit\ndemkit.charalg.GradedCharacter")
+
+
+def test_every_package_export_resolves():
+    for name in demkit.__all__:
+        value = getattr(demkit, name)
+        assert value is getattr(sys.modules[value.__module__], name)
+    with pytest.raises(AttributeError):
+        demkit.no_such_name
 
 
 EXPECTED = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"

@@ -7,7 +7,10 @@ from math import isqrt, lcm
 import pytest
 
 import demkit
-from conftest import dominant_box, random_dominant, root_coords_oracle, roots_by_orbit, seeded
+from conftest import (
+    cartan_inverse_oracle, dominant_box, random_dominant, root_coords_oracle, root_oracle,
+    roots_by_orbit, seeded,
+)
 from demkit.rootsystem import parse_system, root_system
 
 # classical positive-root counts, as fixtures only
@@ -321,6 +324,25 @@ def test_dominant_weights_below_matches_brute_force(name):
             if rs.dominates(top, mu)
         }
         assert rs.dominant_weights_below(top) == want, top
+
+
+EVERY_TYPE = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", EVERY_TYPE)
+def test_integer_root_data_matches_a_fraction_oracle(name):
+    # the library builds C^-1 and the roots in integers only
+    rs = root_system(name)
+    inverse = cartan_inverse_oracle(rs)
+    L = lcm(*(x.denominator for row in inverse for x in row))
+    assert rs.lattice_scale == L
+    assert rs._scaled_inverse == tuple(tuple(int(x * L) for x in row) for row in inverse)
+    for root in rs.positive_roots:
+        assert tuple(root) == root_oracle(rs, root.root_coords)
 
 
 def test_library_has_no_assert_statements():
