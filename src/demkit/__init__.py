@@ -18,10 +18,7 @@ _EXPORTS = {
         "affine_reflect", "demazure_character", "demazure_operator", "kr_character",
         "presentation", "straighten",
     ),
-    "finite": (
-        "conjecture_conditions", "demazure_weyl_character", "surjection_exists",
-        "tensor_decompose", "weyl_character", "weyl_dimension",
-    ),
+    "finite": ("surjection_exists", "tensor_decompose", "weyl_character", "weyl_dimension"),
     "theorems": (
         "Certificate", "expected_minuscule_nodes", "minuscule_nodes", "scan_summary",
         "schur_scan", "twofold_corollary_thresholds", "verify_twofold_corollary",

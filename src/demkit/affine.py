@@ -36,8 +36,6 @@ __all__ = [
     "Relation",
     "affine_pairing",
     "affine_reflect",
-    "is_affine_dominant",
-    "affine_apply_word",
     "straighten",
     "demazure_operator",
     "demazure_character",
@@ -73,17 +71,6 @@ def affine_reflect(rs, aw, i):
     return AffineWeight(rs.reflect(i, aw.finite), aw.level, aw.delta)
 
 
-def is_affine_dominant(rs, aw):
-    return all(affine_pairing(rs, aw, i) >= 0 for i in range(rs.rank + 1))
-
-
-def affine_apply_word(rs, word, aw):
-    """Apply a word of affine reflections, first letter first."""
-    for i in word:
-        aw = affine_reflect(rs, aw, i)
-    return aw
-
-
 def straighten(rs, aw):
     """Raise a positive-level affine weight into the dominant chamber.
 
@@ -112,7 +99,7 @@ def straighten(rs, aw):
     raise RuntimeError(f"internal error: straightening exceeded {STRAIGHTEN_STEP_CAP} steps from {aw}")
 
 
-def demazure_operator(rs, i, char, level=0):
+def demazure_operator(rs, i, char, level):
     """One isobaric divided-difference operator, applied termwise.
 
     For a term of weight w with k = <w, h_i>: if k >= 0 it expands to the

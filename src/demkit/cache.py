@@ -7,8 +7,8 @@ header), e.g. ``{"system":"A2","kind":"graded","terms":7,"sha256":"…"}``.
 ``load`` checks system, kind, count and digest before it parses the body,
 so an edited or truncated body is a miss, and so is any entry
 ``from_jsonl`` rejects.  Keys are injective over distinct mathematical
-objects and carry a format version (2 since entries carry the digest);
-bumping the version orphans every prior entry.  ``stats`` counts only
+objects, and file names carry a format version (2 since entries carry the
+digest); bumping the version orphans every prior entry.  ``stats`` counts only
 current-version ``demazure`` and ``weyl`` entries; ``clear`` removes every
 entry file.  Writes are atomic (write to a temp file in the same directory,
 then rename), so concurrent readers never observe a torn file and
@@ -51,16 +51,14 @@ def resolve_cache_dir(explicit=None):
     return os.path.join(base, "demkit")
 
 
-class CacheKey(
-    namedtuple("CacheKey", "system kind level weight version", defaults=(FORMAT_VERSION,))
-):
+class CacheKey(namedtuple("CacheKey", "system kind level weight")):
     """One cached character: ``kind`` is ``demazure`` or ``weyl``."""
 
     __slots__ = ()
 
     def filename(self):
         coords = "_".join(str(c) for c in self.weight)
-        return f"v{self.version}_{self.kind}_{self.system}_l{self.level}_w{coords}.jsonl"
+        return f"v{FORMAT_VERSION}_{self.kind}_{self.system}_l{self.level}_w{coords}.jsonl"
 
     @property
     def expected_header_kind(self):
@@ -125,10 +123,11 @@ class CharacterCache:
         return text
 
     def _names(self):
-        """Every entry file, of any format version."""
+        """Every entry file, of any format version.  A missing directory
+        is an empty cache; any other failure to list it propagates."""
         try:
             names = os.listdir(self.directory)
-        except OSError:
+        except FileNotFoundError:
             return []
         return sorted(n for n in names if n.endswith(".jsonl"))
 

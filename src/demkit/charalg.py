@@ -50,8 +50,8 @@ class GradedCharacter:
         return cls(system, {(system.zero_weight(), 0): 1})
 
     @classmethod
-    def monomial(cls, system, weight, grade=0, mult=1):
-        return cls(system, {(system.check_weight(weight), grade): mult})
+    def monomial(cls, system, weight, grade=0):
+        return cls(system, {(system.check_weight(weight), grade): 1})
 
     # ------------------------------------------------------------------
     # ring structure
@@ -119,9 +119,6 @@ class GradedCharacter:
             e >>= 1
         return result
 
-    def scaled(self, k):
-        return GradedCharacter(self.system, {key: k * m for key, m in self.terms.items()})
-
     # ------------------------------------------------------------------
     # views and statistics
 
@@ -150,21 +147,9 @@ class GradedCharacter:
             self.system, {(w, 0): m for (w, g), m in self.terms.items() if g == grade}
         )
 
-    def shift(self, offset):
-        """Shift every grade by ``offset`` (multiplication by q^offset)."""
-        return GradedCharacter(
-            self.system, {(w, g + offset): m for (w, g), m in self.terms.items()}
-        )
-
-    def grades(self):
-        return sorted({g for (_, g) in self.terms})
-
     @property
     def is_plain(self):
         return all(g == 0 for (_, g) in self.terms)
-
-    def weight_multiplicity(self, weight, grade=0):
-        return self.terms.get((tuple(weight), grade), 0)
 
     def is_w_invariant(self):
         """True iff every graded slice is symmetric under the Weyl group.

@@ -7,11 +7,12 @@ the on-disk character cache).
 
 Exit codes: 0 success/verified, 1 refuted, 2 invalid flags, 3 hypothesis
 violations and other domain errors, 4 inconclusive, 5 internal error (a
-failed internal consistency check, reported as one ``error:`` line on
-stderr).  All primary output is UTF-8 JSON or JSON-lines; ``--no-timing``
-strips the elapsed fields so reruns are byte-identical.  Each ``verify``
-subcommand runs ``theorems.verify_<name>`` on the arguments its parser
-names; only ``char`` and ``cache`` touch the cache, and ``verify
+failed internal consistency check), 6 I/O error (an output path or cache
+directory that cannot be written or read); 3, 5 and 6 are reported as one
+``error:`` line on stderr.  All primary output is UTF-8 JSON or
+JSON-lines; ``--no-timing`` strips the elapsed fields so reruns are
+byte-identical.  Each ``verify`` subcommand runs ``theorems.verify_<name>``
+on the arguments its parser names; only ``char`` and ``cache`` touch the cache, and ``verify
 stabilization --no-cache`` is accepted but unused.  ``scan`` runs in one
 process, decomposes each distinct product of two irreducibles once, and
 computes every certificate before it writes any; its ``--jobs`` flag is
@@ -41,6 +42,7 @@ EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_INTERNAL = 5
+EXIT_IO = 6
 
 _VERDICT_EXIT = {
     "verified": EXIT_OK,
@@ -375,6 +377,9 @@ def main(argv=None):
     except RuntimeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INTERNAL
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_IO
 
 
 def main_entry():

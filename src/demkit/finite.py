@@ -2,10 +2,10 @@
 
 Irreducible characters come from the multiplicity recursion over the
 dominant weights below the highest weight, each multiplicity then expanded
-over its Weyl orbit (the primary route); a second, independent route
-applies the divided-difference operators along a reduced word for the
-longest Weyl element.  The two share no algorithmic step, which is what
-makes their exact agreement a meaningful cross-check.
+over its Weyl orbit.  The test suite (``tests/conftest.py``) holds them to
+an independent route, the divided-difference operators along a reduced
+word for the longest Weyl element; the two share no algorithmic step,
+which is what makes their exact agreement a meaningful cross-check.
 
 Tensor product multiplicities are obtained by iterated extraction of maximal
 isotypic components in one fixed order, tracking dominant weights only; the
@@ -19,18 +19,15 @@ target is at most the corresponding multiplicity of the source.
 
 from __future__ import annotations
 
-from .affine import demazure_operator
 from .charalg import GradedCharacter
 
 __all__ = [
     "weyl_character",
-    "demazure_weyl_character",
     "isotypic_character",
     "weyl_dimension",
     "tensor_decompose",
     "surjection_exists",
     "min_condition_failure",
-    "conjecture_conditions",
 ]
 
 
@@ -97,19 +94,6 @@ def isotypic_character(rs, components):
     return GradedCharacter(
         rs, {(w, g): m for (mu, g), m in dominant.items() for w in rs.weyl_orbit(mu)}
     )
-
-
-def demazure_weyl_character(rs, weight):
-    """The same irreducible character, via divided-difference operators along
-    a reduced word for the longest element.  Independent of
-    :func:`weyl_character`; used as its cross-oracle."""
-    weight = rs.check_weight(weight)
-    if not rs.is_dominant(weight):
-        raise ValueError(f"weight {weight} is not dominant")
-    char = GradedCharacter.monomial(rs, weight, 0)
-    for letter in rs.longest_element():
-        char = demazure_operator(rs, letter, char)
-    return char
 
 
 def weyl_dimension(rs, weight):
@@ -195,14 +179,3 @@ def min_condition_failure(rs, lower, upper):
             return idx
     return None
 
-
-def conjecture_conditions(rs, lam1, lam2, mu1, mu2):
-    """The weight-balance and componentwise-minimum conditions under which a
-    surjection between the products of irreducibles is expected: the sums
-    agree and ``min(lam1, lam2) <= min(mu1, mu2)`` against every positive
-    coroot."""
-    for w in (lam1, lam2, mu1, mu2):
-        if not rs.is_dominant(w):
-            raise ValueError(f"weight {tuple(w)} is not dominant")
-    return rs.add(lam1, lam2) == rs.add(mu1, mu2) and \
-        min_condition_failure(rs, (lam1, lam2), (mu1, mu2)) is None

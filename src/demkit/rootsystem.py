@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import lru_cache
 from math import gcd, lcm
 
 __all__ = [
@@ -391,21 +390,6 @@ class RootSystem:
             raise ValueError("level must be non-negative")
         return self.theta_pairing(weight) <= level
 
-    def divided_pairing(self, weight, root_index):
-        """weight(h_root)/d_root, for weights in the d-divisible sublattice.
-
-        Divisibility holds for every positive root whenever it holds at the
-        simple ones, so a failure here is a bug, not a user error.
-        """
-        root = self.positive_roots[root_index]
-        val = self.pairing(weight, root_index)
-        if val % root.d:
-            raise RuntimeError(
-                f"internal error: d={root.d} does not divide pairing {val} "
-                f"of {weight} with root {root.root_coords}"
-            )
-        return val // root.d
-
     # ------------------------------------------------------------------
     # dominance order and exact inner products
 
@@ -482,12 +466,18 @@ class RootSystem:
         return den
 
 
-@lru_cache(maxsize=None)
-def root_system(series, rank=None):
-    """Shared, immutable root system for a simple type.
+_SHARED = {}  # (series, rank) -> the one instance of that type
 
-    Accepts either ``root_system("A", 2)`` or ``root_system("A2")``.
+
+def root_system(label):
+    """The shared, immutable root system of a label such as ``"A2"``.
+
+    The label is parsed first, so each type has one instance however its
+    label is spelled (``"A2"``, ``" A2"``), and characters built on it
+    always combine and compare with each other.
     """
-    if rank is None:
-        series, rank = parse_system(series)
-    return RootSystem(series, rank)
+    key = parse_system(label)
+    rs = _SHARED.get(key)
+    if rs is None:
+        rs = _SHARED[key] = RootSystem(*key)
+    return rs

@@ -6,8 +6,9 @@ coordinates come from a Fraction solve of C x = w, which also gives the
 inverse Cartan matrix, root lengths and coroots are computed over
 Fractions from the symmetrised form, rank-1 tensor products
 come from the classical highest-weight ladder, small products are
-convolved by hand, tensor products of irreducibles are decomposed by
-the Brauer-Klimyk formula over the divided-difference character, and
+convolved by hand, irreducible characters are rebuilt by divided-difference
+operators along the longest word, tensor products of irreducibles are
+decomposed by the Brauer-Klimyk formula over that character, and
 stabilization windows are cut from the full-word Demazure character.
 """
 
@@ -15,9 +16,8 @@ import itertools
 import random
 from fractions import Fraction
 
+from demkit.affine import affine_pairing, affine_reflect, demazure_operator
 from demkit.charalg import GradedCharacter
-from demkit.finite import demazure_weyl_character
-from demkit.rootsystem import root_system
 
 
 def dominant_box(rs, bound):
@@ -90,6 +90,35 @@ def clebsch_gordan_sl2(a, b):
 
 def seeded(name):
     return random.Random(f"demkit-{name}")
+
+
+def scaled(char, k):
+    """``k`` times a character."""
+    return GradedCharacter(char.system, {key: k * m for key, m in char.terms.items()})
+
+
+def is_affine_dominant(rs, aw):
+    return all(affine_pairing(rs, aw, i) >= 0 for i in range(rs.rank + 1))
+
+
+def affine_apply_word(rs, word, aw):
+    """Apply a word of affine reflections, first letter first."""
+    for i in word:
+        aw = affine_reflect(rs, aw, i)
+    return aw
+
+
+def demazure_weyl_character(rs, weight):
+    """The irreducible character of a dominant weight, via divided-difference
+    operators along a reduced word for the longest element: the cross-oracle
+    of ``finite.weyl_character``, sharing no algorithmic step with it."""
+    weight = rs.check_weight(weight)
+    if not rs.is_dominant(weight):
+        raise ValueError(f"weight {weight} is not dominant")
+    char = GradedCharacter.monomial(rs, weight)
+    for letter in rs.longest_element():
+        char = demazure_operator(rs, letter, char, 0)
+    return char
 
 
 def brauer_klimyk(rs, a, b):

@@ -11,10 +11,10 @@ import time
 
 import pytest
 
-from conftest import dominant_box, seeded
+from conftest import demazure_weyl_character, dominant_box, seeded
 from demkit.affine import demazure_character
 from demkit.cli import main
-from demkit.finite import demazure_weyl_character, weyl_character, weyl_dimension
+from demkit.finite import weyl_character, weyl_dimension
 from demkit.rootsystem import root_system
 from demkit.theorems import (
     scan_summary,

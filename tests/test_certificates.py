@@ -14,6 +14,7 @@ import pytest
 
 import demkit
 import demkit.theorems
+from conftest import scaled
 from demkit.rootsystem import root_system
 from demkit.theorems import (
     schur_scan,
@@ -168,7 +169,7 @@ def _doubling(monkeypatch, name, when):
 
     def corrupted(*args):
         out = real(*args)
-        return out.scaled(2) if when(*args) else out
+        return scaled(out, 2) if when(*args) else out
 
     monkeypatch.setattr(demkit.theorems, name, corrupted)
 

@@ -1,7 +1,10 @@
+import ast
 import hashlib
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -358,6 +361,26 @@ def test_internal_errors_exit_5(capsys, monkeypatch):
     assert err == "error: internal error: simulated\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("char", "--system", "A1", "--level", "1", "--weight", "2", "--out", "{missing}/x"),
+    ("verify", "ev0", "--system", "A1", "--level", "2", "--lambda", "2", "--out", "{missing}/y"),
+    ("scan", "--system", "A1", "--height-bound", "1", "--out", "{file}"),
+    ("char", "--system", "A1", "--level", "1", "--weight", "2", "--cache-dir", "{file}"),
+    ("cache", "clear", "--cache-dir", "{file}"),
+    ("cache", "stats", "--cache-dir", "{file}"),
+], ids=["char-out", "verify-out", "scan-out", "char-cache-dir", "cache-clear", "cache-stats"])
+def test_io_errors_exit_6(capsys, tmp_path, argv):
+    # exit 1 means refuted, so an unwritable output or an unreadable cache
+    # directory must not surface as an uncaught traceback
+    regular = tmp_path / "regular"
+    regular.write_text("not a directory\n")
+    argv = [a.format(missing=tmp_path / "missing", file=regular) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 6 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert regular.read_text() == "not a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # each command imports only what it runs
 
@@ -412,6 +435,11 @@ def test_each_command_imports_only_what_it_runs(argv):
         assert "demkit.cache" not in loaded
 
 
+def test_finite_loads_no_affine():
+    loaded = loaded_by("import demkit.finite")
+    assert "demkit.finite" in loaded and "demkit.affine" not in loaded
+
+
 def test_importing_the_package_loads_only_what_is_used():
     loaded = loaded_by("import demkit\ndemkit.root_system('A2')")
     assert {m for m in loaded if m.split(".")[0] == "demkit"} == {"demkit", "demkit.rootsystem"}
@@ -428,7 +456,58 @@ def test_every_package_export_resolves():
         demkit.no_such_name
 
 
-EXPECTED = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_every_public_name_has_a_caller_or_is_documented():
+    """Each public function, class and method in ``src/demkit`` is used as
+    a name somewhere in ``src/demkit`` outside its own definition, or the
+    README documents it: the library keeps no code only the tests call."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources = sorted(pathlib.Path(demkit.__file__).parent.glob("*.py"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sources]
+    unused = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = set(map(id, ast.walk(node)))
+            used = any(
+                id(ref) not in own
+                and (getattr(ref, "id", None) == node.name or getattr(ref, "attr", None) == node.name)
+                for other in trees
+                for ref in ast.walk(other)
+                if isinstance(ref, (ast.Name, ast.Attribute))
+            )
+            if not used and not re.search(rf"\b{node.name}\b", readme):
+                unused.append(node.name)
+    assert unused == []
+
+
+def _readme_commands():
+    """Every ``demkit`` line of the README's command-line block, with a
+    ``a|b|c`` alternative expanded into one line per choice."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = []
+    for line in block.splitlines():
+        if line.startswith("demkit "):
+            head, _, last = line.rpartition(" ")
+            lines += [f"{head} {alt}" for alt in last.split("|")]
+    return lines
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_lines_run_in_a_shell(tmp_path, line):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(demkit.__file__).parents[1]),
+               DEMKIT_CACHE=str(tmp_path / "cache"))
+    script = f'demkit() {{ {shlex.quote(sys.executable)} -m demkit.cli "$@"; }}\n{line}\n'
+    out = subprocess.run(["/bin/sh", "-c", script], env=env, stdout=subprocess.DEVNULL,
+                         stderr=subprocess.PIPE, text=True)
+    assert out.returncode == 0, out.stderr
+
+
+EXPECTED = ROOT / "perfbench" / "expected.json"
 
 
 def _replayed_requests():

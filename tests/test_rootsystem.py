@@ -11,7 +11,7 @@ from conftest import (
     cartan_inverse_oracle, dominant_box, random_dominant, root_coords_oracle, root_oracle,
     roots_by_orbit, seeded,
 )
-from demkit.rootsystem import parse_system, root_system
+from demkit.rootsystem import RootSystem, parse_system, root_system
 
 # classical positive-root counts, as fixtures only
 ROOT_COUNTS = {
@@ -42,7 +42,7 @@ def test_root_set_matches_orbit_reconstruction(name):
 @pytest.mark.parametrize("series,rank", [("A", 0), ("B", 1), ("C", 1), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("H", 2)])
 def test_invalid_types_rejected(series, rank):
     with pytest.raises(ValueError) as err:
-        root_system(series, rank)
+        RootSystem(series, rank)
     assert f"({series},{rank})" in str(err.value)
 
 
@@ -53,6 +53,11 @@ def test_parse_system():
         parse_system("A")
     with pytest.raises(ValueError):
         parse_system("2A")
+
+
+def test_one_instance_per_type_however_spelled():
+    assert root_system(" A2") is root_system("A2") is root_system("A2\n")
+    assert root_system("B2") is not root_system("C2")
 
 
 def test_rank1_theta_is_the_simple_root():
@@ -222,22 +227,6 @@ def test_level_dominance():
     assert not a1.is_level_dominant((2,), 1)
     a2 = root_system("A2")
     assert a2.is_level_dominant((1, 1), 2)
-
-
-def test_divided_pairing_examples():
-    a2 = root_system("A2")
-    assert a2.divided_pairing((2, 0), a2.theta_index) == 2
-    assert a2.divided_pairing((0, 0), 0) == 0
-    # outside the d-divisible sublattice the failure is internal, not a
-    # user-facing ValueError
-    b2 = root_system("B2")
-    short = next(i for i, r in enumerate(b2.positive_roots) if r.d == 2)
-    with pytest.raises(RuntimeError):
-        b2.divided_pairing((0, 1), short)
-    g2 = root_system("G2")
-    lam = tuple(g2.d_simple)  # d_1*w_1 + d_2*w_2
-    for idx in range(len(g2.positive_roots)):
-        g2.divided_pairing(lam, idx)  # asserts divisibility internally
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"])
