@@ -139,9 +139,7 @@ def demazure_operator(rs, i, char, level):
 def _check_stable_input(rs, level, weight):
     """Validate a (level, dominant weight) pair; level 0 admits only the
     zero weight (trivial module)."""
-    weight = rs.check_weight(weight)
-    if not rs.is_dominant(weight):
-        raise ValueError(f"weight {weight} is not dominant")
+    weight = rs.check_dominant(weight)
     if level < 0:
         raise ValueError("level must be non-negative")
     if level == 0 and any(weight):
@@ -212,10 +210,7 @@ def graded_isotypic(rs, level, weight):
 def kr_character(rs, level, node):
     """Graded character of the Kirillov-Reshetikhin module at one node,
     realised as the Demazure character of d_i * level * omega_i."""
-    if not 1 <= node <= rs.rank:
-        raise ValueError(f"node index {node} out of range 1..{rs.rank}")
-    weight = rs.scale(rs.d_simple[node - 1] * level, rs.fundamental_weight(node))
-    return demazure_character(rs, level, weight)
+    return demazure_character(rs, level, rs.kr_weight(node, level))
 
 
 class Relation(namedtuple("Relation", "root_coords pairing s m nilpotency_order")):
@@ -251,9 +246,7 @@ def presentation(rs, level, weight):
     p = (s - 1) * d * level + m and 0 < m <= d * level; for p = 0 both are 0.
     The nilpotency relation is present exactly when p > 0 and m < d * level.
     """
-    weight = rs.check_weight(weight)
-    if not rs.is_dominant(weight):
-        raise ValueError(f"weight {weight} is not dominant")
+    weight = rs.check_dominant(weight)
     if level < 1:
         raise ValueError("presentation requires level >= 1")
     out = []

@@ -74,11 +74,12 @@ class CharacterCache:
 
     def load(self, key):
         """The cached character, or None on a miss.  Stale, corrupt or
-        malformed entries count as misses."""
+        malformed entries count as misses; any other failure to read raises,
+        so the request fails before it builds anything."""
         try:
             with open(self._path(key), "rb") as fh:
                 data = fh.read()
-        except OSError:
+        except FileNotFoundError:  # no entry, or no cache directory yet
             return None
         start = data.find(b"\n") + 1  # where the body begins
         try:

@@ -143,8 +143,7 @@ def _cmd_char(args):
         if args.kind == "kr":
             if args.index is None:
                 raise ValueError("--index is required for --kind kr")
-            omega = rs.fundamental_weight(args.index)  # validates the node before d_simple is indexed
-            weight = rs.scale(rs.d_simple[args.index - 1] * args.level, omega)
+            weight = rs.kr_weight(args.index, args.level)
             build = lambda: kr_character(rs, args.level, args.index)
         else:
             if args.weight is None:
@@ -225,10 +224,11 @@ def _cmd_scan(args):
     if args.jobs < 1:
         raise ValueError("jobs must be >= 1")
     rs = root_system(args.system)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)  # an unusable directory fails before the scan
     certs = theorems.schur_scan(rs, args.height_bound)
     lines = [c.to_json(include_timing=not args.no_timing) for c in certs]
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"scan_{rs.name}_h{args.height_bound}.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))

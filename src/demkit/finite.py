@@ -34,10 +34,7 @@ __all__ = [
 def weyl_character(rs, weight):
     """Character of the irreducible module of a dominant highest weight,
     by the exact multiplicity recursion (all grades 0)."""
-    weight = rs.check_weight(weight)
-    if not rs.is_dominant(weight):
-        raise ValueError(f"weight {weight} is not dominant")
-    return _weyl_entry(rs, weight)[0]
+    return _weyl_entry(rs, rs.check_dominant(weight))[0]
 
 
 def _weyl_entry(rs, weight):
@@ -99,9 +96,7 @@ def isotypic_character(rs, components):
 def weyl_dimension(rs, weight):
     """Dimension of the irreducible module, by the product over positive
     roots of (weight + rho, root) / (rho, root); exact integers."""
-    weight = rs.check_weight(weight)
-    if not rs.is_dominant(weight):
-        raise ValueError(f"weight {weight} is not dominant")
+    weight = rs.check_dominant(weight)
     shifted = rs.add(weight, rs.rho)
     num = 1
     den = 1

@@ -8,6 +8,9 @@ dominance test is exact integer arithmetic, the roots and the inverse
 Cartan matrix included; no fractions, floating point or irrational numbers
 appear anywhere.
 
+The positive roots are the reflection closure of the simple roots; one
+chamber walk serves dominant representatives, Bott's rule and w_0.
+
 The bilinear form is normalised so that long roots have squared length 2;
 ``d`` always denotes the integer 2/(root, root), which is 1 for long roots
 and 2 or 3 for short ones.
@@ -185,43 +188,32 @@ class RootSystem:
         return f"RootSystem({self.name})"
 
     # ------------------------------------------------------------------
-    # construction of the positive roots by closure from the simple roots
+    # the positive roots, by reflection closure from the simple roots
 
     def _generate_positive_roots(self):
+        """s_i permutes the positive roots other than alpha_i and keeps
+        lengths, so each positive root is reached from a simple one, whose d
+        it keeps, by reflections s_i with k = <root, h_i> < 0, each adding
+        -k alpha_i.  Ordered by (height, root_coords)."""
         n = self.rank
-        simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        known = set(simple)
-        layers = [list(simple)]
-        while layers[-1]:
-            nxt = []
-            for a in layers[-1]:
-                for i in range(n):
-                    # p = length of the alpha_i-string below a
-                    p = 0
-                    b = list(a)
-                    while True:
-                        b[i] -= 1
-                        if b[i] < 0 or tuple(b) not in known:
-                            break
-                        p += 1
-                    pair = sum(self.cartan[i][j] * a[j] for j in range(n))
-                    if p - pair > 0:
-                        c = tuple(x + int(j == i) for j, x in enumerate(a))
-                        if c not in known:
-                            known.add(c)
-                            nxt.append(c)
-            layers.append(sorted(nxt))
-        roots = []
-        for layer in layers[:-1]:
-            for a in sorted(layer):
-                roots.append(self._finish_root(a))
-        return tuple(roots)
+        found = {}  # root_coords -> (coords, d)
+        for i in range(n):
+            found[tuple(int(i == j) for j in range(n))] = (self.simple_root_coords[i], self.d_simple[i])
+        stack = list(found)
+        while stack:
+            a = stack.pop()
+            coords, d = found[a]
+            for i, k in enumerate(coords):
+                if k < 0:
+                    b = a[:i] + (a[i] - k,) + a[i + 1:]
+                    if b not in found:
+                        found[b] = (self.reflect(i + 1, coords), d)
+                        stack.append(b)
+        order = sorted(found, key=lambda a: (sum(a), a))
+        return tuple(self._finish_root(a, *found[a]) for a in order)
 
-    def _finish_root(self, root_coords):
+    def _finish_root(self, root_coords, coords, d):
         n = self.rank
-        coords = tuple(
-            sum(self.cartan[i][j] * root_coords[j] for j in range(n)) for i in range(n)
-        )
         # D*(root, root), with (alpha_i, alpha_j) = C[i][j]/d_i and D = pairing_scale
         D = self.pairing_scale
         norm = sum(
@@ -229,8 +221,7 @@ class RootSystem:
             for i in range(n)
             for j in range(n)
         )
-        d, rem = divmod(2 * D, norm)
-        if rem or d not in (1, 2, 3):
+        if d * norm != 2 * D:  # the carried d must be 2/(root, root)
             raise RuntimeError(f"internal error: bad root length for {root_coords}")
         coroot = []
         for a, dj in zip(root_coords, self.d_simple):
@@ -248,6 +239,13 @@ class RootSystem:
             raise ValueError(f"weight {weight!r} is not a length-{self.rank} integer vector")
         return tuple(weight)
 
+    def check_dominant(self, weight):
+        """``check_weight`` for a weight that must also be dominant."""
+        weight = self.check_weight(weight)
+        if not self.is_dominant(weight):
+            raise ValueError(f"weight {weight} is not dominant")
+        return weight
+
     def zero_weight(self):
         return (0,) * self.rank
 
@@ -256,6 +254,12 @@ class RootSystem:
         if not 1 <= i <= self.rank:
             raise ValueError(f"node index {i} out of range 1..{self.rank}")
         return tuple(int(j == i - 1) for j in range(self.rank))
+
+    def kr_weight(self, i, level):
+        """d_i * level * omega_i, the weight of the level-``level``
+        Kirillov-Reshetikhin module at node i (1-indexed)."""
+        omega = self.fundamental_weight(i)  # a bad node is a ValueError
+        return self.scale(self.d_simple[i - 1] * level, omega)
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -292,20 +296,29 @@ class RootSystem:
             weight = self.reflect(i, weight)
         return weight
 
+    def _to_dominant(self, weight):
+        """The chamber walk: ``(dominant, word)``, reflecting at the first
+        negative coordinate until none is left.  ``word`` lists the letters
+        in the order applied, so replaying it reversed on ``dominant``
+        recovers ``weight``; it is reduced, one letter per positive root
+        that pairs negatively with ``weight``."""
+        word = []
+        cur = weight
+        while True:
+            for i, k in enumerate(cur):
+                if k < 0:
+                    break
+            else:
+                return cur, word
+            word.append(i + 1)
+            cur = tuple(c - k * a for c, a in zip(cur, self.simple_root_coords[i]))
+
     def dominant_representative(self, weight):
         """The unique dominant weight in the Weyl orbit of ``weight``."""
         cached = self._dominant_cache.get(weight)
-        if cached is not None:
-            return cached
-        cur = weight
-        while True:
-            for i, c in enumerate(cur):
-                if c < 0:
-                    cur = self.reflect(i + 1, cur)
-                    break
-            else:
-                self._dominant_cache[weight] = cur
-                return cur
+        if cached is None:
+            cached = self._dominant_cache[weight] = self._to_dominant(weight)[0]
+        return cached
 
     def dot_straighten(self, weight):
         """Bott's rule for the dot action v.mu = v(mu + rho) - rho.
@@ -314,17 +327,12 @@ class RootSystem:
         weight in the dot orbit of ``weight`` and ``sign`` is the sign of
         the Weyl element that reaches it, or None when ``weight + rho`` lies
         on a wall (some reflection then fixes it, and its Weyl character
-        vanishes).
+        vanishes): exactly when its dominant representative has a 0.
         """
-        cur = self.add(weight, self.rho)
-        sign = 1
-        while 0 not in cur:
-            i = next((i for i, c in enumerate(cur) if c < 0), None)
-            if i is None:
-                return self.sub(cur, self.rho), sign
-            cur = self.reflect(i + 1, cur)
-            sign = -sign
-        return None
+        top, word = self._to_dominant(self.add(weight, self.rho))
+        if 0 in top:
+            return None
+        return self.sub(top, self.rho), -1 if len(word) % 2 else 1
 
     def weyl_orbit(self, weight):
         """The full Weyl orbit of a weight, as a set of tuples."""
@@ -342,20 +350,11 @@ class RootSystem:
     def longest_element(self):
         """A reduced word for the longest Weyl group element.
 
-        Built by straightening the antidominant weight -rho; applying the
+        The chamber walk of the antidominant weight -rho; applying the
         returned word (first letter first) to any weight realises w_0.
         """
         if self._w0 is None:
-            cur = tuple(-1 for _ in range(self.rank))
-            word = []
-            while True:
-                for i, c in enumerate(cur):
-                    if c < 0:
-                        word.append(i + 1)
-                        cur = self.reflect(i + 1, cur)
-                        break
-                else:
-                    break
+            word = self._to_dominant(self.scale(-1, self.rho))[1]
             if len(word) != len(self.positive_roots):
                 raise RuntimeError(f"internal error: longest word of {self.name} has the wrong length")
             self._w0 = tuple(word)
@@ -370,8 +369,7 @@ class RootSystem:
         Only dominant weights are accepted; membership in this sublattice is
         what makes a weight a legal translation step at every level.
         """
-        if not self.is_dominant(weight):
-            raise ValueError(f"weight {weight} is not dominant")
+        weight = self.check_dominant(weight)
         s = []
         for c, d in zip(weight, self.d_simple):
             if c % d:
@@ -384,8 +382,7 @@ class RootSystem:
 
     def is_level_dominant(self, weight, level):
         """True iff the weight pairs with the highest coroot at most ``level``."""
-        if not self.is_dominant(weight):
-            raise ValueError(f"weight {weight} is not dominant")
+        weight = self.check_dominant(weight)
         if level < 0:
             raise ValueError("level must be non-negative")
         return self.theta_pairing(weight) <= level

@@ -372,12 +372,7 @@ def verify_ev0(rs, level, lam):
 def minuscule_nodes(rs):
     """Nodes i with d_i * omega_i pairing at most 1 against the highest
     coroot, computed from the built pairings."""
-    out = []
-    for i in range(1, rs.rank + 1):
-        val = rs.d_simple[i - 1] * rs.theta_pairing(rs.fundamental_weight(i))
-        if val <= 1:
-            out.append(i)
-    return out
+    return [i for i in range(1, rs.rank + 1) if rs.theta_pairing(rs.kr_weight(i, 1)) <= 1]
 
 
 def expected_minuscule_nodes(series, rank):
@@ -441,7 +436,7 @@ def verify_twofold(rs, node, level, lam, mu1, mu2):
     ) or _lambda_failure(rs, lam, level)
     if reason:
         return claim.violated(reason)
-    kr_weight = rs.scale(rs.d_simple[node - 1] * level, rs.fundamental_weight(node))
+    kr_weight = rs.kr_weight(node, level)
     if rs.add(kr_weight, lam) != rs.add(mu1, mu2):
         return claim.violated("weights do not balance")
     idx = min_condition_failure(rs, (mu1, mu2), (kr_weight, lam))
@@ -474,8 +469,7 @@ def verify_twofold_corollary(rs, node, j, level, m_level, mu1, mu2):
     guarded by the thresholds; under those thresholds lam is automatically
     level-dominant, which is asserted.  E8, F4 and G2 have no
     minuscule-coweight node, so every input there is hypothesis-violated."""
-    omega = rs.fundamental_weight(j)  # validates j before d_simple is indexed
-    lam = rs.scale(rs.d_simple[j - 1] * m_level, omega)
+    lam = rs.kr_weight(j, m_level)
     if not twofold_corollary_thresholds(rs, j, level, m_level):
         return _Claim(
             "twofold-corollary", rs,
@@ -516,14 +510,14 @@ def verify_genschurpos(rs, node, power, level, m_level, lam, mu):
         return claim.violated("weights must be dominant")
     if not rs.is_level_dominant(mu, m_level):
         return claim.violated(f"mu(h_theta) = {rs.theta_pairing(mu)} exceeds source level {m_level}")
-    d = rs.d_simple[node - 1]
-    omega = rs.fundamental_weight(node)
-    if rs.add(rs.scale(power * d * level, omega), lam) != rs.add(rs.scale(power * d * m_level, omega), mu):
+    weight = rs.add(rs.scale(power, rs.kr_weight(node, m_level)), mu)
+    if rs.add(rs.scale(power, rs.kr_weight(node, level)), lam) != weight:
         return claim.violated("weights do not balance")
     if rs.theta_pairing(lam) > level:
         raise RuntimeError("internal error: lambda must be level-dominant when the hypotheses hold")
-    source = _demazure_decomposition(rs, m_level, rs.add(rs.scale(power * d * m_level, omega), mu))
-    target = _demazure_decomposition(rs, level, rs.add(rs.scale(power * d * level, omega), lam))
+    # the two modules share their weight and differ in level
+    source = _demazure_decomposition(rs, m_level, weight)
+    target = _demazure_decomposition(rs, level, weight)
     return claim.dominates(source, target)
 
 

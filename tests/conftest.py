@@ -112,10 +112,7 @@ def demazure_weyl_character(rs, weight):
     """The irreducible character of a dominant weight, via divided-difference
     operators along a reduced word for the longest element: the cross-oracle
     of ``finite.weyl_character``, sharing no algorithmic step with it."""
-    weight = rs.check_weight(weight)
-    if not rs.is_dominant(weight):
-        raise ValueError(f"weight {weight} is not dominant")
-    char = GradedCharacter.monomial(rs, weight)
+    char = GradedCharacter.monomial(rs, rs.check_dominant(weight))
     for letter in rs.longest_element():
         char = demazure_operator(rs, letter, char, 0)
     return char

@@ -381,6 +381,33 @@ def test_io_errors_exit_6(capsys, tmp_path, argv):
     assert regular.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("argv,module,name", [
+    (("char", "--system", "B2", "--level", "1", "--weight", "2,2", "--graded", "--cache-dir", "{file}"),
+     "affine", "demazure_operator"),
+    (("scan", "--system", "A2", "--height-bound", "1", "--out", "{file}"), "theorems", "schur_scan"),
+], ids=["char-cache-dir", "scan-out"])
+def test_io_errors_exit_6_before_the_work(capsys, monkeypatch, tmp_path, argv, module, name):
+    # an unusable cache directory or output directory fails before any
+    # character is built or any product decomposed
+    import importlib
+
+    target = importlib.import_module(f"demkit.{module}")
+    real = getattr(target, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, counting)
+    regular = tmp_path / "regular"
+    regular.write_text("not a directory\n")
+    code, out, err = run(capsys, *(a.format(file=regular) for a in argv))
+    assert code == 6 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # each command imports only what it runs
 

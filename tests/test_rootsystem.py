@@ -33,6 +33,20 @@ def test_positive_root_counts(name, count):
 
 
 @pytest.mark.parametrize("name", sorted(ROOT_COUNTS))
+def test_positive_roots_are_ordered_by_height_then_coords(name):
+    # failing_alpha witnesses and the presentation output list roots in this order
+    roots = root_system(name).positive_roots
+    assert roots == tuple(sorted(roots, key=lambda r: (r.height, r.root_coords)))
+
+
+def test_root_length_cross_check_rejects_a_wrong_carried_d():
+    rs = root_system("B2")
+    short = next(r for r in rs.positive_roots if r.d == 2)
+    with pytest.raises(RuntimeError, match="internal error: bad root length"):
+        rs._finish_root(short.root_coords, short.coords, 1)
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_COUNTS))
 def test_root_set_matches_orbit_reconstruction(name):
     rs = root_system(name)
     rebuilt = roots_by_orbit(rs)
@@ -168,6 +182,31 @@ def test_longest_element_is_minus_diagram_involution(name):
 def test_a2_w0_is_the_coordinate_swap():
     rs = root_system("A2")
     assert rs.apply_word(rs.longest_element(), (2, 1)) == (-1, -2)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "C3", "D4"])
+def test_chamber_walk(name):
+    rs = root_system(name)
+    rng = seeded(f"chamber-{name}")
+    for _ in range(100):
+        w = tuple(rng.randint(-6, 6) for _ in range(rs.rank))
+        dominant, word = rs._to_dominant(w)
+        assert rs.is_dominant(dominant) and dominant in rs.weyl_orbit(w)
+        assert rs.dominant_representative(w) == dominant
+        negative = sum(1 for idx in range(len(rs.positive_roots)) if rs.pairing(w, idx) < 0)
+        assert len(word) == negative
+        assert rs.apply_word(reversed(word), dominant) == w
+
+
+@pytest.mark.parametrize("name", SMALL_SYSTEMS)
+def test_kr_weight(name):
+    rs = root_system(name)
+    for level in (0, 1, 3):
+        for i in range(1, rs.rank + 1):
+            assert rs.kr_weight(i, level) == rs.scale(rs.d_simple[i - 1] * level, rs.fundamental_weight(i))
+    for bad in (0, rs.rank + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            rs.kr_weight(bad, 1)
 
 
 def test_weyl_orbits():
