@@ -14,9 +14,8 @@ _EXPORTS = {
     "rootsystem": ("Root", "RootSystem", "parse_system", "root_system"),
     "charalg": ("GradedCharacter",),
     "affine": (
-        "AffineWeight", "Relation", "affine_irreducible_character_truncated", "affine_pairing",
-        "affine_reflect", "demazure_character", "demazure_operator", "kr_character",
-        "presentation", "straighten",
+        "AffineWeight", "Relation", "affine_irreducible_character_truncated",
+        "demazure_character", "demazure_operator", "kr_character", "presentation", "straighten",
     ),
     "finite": ("surjection_exists", "tensor_decompose", "weyl_character", "weyl_dimension"),
     "theorems": (

@@ -34,8 +34,6 @@ from .charalg import GradedCharacter
 __all__ = [
     "AffineWeight",
     "Relation",
-    "affine_pairing",
-    "affine_reflect",
     "straighten",
     "demazure_operator",
     "demazure_character",
@@ -45,30 +43,7 @@ __all__ = [
     "affine_irreducible_character_truncated",
 ]
 
-STRAIGHTEN_STEP_CAP = 10**6
-
-
 AffineWeight = namedtuple("AffineWeight", "finite level delta")
-
-
-def affine_pairing(rs, aw, i):
-    """Pairing of an affine weight against the i-th simple coroot, i in 0..n."""
-    if i == 0:
-        return aw.level - rs.theta_pairing(aw.finite)
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"affine node index {i} out of range 0..{rs.rank}")
-    return aw.finite[i - 1]
-
-
-def affine_reflect(rs, aw, i):
-    """Simple reflection s_i on an affine weight; the level never moves."""
-    k = affine_pairing(rs, aw, i)
-    if k == 0:
-        return aw
-    if i == 0:
-        finite = tuple(c + k * t for c, t in zip(aw.finite, rs.theta.coords))
-        return AffineWeight(finite, aw.level, aw.delta - k)
-    return AffineWeight(rs.reflect(i, aw.finite), aw.level, aw.delta)
 
 
 def straighten(rs, aw):
@@ -76,27 +51,18 @@ def straighten(rs, aw):
 
     Returns ``(dominant, word)`` where replaying ``word`` on ``dominant``
     (first letter first) recovers the input, every replay step crossing
-    exactly one wall.  The loop always reflects at the smallest node with a
-    strictly negative pairing, so the word is reduced and is the minimal
-    coset representative; this is what makes it legal to feed straight into
-    the Demazure operators.
+    exactly one wall.  ``RootSystem``'s chamber walk at the weight's level
+    always reflects at the smallest node with a strictly negative pairing,
+    so the word is reduced and is the minimal coset representative; this is
+    what makes it legal to feed straight into the Demazure operators.
 
-    Termination is guaranteed at positive level; ``STRAIGHTEN_STEP_CAP`` is
-    a defensive bound and tripping it is reported as an internal error.
+    Termination is guaranteed at positive level; the walk's step cap is a
+    defensive bound and tripping it is reported as an internal error.
     """
     if aw.level < 1:
         raise ValueError("straightening requires level >= 1; level 0 weights index the trivial module")
-    letters = []
-    cur = aw
-    for _ in range(STRAIGHTEN_STEP_CAP):
-        for i in range(rs.rank + 1):
-            if affine_pairing(rs, cur, i) < 0:
-                cur = affine_reflect(rs, cur, i)
-                letters.append(i)
-                break
-        else:
-            return cur, tuple(reversed(letters))
-    raise RuntimeError(f"internal error: straightening exceeded {STRAIGHTEN_STEP_CAP} steps from {aw}")
+    finite, word, lift = rs._to_dominant(aw.finite, aw.level)
+    return AffineWeight(finite, aw.level, aw.delta + lift), tuple(reversed(word))
 
 
 def demazure_operator(rs, i, char, level):

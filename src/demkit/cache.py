@@ -73,9 +73,10 @@ class CharacterCache:
         return os.path.join(self.directory, key.filename())
 
     def load(self, key):
-        """The cached character, or None on a miss.  Stale, corrupt or
-        malformed entries count as misses; any other failure to read raises,
-        so the request fails before it builds anything."""
+        """``(char, text)`` for the cached character, where ``text`` is the
+        checked entry as ``store`` returns it, or None on a miss.  Stale,
+        corrupt or malformed entries count as misses; any other failure to
+        read raises, so the request fails before it builds anything."""
         try:
             with open(self._path(key), "rb") as fh:
                 data = fh.read()
@@ -92,7 +93,9 @@ class CharacterCache:
                 or header.get("sha256") != sha256(memoryview(data)[start:]).hexdigest()
             ):
                 return None
-            return GradedCharacter.from_jsonl(data.decode("utf-8"), expect_system=key.system)
+            head = json.dumps({"system": key.system, "kind": header["kind"]}, separators=(",", ":"))
+            text = head + "\n" + str(memoryview(data)[start:], "utf-8")
+            return GradedCharacter.from_jsonl(text, expect_system=key.system), text
         except ValueError:
             return None
 

@@ -153,12 +153,12 @@ def _cmd_char(args):
         key = CacheKey(rs.name, "demazure", args.level, weight)
 
     cache = None if args.no_cache else CharacterCache(resolve_cache_dir(args.cache_dir))
-    char = cache.load(key) if cache else None
-    text = None  # the stored serialization, reused when the output is the same
-    if char is None:
+    hit = cache.load(key) if cache else None
+    if hit:
+        char, text = hit  # the checked serialization, reused when the output is the same
+    else:
         char = build()
-        if cache:
-            text = cache.store(key, char)
+        text = cache.store(key, char) if cache else None
 
     whole = args.graded or args.kind == "weyl"  # else the grading is collapsed away
     if args.pretty:

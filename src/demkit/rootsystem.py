@@ -9,7 +9,8 @@ Cartan matrix included; no fractions, floating point or irrational numbers
 appear anywhere.
 
 The positive roots are the reflection closure of the simple roots; one
-chamber walk serves dominant representatives, Bott's rule and w_0.
+chamber walk serves dominant representatives, Bott's rule, w_0 and, with
+node 0 added at a given level, the straightening of affine weights.
 
 The bilinear form is normalised so that long roots have squared length 2;
 ``d`` always denotes the integer 2/(root, root), which is 1 for long roots
@@ -40,6 +41,8 @@ _RANK_RULES = {
 }
 
 _SYSTEM_RE = re.compile(r"^([A-G])(\d+)$")
+
+WALK_STEP_CAP = 10**6
 
 
 def parse_system(name):
@@ -296,22 +299,36 @@ class RootSystem:
             weight = self.reflect(i, weight)
         return weight
 
-    def _to_dominant(self, weight):
-        """The chamber walk: ``(dominant, word)``, reflecting at the first
-        negative coordinate until none is left.  ``word`` lists the letters
-        in the order applied, so replaying it reversed on ``dominant``
-        recovers ``weight``; it is reduced, one letter per positive root
-        that pairs negatively with ``weight``."""
+    def _to_dominant(self, weight, level=None):
+        """The chamber walk: ``(dominant, word, lift)``, reflecting at the
+        smallest node with a negative pairing until none is left.  Given a
+        ``level`` it walks the affine Weyl group: node 0 comes first, pairs
+        as ``level - weight(h_theta)`` and adds that pairing times theta, and
+        ``lift`` (else 0) sums minus those pairings, the rise of the null-root
+        coefficient.  Replaying ``word`` reversed on ``dominant`` recovers
+        ``weight``; it is reduced, one letter per positive (real) root that
+        pairs negatively with ``weight``.  The walk ends, at positive level
+        if given; hitting ``WALK_STEP_CAP`` is reported as an internal error."""
         word = []
+        lift = 0
         cur = weight
-        while True:
+        theta = self.theta
+        for _ in range(WALK_STEP_CAP):
+            if level is not None:
+                k = level - sum(t * c for t, c in zip(theta.coroot, cur))
+                if k < 0:
+                    word.append(0)
+                    lift -= k
+                    cur = tuple(c + k * t for c, t in zip(cur, theta.coords))
+                    continue
             for i, k in enumerate(cur):
                 if k < 0:
                     break
             else:
-                return cur, word
+                return cur, word, lift
             word.append(i + 1)
             cur = tuple(c - k * a for c, a in zip(cur, self.simple_root_coords[i]))
+        raise RuntimeError(f"internal error: chamber walk exceeded {WALK_STEP_CAP} steps from {weight}")
 
     def dominant_representative(self, weight):
         """The unique dominant weight in the Weyl orbit of ``weight``."""
@@ -329,7 +346,7 @@ class RootSystem:
         on a wall (some reflection then fixes it, and its Weyl character
         vanishes): exactly when its dominant representative has a 0.
         """
-        top, word = self._to_dominant(self.add(weight, self.rho))
+        top, word, _ = self._to_dominant(self.add(weight, self.rho))
         if 0 in top:
             return None
         return self.sub(top, self.rho), -1 if len(word) % 2 else 1

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's primary code paths:
 root sets are rebuilt as Weyl orbits of the simple roots, simple-root
 coordinates come from a Fraction solve of C x = w, which also gives the
 inverse Cartan matrix, root lengths and coroots are computed over
-Fractions from the symmetrised form, rank-1 tensor products
+Fractions from the symmetrised form, affine weights are reflected one node
+at a time apart from the chamber walk, rank-1 tensor products
 come from the classical highest-weight ladder, small products are
 convolved by hand, irreducible characters are rebuilt by divided-difference
 operators along the longest word, tensor products of irreducibles are
@@ -16,7 +17,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from demkit.affine import affine_pairing, affine_reflect, demazure_operator
+from demkit.affine import AffineWeight, demazure_operator
 from demkit.charalg import GradedCharacter
 
 
@@ -95,6 +96,28 @@ def seeded(name):
 def scaled(char, k):
     """``k`` times a character."""
     return GradedCharacter(char.system, {key: k * m for key, m in char.terms.items()})
+
+
+def affine_pairing(rs, aw, i):
+    """Pairing of an affine weight against the i-th simple coroot, i in 0..n:
+    node 0 pairs as ``level - finite(h_theta)``."""
+    if i == 0:
+        return aw.level - rs.theta_pairing(aw.finite)
+    if not 1 <= i <= rs.rank:
+        raise ValueError(f"affine node index {i} out of range 0..{rs.rank}")
+    return aw.finite[i - 1]
+
+
+def affine_reflect(rs, aw, i):
+    """Simple reflection s_i on an affine weight, one node at a time: the
+    replay oracle of ``straighten``, sharing no code with its chamber walk.
+    s_0 adds k*theta to the finite part and takes k from delta, for k the
+    pairing at node 0; the level never moves."""
+    k = affine_pairing(rs, aw, i)
+    if i == 0:
+        finite = tuple(c + k * t for c, t in zip(aw.finite, rs.theta.coords))
+        return AffineWeight(finite, aw.level, aw.delta - k)
+    return AffineWeight(rs.reflect(i, aw.finite), aw.level, aw.delta)
 
 
 def is_affine_dominant(rs, aw):

@@ -3,14 +3,13 @@ import hashlib
 import pytest
 
 from conftest import (
-    affine_apply_word, demazure_weyl_character, dominant_box, is_affine_dominant, seeded,
+    affine_apply_word, affine_pairing, affine_reflect, demazure_weyl_character, dominant_box,
+    is_affine_dominant, seeded,
 )
-from demkit import affine
+from demkit import affine, rootsystem
 from demkit.affine import (
     AffineWeight,
     affine_irreducible_character_truncated,
-    affine_pairing,
-    affine_reflect,
     demazure_character,
     demazure_operator,
     graded_isotypic,
@@ -93,12 +92,12 @@ def test_straighten_rejects_level_zero():
 
 
 def test_straighten_step_cap_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(affine, "STRAIGHTEN_STEP_CAP", 3)
+    monkeypatch.setattr(rootsystem, "WALK_STEP_CAP", 3)
     with pytest.raises(RuntimeError, match="exceeded 3 steps"):
         straighten(A1, AffineWeight((-40,), 1, 0))
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "B2"])
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "C3", "D4"])
 def test_straighten_replay_and_wall_crossings(name):
     rs = root_system(name)
     rng = seeded(f"straighten-{name}")
@@ -113,9 +112,11 @@ def test_straighten_replay_and_wall_crossings(name):
             assert affine_pairing(rs, cur, letter) > 0
             cur = affine_reflect(rs, cur, letter)
         assert cur == aw
-        # ascending replay mirrors it with strictly negative pairings
+        # ascending replay mirrors it with strictly negative pairings, each
+        # letter the smallest node that pairs negatively
         for letter in reversed(word):
-            assert affine_pairing(rs, cur, letter) < 0
+            negative = [i for i in range(rs.rank + 1) if affine_pairing(rs, cur, i) < 0]
+            assert negative[0] == letter
             cur = affine_reflect(rs, cur, letter)
         assert cur == top
 

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import json
 import os
 import pathlib
@@ -153,13 +154,15 @@ def test_edited_cache_bodies_are_recomputed(capsys, isolated_cache, edit):
     assert path.read_text().splitlines(keepends=True)[1:] == body  # rewritten
 
 
-@pytest.mark.parametrize("args,cold_calls", [
-    (A1_GRADED, 1),
-    (("char", "--system", "A2", "--weight", "1,1", "--kind", "weyl"), 1),
-    (("char", "--system", "A2", "--level", "2", "--kind", "kr", "--index", "1", "--graded"), 1),
-    (("char", "--system", "A1", "--level", "1", "--weight", "2"), 2),  # collapsed output
+# a warm hit prints the entry it has just checked, and serializes only a
+# collapsed output
+@pytest.mark.parametrize("args,cold_calls,warm_calls", [
+    (A1_GRADED, 1, ["from"]),
+    (("char", "--system", "A2", "--weight", "1,1", "--kind", "weyl"), 1, ["from"]),
+    (("char", "--system", "A2", "--level", "2", "--kind", "kr", "--index", "1", "--graded"), 1, ["from"]),
+    (("char", "--system", "A1", "--level", "1", "--weight", "2"), 2, ["from", "to"]),  # collapsed output
 ], ids=["demazure-graded", "weyl", "kr-graded", "demazure-collapsed"])
-def test_cold_request_serializes_once(capsys, monkeypatch, args, cold_calls):
+def test_cold_request_serializes_once(capsys, monkeypatch, args, cold_calls, warm_calls):
     from demkit.charalg import GradedCharacter
 
     calls = []
@@ -179,7 +182,7 @@ def test_cold_request_serializes_once(capsys, monkeypatch, args, cold_calls):
     assert calls == ["to"] * cold_calls
     calls.clear()
     _, warm, _ = run(capsys, *args)
-    assert calls == ["from", "to"] and warm == cold
+    assert calls == warm_calls and warm == cold
 
 
 def test_cache_commands(capsys, isolated_cache):
@@ -538,8 +541,8 @@ EXPECTED = ROOT / "perfbench" / "expected.json"
 
 
 def _replayed_requests():
-    """Every pinned verify request, two chars computed afresh, and the three
-    pinned scans run serially."""
+    """Every pinned verify request, the cheaper twin of each pinned char
+    slot computed afresh, and the three pinned scans run serially."""
     expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
     picked = [
         pytest.param(key, (), expected[key], id=key)
@@ -549,6 +552,14 @@ def _replayed_requests():
     for key, extra in (
         ("char --system G2 --level 1 --weight 3,3 --graded", ("--no-cache",)),
         ("char --system B2 --level 1 --weight 6,6 --graded", ("--no-cache",)),
+        ("char --system A2 --level 1 --weight 9,8 --graded", ("--no-cache",)),
+        ("char --system A2 --level 2 --weight 9,10 --graded", ("--no-cache",)),
+        ("char --system A3 --level 1 --weight 4,4,1 --graded", ("--no-cache",)),
+        ("char --system A3 --level 2 --weight 2,5,5 --graded", ("--no-cache",)),
+        ("char --system A4 --level 1 --weight 2,2,1,1 --graded", ("--no-cache",)),
+        ("char --system B3 --level 8 --kind kr --index 2 --graded", ("--no-cache",)),
+        ("char --system C3 --level 5 --kind kr --index 2 --graded", ("--no-cache",)),
+        ("char --system D4 --level 6 --kind kr --index 2 --graded", ("--no-cache",)),
         ("scan --system A2 --height-bound 2 --no-timing", ("--jobs", "1")),
         ("scan --system B2 --height-bound 2 --no-timing", ("--jobs", "1")),
         ("scan --system A3 --height-bound 1 --no-timing", ("--jobs", "1")),
@@ -562,3 +573,29 @@ def test_output_matches_pinned_digest(capsys, key, extra, want):
     code, out, _ = run(capsys, *key.split(), *extra)
     assert code == want["exit"]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want["sha256"]
+
+
+def _trace_targets():
+    """The keys of ``TARGETS`` in perfbench/trace_launch.py, read from its
+    source without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "trace_launch.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        targets = [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+        if targets == ["TARGETS"]:
+            return [ast.literal_eval(key) for key in node.value.keys]
+    raise AssertionError("perfbench/trace_launch.py defines no TARGETS")
+
+
+@pytest.mark.parametrize("name", _trace_targets())
+def test_trace_target_resolves(name):
+    """Each function the traced benchmark wraps exists where it looks, so
+    moving or renaming one fails here rather than in the traced run."""
+    modname, attr = name.split(".", 1)
+    module = importlib.import_module(f"demkit.{modname}")
+    if "." in attr:  # a method, which the tracer looks up in its class's __dict__
+        cls_name, meth = attr.split(".")
+        fn = vars(getattr(module, cls_name))[meth]
+        fn = getattr(fn, "__func__", fn)
+    else:
+        fn = getattr(module, attr)
+    assert callable(fn)

@@ -190,7 +190,8 @@ def test_chamber_walk(name):
     rng = seeded(f"chamber-{name}")
     for _ in range(100):
         w = tuple(rng.randint(-6, 6) for _ in range(rs.rank))
-        dominant, word = rs._to_dominant(w)
+        dominant, word, lift = rs._to_dominant(w)
+        assert lift == 0
         assert rs.is_dominant(dominant) and dominant in rs.weyl_orbit(w)
         assert rs.dominant_representative(w) == dominant
         negative = sum(1 for idx in range(len(rs.positive_roots)) if rs.pairing(w, idx) < 0)
