@@ -134,7 +134,10 @@ def demazure_character(rs, level, weight):
     weight = _check_stable_input(rs, level, weight)
     if level == 0:
         return GradedCharacter.unit(rs)
-    char = _demazure_from(rs, level, rs.apply_word(rs.longest_element(), weight))
+    # w0 maps the dominant chamber onto the antidominant one, which meets
+    # each Weyl orbit once: w0*weight = -dom(-weight)
+    extremal = rs.scale(-1, rs._to_dominant(rs.scale(-1, weight))[0])
+    char = _demazure_from(rs, level, extremal)
     if any(g < 0 for (_, g) in char.terms):
         raise RuntimeError(f"internal error: negative grade in the character of {weight}")
     return char
@@ -319,9 +322,10 @@ def affine_irreducible_character_truncated(rs, level, weight, max_grade):
         # real roots alpha + m*delta: m = 0 takes positive alpha only, while
         # m >= 1 takes alpha of both signs.  Adding j copies raises the
         # weight by j*alpha in the finite part and lowers the depth by j*m.
-        for root in rs.positive_roots:
-            base = rs.scaled_root_pairing(finite, root)  # D*(finite, alpha)
-            norm = rs.scaled_root_norm(root)  # D*(alpha, alpha)
+        for idx, root in enumerate(rs.positive_roots):
+            scale = D // root.d  # D*(mu, alpha) = scale * mu(h_alpha)
+            base = scale * rs.pairing(finite, idx)  # D*(finite, alpha)
+            norm = 2 * scale  # D*(alpha, alpha)
             for sign in (1, -1):
                 step = rs.scale(sign, root.coords)
                 sbase = sign * base

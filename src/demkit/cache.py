@@ -95,7 +95,7 @@ class CharacterCache:
                 return None
             head = json.dumps({"system": key.system, "kind": header["kind"]}, separators=(",", ":"))
             text = head + "\n" + str(memoryview(data)[start:], "utf-8")
-            return GradedCharacter.from_jsonl(text, expect_system=key.system), text
+            return GradedCharacter.from_jsonl(text), text
         except ValueError:
             return None
 

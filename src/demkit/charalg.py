@@ -186,7 +186,7 @@ class GradedCharacter:
         return header + "\n" + body
 
     @classmethod
-    def from_jsonl(cls, text, expect_system=None):
+    def from_jsonl(cls, text):
         """Parse :meth:`to_jsonl` output.  Raises ``ValueError`` for
         anything that is not a well-formed character file: a header or
         record that is not a JSON object, a weight that is not a list of
@@ -204,10 +204,6 @@ class GradedCharacter:
             or header.get("kind") not in ("plain", "graded")
         ):
             raise ValueError(f"bad character header {lines[0]!r}")
-        if expect_system is not None and header["system"] != expect_system:
-            raise ValueError(
-                f"character file is for {header['system']}, expected {expect_system}"
-            )
         rs = root_system(header["system"])
         rank = rs.rank
         terms = {}

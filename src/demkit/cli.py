@@ -223,6 +223,8 @@ def _cmd_scan(args):
 
     if args.jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if args.height_bound < 0:  # before --out is made
+        raise ValueError("height bound must be non-negative")
     rs = root_system(args.system)
     if args.out:
         os.makedirs(args.out, exist_ok=True)  # an unusable directory fails before the scan

@@ -48,23 +48,23 @@ def _weyl_entry(rs, weight):
     dominant = sorted(heights, key=lambda w: (heights[w], w))
 
     bound = rs.weight_norm2(rs.add(weight, rs.rho))
+    D = rs.pairing_scale
     mult = {weight: 1}
     for mu in dominant:
         if mu == weight:
             continue
         acc = 0
-        for root in rs.positive_roots:
-            base = rs.scaled_root_pairing(mu, root)
-            norm = rs.scaled_root_norm(root)
+        for idx, root in enumerate(rs.positive_roots):
+            # D*(mu + j*alpha, alpha) = (D // d)*k, k = (mu + j*alpha)(h_alpha)
+            k = rs.pairing(mu, idx)
             cur = mu
-            j = 1
             while True:
                 cur = tuple(c + a for c, a in zip(cur, root.coords))
                 rep = rs.dominant_representative(cur)
                 if rep not in heights:
                     break
-                acc += (base + j * norm) * mult[rep]
-                j += 1
+                k += 2
+                acc += D // root.d * k * mult[rep]
         den = rs.freudenthal_denominator(bound, mu)
         num = 2 * acc
         if den <= 0 or num % den:
@@ -95,14 +95,15 @@ def isotypic_character(rs, components):
 
 def weyl_dimension(rs, weight):
     """Dimension of the irreducible module, by the product over positive
-    roots of (weight + rho, root) / (rho, root); exact integers."""
+    roots of (weight + rho, alpha) / (rho, alpha), read as coroot pairings
+    (weight + rho)(h_alpha) / rho(h_alpha); exact integers."""
     weight = rs.check_dominant(weight)
     shifted = rs.add(weight, rs.rho)
     num = 1
     den = 1
-    for root in rs.positive_roots:
-        num *= rs.scaled_root_pairing(shifted, root)
-        den *= rs.scaled_root_pairing(rs.rho, root)
+    for idx in range(len(rs.positive_roots)):
+        num *= rs.pairing(shifted, idx)
+        den *= rs.pairing(rs.rho, idx)
     if num % den:
         raise RuntimeError(f"internal error: non-integral dimension for {weight}")
     return num // den

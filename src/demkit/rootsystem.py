@@ -9,12 +9,16 @@ Cartan matrix included; no fractions, floating point or irrational numbers
 appear anywhere.
 
 The positive roots are the reflection closure of the simple roots; one
-chamber walk serves dominant representatives, Bott's rule, w_0 and, with
-node 0 added at a given level, the straightening of affine weights.
+chamber walk serves dominant representatives (w_0 lambda is minus the
+dominant representative of -lambda), Bott's rule and, with node 0 added at
+a given level, the straightening of affine weights.
 
 The bilinear form is normalised so that long roots have squared length 2;
 ``d`` always denotes the integer 2/(root, root), which is 1 for long roots
-and 2 or 3 for short ones.
+and 2 or 3 for short ones.  The one root pairing is the coroot pairing
+``pairing(mu, idx)`` = mu(h_alpha) = 2(mu, alpha)/(alpha, alpha); the form
+itself follows as D*(mu, alpha) = (D // d)*mu(h_alpha), exact because d
+divides D = ``pairing_scale``, the lcm of the d-values.
 """
 
 from __future__ import annotations
@@ -185,7 +189,6 @@ class RootSystem:
         # dominant weight -> (character, dominant multiplicities), kept by
         # finite.weyl_character on the instance its characters belong to
         self._weyl_cache = {}
-        self._w0 = None
 
     def __repr__(self):
         return f"RootSystem({self.name})"
@@ -293,12 +296,6 @@ class RootSystem:
         col = self.simple_root_coords[i - 1]
         return tuple(c - k * a for c, a in zip(weight, col))
 
-    def apply_word(self, word, weight):
-        """Apply a word of simple reflections, first letter first."""
-        for i in word:
-            weight = self.reflect(i, weight)
-        return weight
-
     def _to_dominant(self, weight, level=None):
         """The chamber walk: ``(dominant, word, lift)``, reflecting at the
         smallest node with a negative pairing until none is left.  Given a
@@ -364,45 +361,15 @@ class RootSystem:
                     stack.append(u)
         return seen
 
-    def longest_element(self):
-        """A reduced word for the longest Weyl group element.
-
-        The chamber walk of the antidominant weight -rho; applying the
-        returned word (first letter first) to any weight realises w_0.
-        """
-        if self._w0 is None:
-            word = self._to_dominant(self.scale(-1, self.rho))[1]
-            if len(word) != len(self.positive_roots):
-                raise RuntimeError(f"internal error: longest word of {self.name} has the wrong length")
-            self._w0 = tuple(word)
-        return self._w0
-
     # ------------------------------------------------------------------
     # the sublattice of weights divisible by the d-values
 
-    def gamma_coefficients(self, weight):
-        """Per-node integers s_i with weight = sum d_i s_i omega_i, or None.
-
-        Only dominant weights are accepted; membership in this sublattice is
-        what makes a weight a legal translation step at every level.
-        """
-        weight = self.check_dominant(weight)
-        s = []
-        for c, d in zip(weight, self.d_simple):
-            if c % d:
-                return None
-            s.append(c // d)
-        return tuple(s)
-
     def in_gamma(self, weight):
-        return self.gamma_coefficients(weight) is not None
-
-    def is_level_dominant(self, weight, level):
-        """True iff the weight pairs with the highest coroot at most ``level``."""
+        """Whether a dominant weight is sum d_i s_i omega_i with integers
+        s_i: membership in this sublattice is what makes a weight a legal
+        translation step at every level."""
         weight = self.check_dominant(weight)
-        if level < 0:
-            raise ValueError("level must be non-negative")
-        return self.theta_pairing(weight) <= level
+        return all(c % d == 0 for c, d in zip(weight, self.d_simple))
 
     # ------------------------------------------------------------------
     # dominance order and exact inner products
@@ -443,18 +410,6 @@ class RootSystem:
                     below[u] = below[v] + root.height
                     stack.append(u)
         return below
-
-    def scaled_root_pairing(self, weight, root):
-        """D*(weight, root) where D clears all d-denominators; exact integer."""
-        D = self.pairing_scale
-        return sum(
-            a * c * (D // d)
-            for a, c, d in zip(root.root_coords, weight, self.d_simple)
-        )
-
-    def scaled_root_norm(self, root):
-        """D*(root, root) as an exact integer."""
-        return 2 * self.pairing_scale // root.d
 
     def weight_norm2(self, weight):
         """L*D*(weight, weight) as an exact integer, where L is

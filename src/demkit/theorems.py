@@ -162,7 +162,7 @@ def _lambda_failure(rs, lam, level=None):
     """lam must be dominant and, when ``level`` is given, level-dominant."""
     if not rs.is_dominant(lam):
         return f"lambda {list(lam)} not dominant"
-    if level is not None and not rs.is_level_dominant(lam, level):
+    if level is not None and rs.theta_pairing(lam) > level:
         return f"lambda(h_theta) = {rs.theta_pairing(lam)} exceeds level {level}"
     return None
 
@@ -508,7 +508,7 @@ def verify_genschurpos(rs, node, power, level, m_level, lam, mu):
         return claim.violated("need power >= 1 and level >= m_level >= 1")
     if not rs.is_dominant(lam) or not rs.is_dominant(mu):
         return claim.violated("weights must be dominant")
-    if not rs.is_level_dominant(mu, m_level):
+    if rs.theta_pairing(mu) > m_level:
         return claim.violated(f"mu(h_theta) = {rs.theta_pairing(mu)} exceeds source level {m_level}")
     weight = rs.add(rs.scale(power, rs.kr_weight(node, m_level)), mu)
     if rs.add(rs.scale(power, rs.kr_weight(node, level)), lam) != weight:

@@ -131,12 +131,27 @@ def affine_apply_word(rs, word, aw):
     return aw
 
 
+def apply_word(rs, word, weight):
+    """Apply a word of simple reflections, first letter first."""
+    for i in word:
+        weight = rs.reflect(i, weight)
+    return weight
+
+
+def longest_word(rs):
+    """A reduced word for the longest Weyl group element: the chamber walk
+    of the antidominant weight -rho, one letter per positive root."""
+    word = rs._to_dominant(rs.scale(-1, rs.rho))[1]
+    assert len(word) == len(rs.positive_roots)
+    return tuple(word)
+
+
 def demazure_weyl_character(rs, weight):
     """The irreducible character of a dominant weight, via divided-difference
     operators along a reduced word for the longest element: the cross-oracle
     of ``finite.weyl_character``, sharing no algorithmic step with it."""
     char = GradedCharacter.monomial(rs, rs.check_dominant(weight))
-    for letter in rs.longest_element():
+    for letter in longest_word(rs):
         char = demazure_operator(rs, letter, char, 0)
     return char
 

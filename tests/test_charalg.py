@@ -153,8 +153,6 @@ def test_serialization_headers():
     graded = GradedCharacter(rs, {((0,), 1): 1})
     assert graded.to_jsonl().splitlines()[0] == '{"system":"A1","kind":"graded"}'
     with pytest.raises(ValueError):
-        GradedCharacter.from_jsonl(text, expect_system="A2")
-    with pytest.raises(ValueError):
         GradedCharacter.from_jsonl("")
     with pytest.raises(ValueError):
         GradedCharacter.from_jsonl('{"system":"A1","kind":"nope"}\n')

@@ -88,6 +88,19 @@ def test_cache_header_revalidation(capsys, isolated_cache):
     assert again == first
 
 
+def test_entry_of_another_system_is_a_miss(capsys, isolated_cache):
+    # a G2 entry whose count and digest check out, stored under the B2 key:
+    # the rank matches, so the body parses as B2 and only load's own
+    # system check can turn it away
+    b2 = ("char", "--system", "B2", "--level", "1", "--weight", "1,0", "--graded")
+    path, _, _ = _cached_entry(capsys, isolated_cache, b2)
+    _, g2, _ = run(capsys, "char", "--system", "G2", "--level", "1", "--weight", "1,0", "--graded", "--no-cache")
+    path.write_text(_entry_with_valid_digest(*g2.splitlines(keepends=True)[1:], system="G2"))
+    code, out, err = run(capsys, *b2)
+    _, uncached, _ = run(capsys, *b2, "--no-cache")
+    assert code == 0 and err == "" and out == uncached
+
+
 def _cached_entry(capsys, isolated_cache, args):
     """Run ``args`` once to fill the cache; the entry's path and its
     header and body lines."""
@@ -98,12 +111,13 @@ def _cached_entry(capsys, isolated_cache, args):
     return path, json.loads(head), body
 
 
-def _entry_with_valid_digest(*body):
-    """An A1 graded cache entry whose header passes the count and digest
-    checks for the ``body`` lines, so only the parse can reject it."""
+def _entry_with_valid_digest(*body, system="A1"):
+    """A graded cache entry (of A1 by default) whose header passes the
+    count and digest checks for the ``body`` lines, so only the system
+    check or the parse can reject it."""
     text = "".join(body)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    header = {"system": "A1", "kind": "graded", "terms": len(body), "sha256": digest}
+    header = {"system": system, "kind": "graded", "terms": len(body), "sha256": digest}
     return json.dumps(header, separators=(",", ":")) + "\n" + text
 
 
@@ -306,6 +320,14 @@ def test_scan_out_directory(capsys, tmp_path):
     summary = json.loads(out.splitlines()[-1])
     stream = (out_dir / "scan_A1_h1.jsonl").read_text().splitlines()
     assert len(stream) == summary["total"]
+
+
+def test_negative_height_bound_leaves_no_out_directory(capsys, tmp_path):
+    out_dir = tmp_path / "scans"
+    code, out, err = run(capsys, "scan", "--system", "A1", "--height-bound", "-1", "--out", str(out_dir))
+    assert code == 3 and out == ""
+    assert err == "error: height bound must be non-negative\n"
+    assert not out_dir.exists()
 
 
 def test_invalid_flags_exit_2(capsys):

@@ -84,6 +84,27 @@ def test_two_oracle_agreement_random(name):
         assert freud.dimension() == weyl_dimension(rs, lam)
 
 
+# classical dimensions of the fundamental modules, Bourbaki numbering
+FUNDAMENTAL_DIMENSIONS = {
+    "D4": (8, 28, 8, 8),
+    "F4": (52, 1274, 273, 26),
+    "E6": (27, 78, 351, 2925, 351, 27),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUNDAMENTAL_DIMENSIONS))
+def test_two_oracle_agreement_at_fundamental_weights(name):
+    # F4 has both root lengths, so the D // d factor of the multiplicity
+    # recursion differs from root to root; fundamental weights rather than
+    # a box, since F4's box of bound 1 holds rho (16,777,216-dimensional)
+    rs = root_system(name)
+    for i, dim in enumerate(FUNDAMENTAL_DIMENSIONS[name], 1):
+        lam = rs.fundamental_weight(i)
+        freud = weyl_character(rs, lam)
+        assert freud == demazure_weyl_character(rs, lam)
+        assert freud.dimension() == weyl_dimension(rs, lam) == dim
+
+
 def test_dimension_agreement_sweep():
     for name in ("A1", "A2", "B2"):
         rs = root_system(name)
