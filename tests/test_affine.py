@@ -393,3 +393,31 @@ def test_truncated_straightens_each_weight_once(monkeypatch, name, level, lam, m
     ch = affine_irreducible_character_truncated(root_system(name), level, lam, max_grade)
     assert calls and len(calls) == len(set(calls))
     assert hashlib.sha256(ch.to_jsonl(kind="graded").encode("utf-8")).hexdigest() == digest
+
+
+# the finite and the truncated affine characters of small dominant boxes,
+# hashed in order; the digest is the one both recursions gave while they
+# were separate copies, so merging them must keep every byte
+SWEEP_WEYL = [("A1", 6), ("A2", 3), ("A3", 2), ("B2", 3), ("B3", 2), ("C3", 2), ("D4", 1), ("G2", 3)]
+SWEEP_AFFINE = [("A1", 4), ("A2", 3), ("A3", 2), ("B2", 3), ("C3", 2), ("G2", 3), ("D4", 1)]
+SWEEP_DIGEST = "edee7ce2c687f8d8f9a1cc5ba57cc38b2ce29a56302c0e04dc941d7a1c341eca"
+
+
+def test_character_sweep_is_byte_identical():
+    digest = hashlib.sha256()
+    count = 0
+    for name, bound in SWEEP_WEYL:
+        rs = rootsystem.RootSystem(*rootsystem.parse_system(name))
+        for lam in dominant_box(rs, bound):
+            digest.update(weyl_character(rs, lam).to_jsonl(kind="plain").encode("utf-8"))
+            count += 1
+    for name, depth in SWEEP_AFFINE:
+        rs = rootsystem.RootSystem(*rootsystem.parse_system(name))
+        for level in (1, 2):
+            for lam in dominant_box(rs, level):
+                if rs.theta_pairing(lam) <= level:
+                    ch = affine_irreducible_character_truncated(rs, level, lam, depth)
+                    digest.update(ch.to_jsonl(kind="graded").encode("utf-8"))
+                    count += 1
+    assert count == 224
+    assert digest.hexdigest() == SWEEP_DIGEST
