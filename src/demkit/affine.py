@@ -1,6 +1,8 @@
 """The affine engine: affine weights, straightening, Demazure operators,
 graded Demazure characters and their graded isotypic decompositions, plus a
-grade-truncated multiplicity oracle for irreducible affine characters.
+grade-truncated oracle for irreducible affine characters, which reads its
+multiplicities from the one recursion in ``finite`` (imported when the
+oracle runs, so ``char`` never loads ``finite``).
 
 Two routes reach a stable Demazure module: ``demazure_character`` applies
 the operators of a reduced word for its whole Weyl group element w0*u, and
@@ -239,16 +241,6 @@ def presentation(rs, level, weight):
 # truncated irreducible affine characters by the multiplicity recursion
 
 
-def _affine_dominant_rep(rs, finite, depth, level):
-    """Dominant representative of the affine Weyl orbit, as (finite, depth).
-
-    Straightening only lowers the depth, so representatives of depth-bounded
-    weights stay depth-bounded.
-    """
-    dom, _ = straighten(rs, AffineWeight(finite, level, -depth))
-    return dom.finite, -dom.delta
-
-
 def affine_irreducible_character_truncated(rs, level, weight, max_grade):
     """Weight multiplicities of the irreducible affine highest-weight module
     of level ``level`` and finite part ``weight``, down to depth ``max_grade``.
@@ -257,14 +249,14 @@ def affine_irreducible_character_truncated(rs, level, weight, max_grade):
     highest weight sits at grade 0 and the grade-0 slice is the irreducible
     finite-type character).  Exact at every depth <= max_grade.
 
-    The recursion runs over level-dominant candidate weights inside the
-    norm ball |mu + rho_affine|^2 <= |top + rho_affine|^2, which every
-    weight of the module satisfies.  The candidates at each depth come from
-    the positive-root walk down from top + depth*theta through dominant
-    weights (``RootSystem.dominant_weights_below``); those that are not
-    weights come out with multiplicity zero.  The slices are the finite
-    Weyl orbits of the dominant weights.  All arithmetic is exact.
+    The multiplicities of the level-dominant weights come from the one
+    Freudenthal recursion, ``finite.dominant_multiplicities``.  Every weight
+    at depth d has its finite part below weight + d*theta, so each
+    finite-dominant weight there is straightened once to read off its
+    multiplicity; the slices are the finite Weyl orbits of those weights.
     """
+    from .finite import dominant_multiplicities
+
     weight = rs.check_weight(weight)
     if level < 1:
         raise ValueError("truncated affine characters require level >= 1")
@@ -273,109 +265,14 @@ def affine_irreducible_character_truncated(rs, level, weight, max_grade):
     if not rs.is_dominant(weight) or rs.theta_pairing(weight) > level:
         raise ValueError(f"{weight} at level {level} is not affine dominant")
 
-    n = rs.rank
-    D = rs.pairing_scale
-    top_norm = rs.weight_norm2(rs.add(weight, rs.rho))
-    depth_norm = 2 * (level + rs.dual_coxeter) * rs.lattice_scale * D
-
-    def norm_bound(depth):
-        # |mu + rho|^2 <= norm_bound(depth) iff |mu - depth*delta + rho^|^2
-        # <= |top + rho^|^2, in the L*D units of weight_norm2
-        return top_norm + depth * depth_norm
-
-    # per depth, the dominant weights below top + depth*theta inside the
-    # norm ball, with the total height of their gap to the highest weight;
-    # the level-dominant ones are the candidates, in order of that height
-    layers = [
-        {
-            finite: depth + height
-            for finite, height in rs.dominant_weights_below(
-                rs.add(weight, rs.scale(depth, rs.theta.coords))
-            ).items()
-            if rs.weight_norm2(rs.add(finite, rs.rho)) <= norm_bound(depth)
-        }
-        for depth in range(max_grade + 1)
-    ]
-    candidates = sorted(
-        (height, depth, finite)
-        for depth, layer in enumerate(layers)
-        for finite, height in layer.items()
-        if rs.theta_pairing(finite) <= level
-    )
-
-    mult = {}
-    reps = {}  # (finite, depth) -> its dominant representative
-
-    def lookup(finite, depth):
-        if depth < 0:
-            return 0
-        rep = reps.get((finite, depth))
-        if rep is None:
-            rep = reps[finite, depth] = _affine_dominant_rep(rs, finite, depth, level)
-        return mult.get(rep, 0)
-
-    for height, depth, finite in candidates:
-        if height == 0:
-            mult[(finite, depth)] = 1
-            continue
-        acc = 0
-        # real roots alpha + m*delta: m = 0 takes positive alpha only, while
-        # m >= 1 takes alpha of both signs.  Adding j copies raises the
-        # weight by j*alpha in the finite part and lowers the depth by j*m.
-        for idx, root in enumerate(rs.positive_roots):
-            scale = D // root.d  # D*(mu, alpha) = scale * mu(h_alpha)
-            base = scale * rs.pairing(finite, idx)  # D*(finite, alpha)
-            norm = 2 * scale  # D*(alpha, alpha)
-            for sign in (1, -1):
-                step = rs.scale(sign, root.coords)
-                sbase = sign * base
-                for m in range(0 if sign == 1 else 1, depth + 1):
-                    cur = finite
-                    j = 1
-                    while True:
-                        d2 = depth - j * m
-                        if d2 < 0:
-                            break
-                        cur = rs.add(cur, step)
-                        if rs.weight_norm2(rs.add(cur, rs.rho)) > norm_bound(d2):
-                            # at m = 0 the norm grows monotonically along the
-                            # string through a dominant weight, so nothing
-                            # lies beyond; at m >= 1 the depth bound ends
-                            # the loop instead
-                            if m == 0:
-                                break
-                        else:
-                            mm = lookup(cur, d2)
-                            if mm:
-                                # D * (mu + j*beta, beta), beta = sign*alpha + m*delta
-                                acc += (sbase + j * norm + D * level * m) * mm
-                        j += 1
-        # imaginary roots m*delta with multiplicity n = rank
-        for m in range(1, depth + 1):
-            for j in range(1, depth // m + 1):
-                mm = lookup(finite, depth - j * m)
-                if mm:
-                    acc += n * D * level * m * mm
-        numerator = 2 * acc
-        # denominator: D * (|top + rho^|^2 - |mu - depth*delta + rho^|^2)
-        den = rs.freudenthal_denominator(norm_bound(depth), finite)
-        if den == 0:
-            if numerator:
-                raise RuntimeError(f"internal error: degenerate multiplicity at {finite}, depth {depth}")
-            continue
-        if numerator % den:
-            raise RuntimeError(f"internal error: non-integral multiplicity at {finite}, depth {depth}")
-        val = numerator // den
-        if val < 0:
-            raise RuntimeError(f"internal error: negative multiplicity at {finite}, depth {depth}")
-        if val:
-            mult[(finite, depth)] = val
-
-    # expand to full slices: the finite Weyl group fixes the depth
+    mults = dominant_multiplicities(rs, weight, level, max_grade)
     terms = {}
-    for depth, layer in enumerate(layers):
-        for finite in layer:
-            m = lookup(finite, depth)
+    for depth in range(max_grade + 1):
+        for finite in rs.dominant_weights_below(rs.add(weight, rs.scale(depth, rs.theta.coords))):
+            dom, _ = straighten(rs, AffineWeight(finite, level, -depth))
+            if dom.delta > 0:
+                continue  # straightened above the highest weight: not a weight
+            m = mults[-dom.delta].get(dom.finite)
             if m:
                 terms.update(((w, depth), m) for w in rs.weyl_orbit(finite))
     return GradedCharacter(rs, terms)

@@ -1,8 +1,10 @@
 """Finite-type character oracles and the surjection-existence criterion.
 
-Irreducible characters come from the multiplicity recursion over the
-dominant weights below the highest weight, each multiplicity then expanded
-over its Weyl orbit.  The test suite (``tests/conftest.py``) holds them to
+One multiplicity recursion, :func:`dominant_multiplicities`, serves both
+the finite and the truncated affine characters: the irreducible finite
+module of a dominant weight is the depth-0 slice of an affine one, so its
+character is that slice, each multiplicity expanded over its Weyl orbit.
+The test suite (``tests/conftest.py``) holds them to
 an independent route, the divided-difference operators along a reduced
 word for the longest Weyl element; the two share no algorithmic step,
 which is what makes their exact agreement a meaningful cross-check.
@@ -19,10 +21,13 @@ target is at most the corresponding multiplicity of the source.
 
 from __future__ import annotations
 
+from operator import add
+
 from .charalg import GradedCharacter
 
 __all__ = [
     "weyl_character",
+    "dominant_multiplicities",
     "isotypic_character",
     "weyl_dimension",
     "tensor_decompose",
@@ -43,40 +48,94 @@ def _weyl_entry(rs, weight):
     hit = rs._weyl_cache.get(weight)
     if hit is not None:
         return hit
-
-    heights = rs.dominant_weights_below(weight)
-    dominant = sorted(heights, key=lambda w: (heights[w], w))
-
-    bound = rs.weight_norm2(rs.add(weight, rs.rho))
-    D = rs.pairing_scale
-    mult = {weight: 1}
-    for mu in dominant:
-        if mu == weight:
-            continue
-        acc = 0
-        for idx, root in enumerate(rs.positive_roots):
-            # D*(mu + j*alpha, alpha) = (D // d)*k, k = (mu + j*alpha)(h_alpha)
-            k = rs.pairing(mu, idx)
-            cur = mu
-            while True:
-                cur = tuple(c + a for c, a in zip(cur, root.coords))
-                rep = rs.dominant_representative(cur)
-                if rep not in heights:
-                    break
-                k += 2
-                acc += D // root.d * k * mult[rep]
-        den = rs.freudenthal_denominator(bound, mu)
-        num = 2 * acc
-        if den <= 0 or num % den:
-            raise RuntimeError(f"internal error: non-integral multiplicity at {mu}")
-        m = num // den
-        if m <= 0:
-            raise RuntimeError(f"internal error: non-positive multiplicity at {mu}")
-        mult[mu] = m
-
+    mult = dominant_multiplicities(rs, weight, rs.theta_pairing(weight), 0)[0]
     terms = {(w, 0): m for mu, m in mult.items() for w in rs.weyl_orbit(mu)}
     entry = rs._weyl_cache[weight] = (GradedCharacter(rs, terms), mult)
     return entry
+
+
+def dominant_multiplicities(rs, top, level, max_depth):
+    """Freudenthal's recursion (Kac, Infinite-dimensional Lie algebras,
+    11.14) for the irreducible affine module of highest weight
+    ``level * Lambda_0 + top``: for each depth d <= ``max_depth``, the map
+    ``{mu: multiplicity}`` over the level-dominant weights mu <= top + d*theta
+    of the module at depth d below the highest weight.
+
+    Every such weight is a weight of the module (Kac 12.6) and every
+    real-root string through a weight is unbroken, so each string stops at
+    its first weight with no multiplicity.  The depth-0 slice is the finite
+    irreducible module of ``top``: with ``level = top(h_theta)`` the call
+    ``(rs, top, level, 0)`` is the finite recursion.  All arithmetic is exact.
+    """
+    D = rs.pairing_scale
+    top_norm = rs.weight_norm2(rs.add(top, rs.rho))
+    candidates = sorted(
+        (depth + height, depth, mu)
+        for depth in range(max_depth + 1)
+        for mu, height in rs.dominant_weights_below(rs.add(top, rs.scale(depth, rs.theta.coords))).items()
+        if rs.theta_pairing(mu) <= level
+    )
+    mults = [{} for _ in range(max_depth + 1)]
+    lifted = {}  # representative past the level -> (affine-dominant finite part, depth drop)
+
+    def beyond(rep, depth):
+        # multiplicity of a finite-dominant weight missing from its depth's
+        # table: a level-dominant one is no weight, and reflecting one past
+        # the level at node 0 lowers the depth by its excess over the level
+        excess = rs.theta_pairing(rep) - level
+        if excess <= 0 or excess > depth:
+            return 0
+        hit = lifted.get(rep)
+        if hit is None:
+            dom, _, lift = rs._to_dominant(rep, level)
+            hit = lifted[rep] = (dom, lift)
+        dom, lift = hit
+        return mults[depth - lift].get(dom, 0) if lift <= depth else 0
+
+    for height, depth, mu in candidates:
+        if not height:
+            mults[0][mu] = 1
+            continue
+        acc = 0
+        # real roots alpha + m*delta: m = 0 takes positive alpha only, while
+        # m >= 1 takes alpha of both signs.  Adding j copies raises the
+        # weight by j*alpha in the finite part and lowers the depth by j*m.
+        for idx, root in enumerate(rs.positive_roots):
+            scale = D // root.d  # D*(mu, alpha) = scale * mu(h_alpha)
+            base = scale * rs.pairing(mu, idx)
+            up = root.coords
+            for sign, step in ((1, up), (-1, tuple(-c for c in up))) if depth else ((1, up),):
+                for m in range(sign < 0, depth + 1):
+                    # D*(mu + j*beta, beta) for beta = sign*alpha + m*delta
+                    pair = sign * base + D * level * m
+                    cur = mu
+                    d2 = depth - m
+                    while d2 >= 0:
+                        cur = tuple(map(add, cur, step))
+                        rep = rs.dominant_representative(cur)
+                        mm = mults[d2].get(rep)
+                        if mm is None:
+                            # at depth 0 every weight is a candidate
+                            mm = d2 and beyond(rep, d2)
+                            if not mm:
+                                break
+                        pair += 2 * scale
+                        acc += pair * mm
+                        d2 -= m
+        # imaginary roots m*delta, each of multiplicity rank
+        for m in range(1, depth + 1):
+            for d2 in range(depth - m, -1, -m):
+                acc += rs.rank * D * level * m * mults[d2].get(mu, 0)
+        # D*(|top + rho^|^2 - |mu - depth*delta + rho^|^2), from the L*D units of weight_norm2
+        den, rem = divmod(top_norm - rs.weight_norm2(rs.add(mu, rs.rho)), rs.lattice_scale)
+        den += 2 * depth * (level + rs.dual_coxeter) * D
+        num = 2 * acc
+        if rem or den <= 0 or num % den:
+            raise RuntimeError(f"internal error: non-integral multiplicity at {mu}, depth {depth}")
+        if num <= 0:
+            raise RuntimeError(f"internal error: non-positive multiplicity at {mu}, depth {depth}")
+        mults[depth][mu] = num // den
+    return mults
 
 
 def isotypic_character(rs, components):

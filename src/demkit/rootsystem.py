@@ -422,18 +422,6 @@ class RootSystem:
             for row, w, d in zip(self._scaled_inverse, weight, self.d_simple)
         )
 
-    def freudenthal_denominator(self, bound, weight):
-        """D*(|top + rho|^2 - |weight + rho|^2), given ``bound`` =
-        ``weight_norm2(top + rho)``: the denominator of the multiplicity
-        recursion (Kac, Infinite-dimensional Lie algebras, 11.14).  The
-        bound may carry further L*D-scaled terms, such as the affine
-        level and depth ones.  The difference is divisible by L whenever
-        top - weight lies in the root lattice."""
-        den, rem = divmod(bound - self.weight_norm2(self.add(weight, self.rho)), self.lattice_scale)
-        if rem:
-            raise RuntimeError(f"internal error: norm gap to {weight} is not divisible by L")
-        return den
-
 
 _SHARED = {}  # (series, rank) -> the one instance of that type
 

@@ -421,3 +421,23 @@ def test_character_sweep_is_byte_identical():
                     count += 1
     assert count == 224
     assert digest.hexdigest() == SWEEP_DIGEST
+
+
+# Frenkel-Kac: at level 1 the basic module of a simply-laced type is the
+# lattice vertex algebra of its root lattice, so the weight 0 at depth d has
+# multiplicity p_n(d), the number of partitions of d into parts of n colours
+FRENKEL_KAC = [
+    ("A1", [1, 1, 2, 3, 5, 7, 11]),
+    ("A2", [1, 2, 5, 10, 20, 36]),
+    ("A3", [1, 3, 9, 22, 51]),
+    ("D4", [1, 4, 14, 40]),
+    ("E6", [1, 6, 27]),
+]
+
+
+@pytest.mark.parametrize("name,partitions", FRENKEL_KAC, ids=[t[0] for t in FRENKEL_KAC])
+def test_truncated_basic_module_is_frenkel_kac(name, partitions):
+    rs = root_system(name)
+    zero = rs.zero_weight()
+    ch = affine_irreducible_character_truncated(rs, 1, zero, len(partitions) - 1)
+    assert [ch.terms.get((zero, d), 0) for d in range(len(partitions))] == partitions

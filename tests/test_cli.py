@@ -386,6 +386,31 @@ def test_internal_errors_exit_5(capsys, monkeypatch):
     assert err == "error: internal error: simulated\n"
 
 
+@pytest.mark.parametrize("label,attr,corrupt,call,argv", [
+    ("A2", "dual_coxeter", lambda rs: rs.dual_coxeter + 1,
+     lambda rs: demkit.affine_irreducible_character_truncated(rs, 1, (0, 0), 2),
+     ("verify", "stabilization", "--system", "A2", "--level", "1", "--lambda", "0,0",
+      "--max-grade", "2", "--n-max", "3")),
+    ("B2", "weight_norm2", lambda rs: lambda w, norm=rs.weight_norm2: 2 * norm(w),
+     lambda rs: demkit.weyl_character(rs, (2, 1)),
+     ("char", "--system", "B2", "--kind", "weyl", "--weight", "2,1")),
+], ids=["oracle-dual-coxeter", "weyl-weight-norm2"])
+def test_recursion_integrality_checks_exit_5(capsys, monkeypatch, label, attr, corrupt, call, argv):
+    # the multiplicity recursion divides by a norm gap; corrupting either
+    # input of that gap must trip its integrality checks, never yield a
+    # character, and surface as an internal error
+    from demkit import rootsystem
+
+    rs = rootsystem.RootSystem(*rootsystem.parse_system(label))
+    setattr(rs, attr, corrupt(rs))
+    with pytest.raises(RuntimeError, match="^internal error: "):
+        call(rs)
+    monkeypatch.setattr(rootsystem, "_SHARED", {rootsystem.parse_system(label): rs})
+    code, out, err = run(capsys, *argv)
+    assert code == 5 and out == ""
+    assert err.startswith("error: internal error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("char", "--system", "A1", "--level", "1", "--weight", "2", "--out", "{missing}/x"),
     ("verify", "ev0", "--system", "A1", "--level", "2", "--lambda", "2", "--out", "{missing}/y"),

@@ -345,7 +345,7 @@ ENUMERATOR_TOPS = {
 
 @pytest.mark.parametrize("name", sorted(ENUMERATOR_TOPS))
 def test_dominant_weights_below_matches_brute_force(name):
-    # both multiplicity recursions take their candidates from this walk
+    # the multiplicity recursion takes its candidates from this walk
     rs = root_system(name)
     unit = rs.lattice_scale * rs.pairing_scale
     tops = [t for t in dominant_box(rs, ENUMERATOR_TOPS[name]) if sum(t) <= ENUMERATOR_TOPS[name]]
@@ -415,6 +415,21 @@ def test_only_the_cli_imports_the_cache():
         if {".cache", "demkit.cache"} & set(_import_targets(node))
     ]
     assert offenders == []
+
+
+def test_one_function_outside_rootsystem_calls_weight_norm2():
+    # the norm gap of the multiplicity recursion is the form's one use
+    # outside rootsystem.py, so the finite and affine characters share it
+    package = pathlib.Path(demkit.__file__).parent
+    callers = sorted({
+        f"{path.name}:{fn.name}"
+        for path in package.glob("*.py") if path.name != "rootsystem.py"
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "weight_norm2"
+    })
+    assert len(callers) == 1, callers
 
 
 def test_dual_coxeter_numbers():
