@@ -1,8 +1,8 @@
 """The affine engine: affine weights, straightening, Demazure operators,
 graded Demazure characters and their graded isotypic decompositions, plus a
-grade-truncated oracle for irreducible affine characters, which reads its
-multiplicities from the one recursion in ``finite`` (imported when the
-oracle runs, so ``char`` never loads ``finite``).
+grade-truncated oracle for irreducible affine characters, which expands
+the per-depth tables of the one recursion in ``finite`` over Weyl orbits
+(imported when the oracle runs, so ``char`` never loads ``finite``).
 
 Two routes reach a stable Demazure module: ``demazure_character`` applies
 the operators of a reduced word for its whole Weyl group element w0*u, and
@@ -249,11 +249,9 @@ def affine_irreducible_character_truncated(rs, level, weight, max_grade):
     highest weight sits at grade 0 and the grade-0 slice is the irreducible
     finite-type character).  Exact at every depth <= max_grade.
 
-    The multiplicities of the level-dominant weights come from the one
-    Freudenthal recursion, ``finite.dominant_multiplicities``.  Every weight
-    at depth d has its finite part below weight + d*theta, so each
-    finite-dominant weight there is straightened once to read off its
-    multiplicity; the slices are the finite Weyl orbits of those weights.
+    The one Freudenthal recursion, ``finite.dominant_multiplicities``,
+    tabulates the multiplicity of every finite-dominant weight at each
+    depth; the slices are the finite Weyl orbits of those weights.
     """
     from .finite import dominant_multiplicities
 
@@ -266,13 +264,6 @@ def affine_irreducible_character_truncated(rs, level, weight, max_grade):
         raise ValueError(f"{weight} at level {level} is not affine dominant")
 
     mults = dominant_multiplicities(rs, weight, level, max_grade)
-    terms = {}
-    for depth in range(max_grade + 1):
-        for finite in rs.dominant_weights_below(rs.add(weight, rs.scale(depth, rs.theta.coords))):
-            dom, _ = straighten(rs, AffineWeight(finite, level, -depth))
-            if dom.delta > 0:
-                continue  # straightened above the highest weight: not a weight
-            m = mults[-dom.delta].get(dom.finite)
-            if m:
-                terms.update(((w, depth), m) for w in rs.weyl_orbit(finite))
-    return GradedCharacter(rs, terms)
+    return GradedCharacter(rs, {
+        (w, depth): m for depth, table in enumerate(mults) for mu, m in table.items() for w in rs.weyl_orbit(mu)
+    })

@@ -1,13 +1,13 @@
 """Finite-type character oracles and the surjection-existence criterion.
 
-One multiplicity recursion, :func:`dominant_multiplicities`, serves both
-the finite and the truncated affine characters: the irreducible finite
-module of a dominant weight is the depth-0 slice of an affine one, so its
-character is that slice, each multiplicity expanded over its Weyl orbit.
-The test suite (``tests/conftest.py``) holds them to
-an independent route, the divided-difference operators along a reduced
-word for the longest Weyl element; the two share no algorithmic step,
-which is what makes their exact agreement a meaningful cross-check.
+One multiplicity recursion, :func:`dominant_multiplicities`, tabulates
+every finite-dominant weight of an affine module at each depth; the
+truncated affine character is those tables and the finite one their
+depth-0 slice, each multiplicity expanded over its Weyl orbit.  The test
+suite (``tests/conftest.py``) holds the finite characters to an
+independent route, the divided-difference operators along a reduced word
+for the longest Weyl element; the two share no algorithmic step, which
+is what makes their exact agreement a meaningful cross-check.
 
 Tensor product multiplicities are obtained by iterated extraction of maximal
 isotypic components in one fixed order, tracking dominant weights only; the
@@ -58,43 +58,40 @@ def dominant_multiplicities(rs, top, level, max_depth):
     """Freudenthal's recursion (Kac, Infinite-dimensional Lie algebras,
     11.14) for the irreducible affine module of highest weight
     ``level * Lambda_0 + top``: for each depth d <= ``max_depth``, the map
-    ``{mu: multiplicity}`` over the level-dominant weights mu <= top + d*theta
-    of the module at depth d below the highest weight.
+    ``{mu: multiplicity}`` over every finite-dominant weight mu of the
+    module at depth d below the highest weight, all of them <= top + d*theta.
 
-    Every such weight is a weight of the module (Kac 12.6) and every
-    real-root string through a weight is unbroken, so each string stops at
-    its first weight with no multiplicity.  The depth-0 slice is the finite
-    irreducible module of ``top``: with ``level = top(h_theta)`` the call
-    ``(rs, top, level, 0)`` is the finite recursion.  All arithmetic is exact.
+    Every level-dominant such mu is a weight of the module (Kac 12.6), and
+    every real-root string through a weight is unbroken, so each string
+    stops at its first weight with no multiplicity.  A weight past the level
+    is read through node 0: the affine chamber walk raises it to a
+    level-dominant weight, tabulated at a depth lower by the walk's lift.
+    The depth-0 slice is the finite irreducible module of ``top``: with
+    ``level = top(h_theta)`` the call ``(rs, top, level, 0)`` is the finite
+    recursion.  All arithmetic is exact.
     """
     D = rs.pairing_scale
     top_norm = rs.weight_norm2(rs.add(top, rs.rho))
+    # depth + height is the affine height below the highest weight; walks
+    # and string steps lower it, so each weight read is tabulated already
     candidates = sorted(
         (depth + height, depth, mu)
         for depth in range(max_depth + 1)
         for mu, height in rs.dominant_weights_below(rs.add(top, rs.scale(depth, rs.theta.coords))).items()
-        if rs.theta_pairing(mu) <= level
     )
     mults = [{} for _ in range(max_depth + 1)]
-    lifted = {}  # representative past the level -> (affine-dominant finite part, depth drop)
-
-    def beyond(rep, depth):
-        # multiplicity of a finite-dominant weight missing from its depth's
-        # table: a level-dominant one is no weight, and reflecting one past
-        # the level at node 0 lowers the depth by its excess over the level
-        excess = rs.theta_pairing(rep) - level
-        if excess <= 0 or excess > depth:
-            return 0
-        hit = lifted.get(rep)
-        if hit is None:
-            dom, _, lift = rs._to_dominant(rep, level)
-            hit = lifted[rep] = (dom, lift)
-        dom, lift = hit
-        return mults[depth - lift].get(dom, 0) if lift <= depth else 0
-
     for height, depth, mu in candidates:
         if not height:
             mults[0][mu] = 1
+            continue
+        excess = depth and rs.theta_pairing(mu) - level  # no weight at depth 0 is past it
+        if excess > 0:
+            # the walk's first step, at node 0, already lifts by the excess;
+            # a lift past the depth rises above the highest weight
+            if excess <= depth:
+                dom, _, lift = rs._to_dominant(mu, level)
+                if lift <= depth and dom in mults[depth - lift]:
+                    mults[depth][mu] = mults[depth - lift][dom]
             continue
         acc = 0
         # real roots alpha + m*delta: m = 0 takes positive alpha only, while
@@ -114,11 +111,8 @@ def dominant_multiplicities(rs, top, level, max_depth):
                         cur = tuple(map(add, cur, step))
                         rep = rs.dominant_representative(cur)
                         mm = mults[d2].get(rep)
-                        if mm is None:
-                            # at depth 0 every weight is a candidate
-                            mm = d2 and beyond(rep, d2)
-                            if not mm:
-                                break
+                        if not mm:
+                            break
                         pair += 2 * scale
                         acc += pair * mm
                         d2 -= m

@@ -1,12 +1,14 @@
 import hashlib
+import math
+from collections import Counter
 
 import pytest
 
 from conftest import (
     affine_apply_word, affine_pairing, affine_reflect, demazure_weyl_character, dominant_box,
-    is_affine_dominant, seeded,
+    is_affine_dominant, root_coords_oracle, seeded,
 )
-from demkit import affine, rootsystem
+from demkit import rootsystem
 from demkit.affine import (
     AffineWeight,
     affine_irreducible_character_truncated,
@@ -382,16 +384,28 @@ BENCHMARK_TRUNCATIONS = [
 
 @pytest.mark.parametrize("name,level,lam,max_grade,digest", BENCHMARK_TRUNCATIONS,
                          ids=[f"{t[0]}-{','.join(map(str, t[2]))}" for t in BENCHMARK_TRUNCATIONS])
-def test_truncated_straightens_each_weight_once(monkeypatch, name, level, lam, max_grade, digest):
-    calls = []
+def test_truncated_walks_each_weight_past_the_level_once(monkeypatch, name, level, lam, max_grade, digest):
+    # a finite-dominant weight past the level takes its multiplicity from
+    # the affine chamber walk, once per depth, unless its excess over the
+    # level already exceeds the depth; no other weight is walked
+    rs = root_system(name)
+    walked = []
+    walk = rootsystem.RootSystem._to_dominant
 
-    def counting(rs, aw):
-        calls.append(aw)
-        return straighten(rs, aw)
+    def counting(self, weight, level=None):
+        if level is not None:
+            walked.append((weight, level))
+        return walk(self, weight, level)
 
-    monkeypatch.setattr(affine, "straighten", counting)
-    ch = affine_irreducible_character_truncated(root_system(name), level, lam, max_grade)
-    assert calls and len(calls) == len(set(calls))
+    monkeypatch.setattr(rootsystem.RootSystem, "_to_dominant", counting)
+    ch = affine_irreducible_character_truncated(rs, level, lam, max_grade)
+    expected = Counter(
+        (mu, level)
+        for depth in range(max_grade + 1)
+        for mu in rs.dominant_weights_below(rs.add(lam, rs.scale(depth, rs.theta.coords)))
+        if 0 < rs.theta_pairing(mu) - level <= depth
+    )
+    assert expected and Counter(walked) == expected
     assert hashlib.sha256(ch.to_jsonl(kind="graded").encode("utf-8")).hexdigest() == digest
 
 
@@ -424,10 +438,11 @@ def test_character_sweep_is_byte_identical():
 
 
 # Frenkel-Kac: at level 1 the basic module of a simply-laced type is the
-# lattice vertex algebra of its root lattice, so the weight 0 at depth d has
-# multiplicity p_n(d), the number of partitions of d into parts of n colours
+# lattice vertex algebra of its root lattice Q, so the weight gamma at depth
+# d has multiplicity p_n(d - (gamma, gamma)/2) when gamma is in Q, and 0
+# otherwise; p_n(k) is the number of partitions of k into parts of n colours
 FRENKEL_KAC = [
-    ("A1", [1, 1, 2, 3, 5, 7, 11]),
+    ("A1", [1, 1, 2, 3, 5, 7, 11, 15, 22]),
     ("A2", [1, 2, 5, 10, 20, 36]),
     ("A3", [1, 3, 9, 22, 51]),
     ("D4", [1, 4, 14, 40]),
@@ -438,6 +453,27 @@ FRENKEL_KAC = [
 @pytest.mark.parametrize("name,partitions", FRENKEL_KAC, ids=[t[0] for t in FRENKEL_KAC])
 def test_truncated_basic_module_is_frenkel_kac(name, partitions):
     rs = root_system(name)
-    zero = rs.zero_weight()
-    ch = affine_irreducible_character_truncated(rs, 1, zero, len(partitions) - 1)
-    assert [ch.terms.get((zero, d), 0) for d in range(len(partitions))] == partitions
+    max_depth = len(partitions) - 1
+    ch = affine_irreducible_character_truncated(rs, 1, rs.zero_weight(), max_depth)
+
+    def half_norm(gamma):
+        # (gamma, gamma)/2 over Fractions, or None off the root lattice;
+        # the form is the Cartan matrix on simple-root coordinates
+        coords = root_coords_oracle(rs, gamma)
+        if any(c.denominator != 1 for c in coords):
+            return None
+        return sum(c * w for c, w in zip(coords, gamma)) / 2
+
+    for (gamma, d), m in ch.terms.items():
+        half = half_norm(gamma)
+        assert half is not None and half.denominator == 1 and half <= d, (gamma, d)
+        assert m == partitions[d - int(half)], (gamma, d)
+    # every dominant gamma of Q with (gamma, gamma)/2 <= d is present: a
+    # dominant gamma has (gamma, gamma) >= sum_i gamma_i^2 (omega_i, omega_i)
+    # >= sum_i gamma_i^2 / 2, so each coordinate is at most isqrt(4d)
+    for gamma in dominant_box(rs, math.isqrt(4 * max_depth)):
+        half = half_norm(gamma)
+        for d in range(max_depth + 1):
+            if half is not None and half <= d:
+                assert ch.terms.get((gamma, d)) == partitions[d - int(half)], (gamma, d)
+    assert ch.is_w_invariant()

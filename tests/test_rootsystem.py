@@ -417,9 +417,11 @@ def test_only_the_cli_imports_the_cache():
     assert offenders == []
 
 
-def test_one_function_outside_rootsystem_calls_weight_norm2():
-    # the norm gap of the multiplicity recursion is the form's one use
-    # outside rootsystem.py, so the finite and affine characters share it
+@pytest.mark.parametrize("method", ["weight_norm2", "dominant_weights_below"])
+def test_one_function_outside_rootsystem_calls(method):
+    # the multiplicity recursion is the one place outside rootsystem.py
+    # that takes the norm gap and walks down from the tops, so the finite
+    # and affine characters share both
     package = pathlib.Path(demkit.__file__).parent
     callers = sorted({
         f"{path.name}:{fn.name}"
@@ -427,9 +429,9 @@ def test_one_function_outside_rootsystem_calls_weight_norm2():
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "weight_norm2"
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == method
     })
-    assert len(callers) == 1, callers
+    assert callers == ["finite.py:dominant_multiplicities"], callers
 
 
 def test_dual_coxeter_numbers():
