@@ -11,13 +11,17 @@ convolved by hand, irreducible characters are rebuilt by divided-difference
 operators along the longest word, tensor products of irreducibles are
 decomposed by the Brauer-Klimyk formula over that character, and
 stabilization windows are cut from the full-word Demazure character.
+The divided-difference operators here keep each term as a
+``(weight tuple, grade)`` key: the oracle of the library's packed-integer
+Demazure chain.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from operator import add, mul
 
-from demkit.affine import AffineWeight, demazure_operator
+from demkit.affine import AffineWeight, straighten
 from demkit.charalg import GradedCharacter
 
 
@@ -146,13 +150,65 @@ def longest_word(rs):
     return tuple(word)
 
 
+def tuple_demazure_operator(rs, i, char, level, touched=None):
+    """One isobaric divided-difference operator on a ``GradedCharacter``
+    with ``(weight, grade)`` keys, applied termwise.
+
+    For a term of weight w with k = <w, h_i>: if k >= 0 it expands to the
+    string w, w - a_i, ..., w - k a_i; if k == -1 it dies; if k <= -2 it
+    contributes the string w + a_i, ..., w + (-k-1) a_i negatively.  The
+    operator at node 0 needs the ambient ``level``.  Every key the string
+    walk writes, kept or cancelled, is added to ``touched`` when given.
+    """
+    # node 0 walks along +theta and lowers the grade; node i walks along
+    # -alpha_i at a fixed grade.  The negative string reverses the step.
+    if i == 0:
+        fwd, gfwd, coroot = rs.theta.coords, -1, rs.theta.coroot
+    else:
+        fwd, gfwd, pos = tuple(-a for a in rs.simple_root_coords[i - 1]), 0, i - 1
+    back = tuple(-a for a in fwd)
+    out = {}
+    for (w, g), m in char.terms.items():
+        k = w[pos] if i else level - sum(map(mul, coroot, w))
+        if k >= 0:
+            step, gstep, count = fwd, gfwd, k + 1
+        elif k <= -2:
+            step, gstep, count, m = back, -gfwd, -k - 1, -m
+            w, g = tuple(map(add, w, step)), g + gstep
+        else:
+            continue
+        for _ in range(count):
+            key = (w, g)
+            if touched is not None:
+                touched.add(key)
+            v = out.get(key, 0) + m
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+            w = tuple(map(add, w, step))
+            g += gstep
+    return GradedCharacter(rs, out)
+
+
+def tuple_demazure_from(rs, level, extremal, touched=None):
+    """The Demazure chain of the affine weight ``(extremal, level, 0)`` on
+    tuple keys: the monomial of its straightened top, then one tuple
+    operator per letter of the straightening word."""
+    top, word = straighten(rs, AffineWeight(extremal, level, 0))
+    char = GradedCharacter.monomial(rs, top.finite, top.delta)
+    for letter in word:
+        char = tuple_demazure_operator(rs, letter, char, level, touched)
+    return char
+
+
 def demazure_weyl_character(rs, weight):
     """The irreducible character of a dominant weight, via divided-difference
     operators along a reduced word for the longest element: the cross-oracle
     of ``finite.weyl_character``, sharing no algorithmic step with it."""
     char = GradedCharacter.monomial(rs, rs.check_dominant(weight))
     for letter in longest_word(rs):
-        char = demazure_operator(rs, letter, char, 0)
+        char = tuple_demazure_operator(rs, letter, char, 0)
     return char
 
 

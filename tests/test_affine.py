@@ -6,9 +6,9 @@ import pytest
 
 from conftest import (
     affine_apply_word, affine_pairing, affine_reflect, demazure_weyl_character, dominant_box,
-    is_affine_dominant, root_coords_oracle, seeded,
+    is_affine_dominant, root_coords_oracle, seeded, tuple_demazure_from,
 )
-from demkit import rootsystem
+from demkit import affine, rootsystem
 from demkit.affine import (
     AffineWeight,
     affine_irreducible_character_truncated,
@@ -248,6 +248,47 @@ def test_graded_isotypic_matches_the_full_word(name, level):
         for (mu, _), m in components.items():
             summed[mu] = summed.get(mu, 0) + m
         assert summed == tensor_decompose(rs, full.collapse())
+
+
+# every type of rank <= 5 with E6, F4 and G2, at levels 1-3: the
+# fundamental weights, and the KR weights of the two end nodes
+CHAIN_SWEEP = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5",
+               "E6", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name", CHAIN_SWEEP)
+def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
+    # both routes through the library's chain against the same routes
+    # through the tuple-key chain of conftest, byte for byte and in term
+    # order; every key the oracle chain writes is a weight of the module,
+    # so its pairings with the simple coroots and with the highest coroot
+    # stay within sum over positive roots beta of (top + delta*theta)(h_beta)
+    # and its grade within 0..delta
+    rs = root_system(name)
+    cases = sorted({
+        (level, weight)
+        for level in (1, 2, 3)
+        for weight in [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)]
+        + [rs.kr_weight(1, level), rs.kr_weight(rs.rank, level)]
+    })
+    touched = set()
+
+    def oracle(rs, level, extremal):
+        return tuple_demazure_from(rs, level, extremal, touched)
+
+    for level, weight in cases:
+        full = demazure_character(rs, level, weight)
+        components = graded_isotypic(rs, level, weight)
+        touched.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(affine, "_demazure_from", oracle)
+            assert demazure_character(rs, level, weight).to_jsonl(kind="graded") == full.to_jsonl(kind="graded")
+            assert list(graded_isotypic(rs, level, weight).items()) == list(components.items())
+        top, _ = straighten(rs, AffineWeight(weight, level, 0))
+        nu = rs.add(top.finite, rs.scale(top.delta, rs.theta.coords))
+        bound = sum(rs.pairing(nu, b) for b in range(len(rs.positive_roots)))
+        assert max(abs(c) for w, _ in touched for c in (*w, rs.theta_pairing(w))) <= bound
+        assert 0 <= min(g for _, g in touched) and max(g for _, g in touched) <= top.delta
 
 
 def test_graded_isotypic_small_cases():
