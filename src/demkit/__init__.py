@@ -15,7 +15,7 @@ _EXPORTS = {
     "charalg": ("GradedCharacter",),
     "affine": (
         "AffineWeight", "Relation", "affine_irreducible_character_truncated",
-        "demazure_character", "demazure_operator", "kr_character", "presentation", "straighten",
+        "demazure_character", "kr_character", "presentation", "straighten",
     ),
     "finite": ("surjection_exists", "tensor_decompose", "weyl_character", "weyl_dimension"),
     "theorems": (

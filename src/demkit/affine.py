@@ -8,7 +8,11 @@ Two routes reach a stable Demazure module: ``demazure_character`` applies
 the operators of a reduced word for its whole Weyl group element w0*u, and
 ``graded_isotypic`` applies only u's and reads off graded isotypic
 multiplicities by Bott's rule.  The claims layer reads decompositions from
-the second route; the tests hold it to the first.
+the second route; the tests hold it to the first.  Both run one operator
+chain, whose terms are single ints of fixed-width fields (``_pack``): a
+string step is one integer addition.  The fields' width is checked against
+an a priori bound on the module's weights before the chain starts; a bound
+that does not fit is an internal error.
 
 Conventions.  An affine weight is ``(finite, level, delta)``: a finite weight
 in fundamental coordinates, the coefficient of the level-defining fundamental
@@ -28,8 +32,8 @@ comparison needs.
 
 from __future__ import annotations
 
+import struct
 from collections import namedtuple
-from operator import add, mul
 
 from .charalg import GradedCharacter
 
@@ -37,7 +41,6 @@ __all__ = [
     "AffineWeight",
     "Relation",
     "straighten",
-    "demazure_operator",
     "demazure_character",
     "graded_isotypic",
     "kr_character",
@@ -46,6 +49,9 @@ __all__ = [
 ]
 
 AffineWeight = namedtuple("AffineWeight", "finite level delta")
+
+_FIELD = "i"  # struct code of one field of a packed chain term: 32 bits
+_Chain = namedtuple("_Chain", "terms")  # {packed term: multiplicity}
 
 
 def straighten(rs, aw):
@@ -67,41 +73,64 @@ def straighten(rs, aw):
     return AffineWeight(finite, aw.level, aw.delta + lift), tuple(reversed(word))
 
 
-def demazure_operator(rs, i, char, level):
-    """One isobaric divided-difference operator, applied termwise.
+def _pack(rs, weight, grade):
+    """A chain term as one int of ``_FIELD``-sized fields, each offset by
+    half its range: field 0 holds -weight(h_theta), the finite part of the
+    pairing with the zeroth coroot, fields 1..n the weight, field n+1 the
+    grade.  A difference of packed terms is a string step."""
+    bits = 8 * struct.calcsize(_FIELD)
+    fields = (-rs.theta_pairing(weight), *weight, grade)
+    return sum(f + (1 << bits - 1) << bits * j for j, f in enumerate(fields))
+
+
+def _unpack(rs, chain):
+    """The ``GradedCharacter`` of packed terms, in their order."""
+    fields = struct.Struct(f"<{rs.rank + 2}{_FIELD}")
+    # flipping the top bit of each field leaves it in two's complement
+    flip = _pack(rs, rs.zero_weight(), 0)
+    keys = map(fields.unpack, [(key ^ flip).to_bytes(fields.size, "little") for key in chain.terms])
+    return GradedCharacter(rs, {(f[1:-1], f[-1]): m for f, m in zip(keys, chain.terms.values())})
+
+
+def demazure_operator(rs, i, chain, level):
+    """One isobaric divided-difference operator, applied termwise to the
+    packed terms of a Demazure chain (see ``_pack``).
 
     For a term of weight w with k = <w, h_i>: if k >= 0 it expands to the
     string w, w - a_i, ..., w - k a_i; if k == -1 it dies; if k <= -2 it
-    contributes the string w + a_i, ..., w + (-k-1) a_i negatively.  The
-    operator at node 0 needs the ambient ``level``; finite nodes ignore it.
+    contributes the string w + a_i, ..., w + (-k-1) a_i negatively.  k is
+    field i of the term, plus ``level`` at node 0, and a string step adds
+    one int.
     """
+    bits = 8 * struct.calcsize(_FIELD)
+    shift, mask = bits * i, (1 << bits) - 1
+    base = (level if i == 0 else 0) - (1 << bits - 1)
     # node 0 walks along +theta and lowers the grade; node i walks along
     # -alpha_i at a fixed grade.  The negative string reverses the step.
+    zero = _pack(rs, rs.zero_weight(), 0)
     if i == 0:
-        fwd, gfwd, coroot = rs.theta.coords, -1, rs.theta.coroot
+        fwd = _pack(rs, rs.theta.coords, -1) - zero
     else:
-        fwd, gfwd, pos = tuple(-a for a in rs.simple_root_coords[i - 1]), 0, i - 1
-    back = tuple(-a for a in fwd)
+        fwd = zero - _pack(rs, rs.simple_root_coords[i - 1], 0)
     out = {}
-    for (w, g), m in char.terms.items():
-        k = w[pos] if i else level - sum(map(mul, coroot, w))
+    get = out.get
+    for key, m in chain.terms.items():
+        k = (key >> shift & mask) + base
         if k >= 0:
-            step, gstep, count = fwd, gfwd, k + 1
+            step, count = fwd, k + 1
         elif k <= -2:
-            step, gstep, count, m = back, -gfwd, -k - 1, -m
-            w, g = tuple(map(add, w, step)), g + gstep
+            step, count, m = -fwd, -k - 1, -m
+            key -= fwd
         else:
             continue
         for _ in range(count):
-            key = (w, g)
-            v = out.get(key, 0) + m
+            v = get(key, 0) + m
             if v:
                 out[key] = v
             else:
                 del out[key]
-            w = tuple(map(add, w, step))
-            g += gstep
-    return GradedCharacter(rs, out)
+            key += step
+    return _Chain(out)
 
 
 def _check_stable_input(rs, level, weight):
@@ -117,12 +146,25 @@ def _check_stable_input(rs, level, weight):
 
 def _demazure_from(rs, level, extremal):
     """Apply the Demazure operators of the word that straightens the affine
-    weight ``(extremal, level, 0)``, starting from the dominant monomial."""
+    weight ``(extremal, level, 0)``, starting from the dominant monomial.
+
+    The chain runs on packed terms.  Every key it writes is a weight of the
+    stable module of the top: its grade lies in 0..delta, and its finite
+    part lies below nu = top + delta*theta with its whole Weyl orbit, so
+    each of its pairings is at most B = sum over positive roots beta of
+    nu(h_beta) >= 2*delta in size.  A B that does not fit a field is an
+    internal error, raised before anything is packed.
+    """
     top, word = straighten(rs, AffineWeight(extremal, level, 0))
-    char = GradedCharacter.monomial(rs, top.finite, top.delta)
+    nu = rs.add(top.finite, rs.scale(top.delta, rs.theta.coords))
+    bound = sum(rs.pairing(nu, b) for b in range(len(rs.positive_roots)))
+    bits = 8 * struct.calcsize(_FIELD)
+    if bound >= 1 << bits - 1:
+        raise RuntimeError(f"internal error: weight bound {bound} of {top} overflows {bits}-bit chain fields")
+    chain = _Chain({_pack(rs, top.finite, top.delta): 1})
     for letter in word:
-        char = demazure_operator(rs, letter, char, level)
-    return char
+        chain = demazure_operator(rs, letter, chain, level)
+    return _unpack(rs, chain)
 
 
 def demazure_character(rs, level, weight):

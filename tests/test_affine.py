@@ -6,14 +6,13 @@ import pytest
 
 from conftest import (
     affine_apply_word, affine_pairing, affine_reflect, demazure_weyl_character, dominant_box,
-    is_affine_dominant, root_coords_oracle, seeded, tuple_demazure_from,
+    is_affine_dominant, root_coords_oracle, seeded, tuple_demazure_from, tuple_demazure_operator,
 )
 from demkit import affine, rootsystem
 from demkit.affine import (
     AffineWeight,
     affine_irreducible_character_truncated,
     demazure_character,
-    demazure_operator,
     graded_isotypic,
     kr_character,
     presentation,
@@ -127,27 +126,41 @@ def test_straighten_replay_and_wall_crossings(name):
 # the operators
 
 
+def packed_operator(rs, i, char, level):
+    """The library's operator on a character: its terms packed, the
+    operator applied, the result unpacked."""
+    chain = affine._Chain({affine._pack(rs, w, g): m for (w, g), m in char.terms.items()})
+    return affine._unpack(rs, affine.demazure_operator(rs, i, chain, level))
+
+
+# every operator test runs on the library's packed kernel and on the
+# tuple-key oracle of conftest
+KERNELS = (packed_operator, tuple_demazure_operator)
+
+
 def test_operator_fixes_zero_pairing_monomial():
     x = GradedCharacter.monomial(A2, (0, 1))
-    assert demazure_operator(A2, 1, x, 0) == x
+    for operator in KERNELS:
+        assert operator(A2, 1, x, 0) == x
 
 
 def test_operator_kills_pairing_minus_one():
     x = GradedCharacter.monomial(A2, (-1, 0))
-    assert demazure_operator(A2, 1, x, 0).terms == {}
+    for operator in KERNELS:
+        assert operator(A2, 1, x, 0).terms == {}
 
 
 def test_operator_zero_string_at_level():
     x = GradedCharacter.monomial(A1, (0,), 1)  # pairing with node 0 is 1 at level 1
-    out = demazure_operator(A1, 0, x, level=1)
-    assert out.terms == {((0,), 1): 1, ((2,), 0): 1}
+    for operator in KERNELS:
+        assert operator(A1, 0, x, level=1).terms == {((0,), 1): 1, ((2,), 0): 1}
 
 
 def test_operator_negative_string():
     # pairing -2 contributes the interior of the string, negated
     x = GradedCharacter.monomial(A1, (-2,))
-    out = demazure_operator(A1, 1, x, 0)
-    assert out.terms == {((0,), 0): -1}
+    for operator in KERNELS:
+        assert operator(A1, 1, x, 0).terms == {((0,), 0): -1}
 
 
 def test_operators_are_idempotent():
@@ -160,9 +173,24 @@ def test_operators_are_idempotent():
         x = GradedCharacter(A2, terms)
         level = rng.randint(1, 3)
         for i in range(3):
-            once = demazure_operator(A2, i, x, level)
-            twice = demazure_operator(A2, i, once, level)
-            assert once == twice
+            results = []
+            for operator in KERNELS:
+                once = operator(A2, i, x, level)
+                assert operator(A2, i, once, level) == once
+                results.append(once)
+            assert results[0] == results[1]
+
+
+def test_packed_terms_round_trip():
+    # negative fields and grades, and the term order, survive packing
+    rs = root_system("B3")
+    rng = seeded("pack")
+    terms = {
+        (tuple(rng.randint(-50, 50) for _ in range(3)), rng.randint(-9, 9)): rng.randint(-5, 5) or 1
+        for _ in range(200)
+    }
+    chain = affine._Chain({affine._pack(rs, w, g): m for (w, g), m in terms.items()})
+    assert list(affine._unpack(rs, chain).terms.items()) == list(terms.items())
 
 
 # ---------------------------------------------------------------------------

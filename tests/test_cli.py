@@ -386,6 +386,22 @@ def test_internal_errors_exit_5(capsys, monkeypatch):
     assert err == "error: internal error: simulated\n"
 
 
+def test_chain_fields_too_narrow_exit_5(capsys, monkeypatch, isolated_cache):
+    # with 8-bit chain fields (offset 128), A1 weight 12 at level 1 (weight
+    # bound 72) still fits and gives the same character; weight 20 (bound
+    # 200) is refused before the chain runs: no output and no cache entry
+    from demkit import affine
+
+    args = ("char", "--system", "A1", "--level", "1", "--graded", "--weight")
+    _, wide, _ = run(capsys, *args, "12", "--no-cache")
+    monkeypatch.setattr(affine, "_FIELD", "b")
+    assert run(capsys, *args, "12", "--no-cache") == (0, wide, "")
+    code, out, err = run(capsys, *args, "20")
+    assert code == 5 and out == ""
+    assert err.startswith("error: internal error: weight bound 200 ") and err.count("\n") == 1
+    assert not isolated_cache.exists() or not os.listdir(isolated_cache)
+
+
 @pytest.mark.parametrize("label,attr,corrupt,call,argv", [
     ("A2", "dual_coxeter", lambda rs: rs.dual_coxeter + 1,
      lambda rs: demkit.affine_irreducible_character_truncated(rs, 1, (0, 0), 2),
