@@ -9,10 +9,8 @@ the operators of a reduced word for its whole Weyl group element w0*u, and
 ``graded_isotypic`` applies only u's and reads off graded isotypic
 multiplicities by Bott's rule.  The claims layer reads decompositions from
 the second route; the tests hold it to the first.  Both run one operator
-chain, whose terms are single ints of fixed-width fields (``_pack``): a
-string step is one integer addition.  The fields' width is checked against
-an a priori bound on the module's weights before the chain starts; a bound
-that does not fit is an internal error.
+chain on terms packed into single ints (``_pack``), so that a string step
+is one integer addition.
 
 Conventions.  An affine weight is ``(finite, level, delta)``: a finite weight
 in fundamental coordinates, the coefficient of the level-defining fundamental
@@ -148,12 +146,10 @@ def _demazure_from(rs, level, extremal):
     """Apply the Demazure operators of the word that straightens the affine
     weight ``(extremal, level, 0)``, starting from the dominant monomial.
 
-    The chain runs on packed terms.  Every key it writes is a weight of the
-    stable module of the top: its grade lies in 0..delta, and its finite
-    part lies below nu = top + delta*theta with its whole Weyl orbit, so
-    each of its pairings is at most B = sum over positive roots beta of
-    nu(h_beta) >= 2*delta in size.  A B that does not fit a field is an
-    internal error, raised before anything is packed.
+    Every term of the chain is a weight of the stable module of the top, so
+    its grade lies in 0..delta and its Weyl orbit below nu = top +
+    delta*theta: no field exceeds B = sum over beta > 0 of nu(h_beta) >=
+    2*delta in size.  A B too wide for the fields is refused up front.
     """
     top, word = straighten(rs, AffineWeight(extremal, level, 0))
     nu = rs.add(top.finite, rs.scale(top.delta, rs.theta.coords))

@@ -49,10 +49,6 @@ class GradedCharacter:
         """The ring identity: the zero weight at grade 0."""
         return cls(system, {(system.zero_weight(), 0): 1})
 
-    @classmethod
-    def monomial(cls, system, weight, grade=0):
-        return cls(system, {(system.check_weight(weight), grade): 1})
-
     # ------------------------------------------------------------------
     # ring structure
 

@@ -97,6 +97,11 @@ def seeded(name):
     return random.Random(f"demkit-{name}")
 
 
+def monomial(rs, weight, grade=0):
+    """The character e^weight at one grade."""
+    return GradedCharacter(rs, {(rs.check_weight(weight), grade): 1})
+
+
 def scaled(char, k):
     """``k`` times a character."""
     return GradedCharacter(char.system, {key: k * m for key, m in char.terms.items()})
@@ -196,7 +201,7 @@ def tuple_demazure_from(rs, level, extremal, touched=None):
     tuple keys: the monomial of its straightened top, then one tuple
     operator per letter of the straightening word."""
     top, word = straighten(rs, AffineWeight(extremal, level, 0))
-    char = GradedCharacter.monomial(rs, top.finite, top.delta)
+    char = monomial(rs, top.finite, top.delta)
     for letter in word:
         char = tuple_demazure_operator(rs, letter, char, level, touched)
     return char
@@ -206,7 +211,7 @@ def demazure_weyl_character(rs, weight):
     """The irreducible character of a dominant weight, via divided-difference
     operators along a reduced word for the longest element: the cross-oracle
     of ``finite.weyl_character``, sharing no algorithmic step with it."""
-    char = GradedCharacter.monomial(rs, rs.check_dominant(weight))
+    char = monomial(rs, rs.check_dominant(weight))
     for letter in longest_word(rs):
         char = tuple_demazure_operator(rs, letter, char, 0)
     return char

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import (
     affine_apply_word, affine_pairing, affine_reflect, demazure_weyl_character, dominant_box,
-    is_affine_dominant, root_coords_oracle, seeded, tuple_demazure_from, tuple_demazure_operator,
+    is_affine_dominant, monomial, root_coords_oracle, seeded, tuple_demazure_from,
+    tuple_demazure_operator,
 )
 from demkit import affine, rootsystem
 from demkit.affine import (
@@ -139,26 +140,26 @@ KERNELS = (packed_operator, tuple_demazure_operator)
 
 
 def test_operator_fixes_zero_pairing_monomial():
-    x = GradedCharacter.monomial(A2, (0, 1))
+    x = monomial(A2, (0, 1))
     for operator in KERNELS:
         assert operator(A2, 1, x, 0) == x
 
 
 def test_operator_kills_pairing_minus_one():
-    x = GradedCharacter.monomial(A2, (-1, 0))
+    x = monomial(A2, (-1, 0))
     for operator in KERNELS:
         assert operator(A2, 1, x, 0).terms == {}
 
 
 def test_operator_zero_string_at_level():
-    x = GradedCharacter.monomial(A1, (0,), 1)  # pairing with node 0 is 1 at level 1
+    x = monomial(A1, (0,), 1)  # pairing with node 0 is 1 at level 1
     for operator in KERNELS:
         assert operator(A1, 0, x, level=1).terms == {((0,), 1): 1, ((2,), 0): 1}
 
 
 def test_operator_negative_string():
     # pairing -2 contributes the interior of the string, negated
-    x = GradedCharacter.monomial(A1, (-2,))
+    x = monomial(A1, (-2,))
     for operator in KERNELS:
         assert operator(A1, 1, x, 0).terms == {((0,), 0): -1}
 

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import random_dominant, scaled, seeded
+from conftest import monomial, random_dominant, scaled, seeded
 from demkit.charalg import GradedCharacter
 from demkit.finite import weyl_character
 from demkit.rootsystem import root_system
@@ -120,7 +120,7 @@ def test_w_invariance():
     for _ in range(20):
         lam = random_dominant(rng, rs, 3)
         assert weyl_character(rs, lam).is_w_invariant()
-    spike = GradedCharacter.monomial(rs, (1, 0))
+    spike = monomial(rs, (1, 0))
     assert not spike.is_w_invariant()
 
 

@@ -1,8 +1,8 @@
 import pytest
 
 from conftest import (
-    brauer_klimyk, clebsch_gordan_sl2, demazure_weyl_character, dominant_box, random_dominant,
-    scaled, seeded,
+    brauer_klimyk, clebsch_gordan_sl2, demazure_weyl_character, dominant_box, monomial,
+    random_dominant, scaled, seeded,
 )
 from demkit.charalg import GradedCharacter
 from demkit.finite import (
@@ -161,7 +161,7 @@ def test_extraction_matches_brauer_klimyk(rs, bound):
 
 
 def test_rejects_non_characters():
-    spike = GradedCharacter.monomial(A2, (1, 0))
+    spike = monomial(A2, (1, 0))
     with pytest.raises(ValueError):
         tensor_decompose(A2, spike)
     graded = GradedCharacter(A1, {((0,), 1): 1})
