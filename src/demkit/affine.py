@@ -10,7 +10,9 @@ the operators of a reduced word for its whole Weyl group element w0*u, and
 multiplicities by Bott's rule.  The claims layer reads decompositions from
 the second route; the tests hold it to the first.  Both run one operator
 chain on terms packed into single ints (``_pack``), so that a string step
-is one integer addition.
+is one integer addition.  An operator fixes every s_i-symmetric part of
+its input, so it copies the input and walks only the asymmetric part of
+each string (``demazure_operator``).
 
 Conventions.  An affine weight is ``(finite, level, delta)``: a finite weight
 in fundamental coordinates, the coefficient of the level-defining fundamental
@@ -91,43 +93,56 @@ def _unpack(rs, chain):
 
 
 def demazure_operator(rs, i, chain, level):
-    """One isobaric divided-difference operator, applied termwise to the
-    packed terms of a Demazure chain (see ``_pack``).
+    """One isobaric divided-difference operator D_i, applied to the packed
+    terms of a Demazure chain (see ``_pack``).
 
-    For a term of weight w with k = <w, h_i>: if k >= 0 it expands to the
-    string w, w - a_i, ..., w - k a_i; if k == -1 it dies; if k <= -2 it
-    contributes the string w + a_i, ..., w + (-k-1) a_i negatively.  k is
-    field i of the term, plus ``level`` at node 0, and a string step adds
-    one int.
+    On a monomial e^w with k = <w, h_i>, D_i gives the string e^w + e^(w -
+    a_i) + ... + e^(s_i w) when k >= 0, nothing when k == -1, and minus the
+    interior of the string e^(w + a_i) + ... + e^(s_i w - a_i) when k <= -2.
+    So D_i fixes e^w + e^(s_i w), and with a(w) = c(w) - c(s_i w) for the
+    coefficients c of the input f,
+
+        D_i f = f + sum over k > 0 of a(w) (e^(w - a_i) + ... + e^(s_i w)).
+
+    The output starts as a copy of the input, and only the asymmetric part
+    of each string is walked: a term with k > 0 walks its k steps when a(w)
+    is nonzero, and a term with k < 0 whose mirror s_i w is absent walks the
+    mirror's string with -c(w).  This is exact on any input.  k is field i
+    of the term, plus ``level`` at node 0; a string step adds one int.
     """
     bits = 8 * struct.calcsize(_FIELD)
     shift, mask = bits * i, (1 << bits) - 1
     base = (level if i == 0 else 0) - (1 << bits - 1)
     # node 0 walks along +theta and lowers the grade; node i walks along
-    # -alpha_i at a fixed grade.  The negative string reverses the step.
+    # -alpha_i at a fixed grade; key + k*fwd is the mirror s_i(key)
     zero = _pack(rs, rs.zero_weight(), 0)
     if i == 0:
         fwd = _pack(rs, rs.theta.coords, -1) - zero
     else:
         fwd = zero - _pack(rs, rs.simple_root_coords[i - 1], 0)
-    out = {}
+    terms = chain.terms
+    out = dict(terms)
     get = out.get
-    for key, m in chain.terms.items():
+    for key, m in terms.items():
         k = (key >> shift & mask) + base
-        if k >= 0:
-            step, count = fwd, k + 1
-        elif k <= -2:
-            step, count, m = -fwd, -k - 1, -m
-            key -= fwd
+        if k > 0:
+            m -= terms.get(key + k * fwd, 0)
+            if not m:
+                continue
+        elif k < 0:
+            mirror = key + k * fwd
+            if mirror in terms:
+                continue
+            key, k, m = mirror, -k, -m
         else:
             continue
-        for _ in range(count):
+        for _ in range(k):
+            key += fwd
             v = get(key, 0) + m
             if v:
                 out[key] = v
             else:
                 del out[key]
-            key += step
     return _Chain(out)
 
 
@@ -146,17 +161,30 @@ def _demazure_from(rs, level, extremal):
     """Apply the Demazure operators of the word that straightens the affine
     weight ``(extremal, level, 0)``, starting from the dominant monomial.
 
-    Every term of the chain is a weight of the stable module of the top, so
-    its grade lies in 0..delta and its Weyl orbit below nu = top +
-    delta*theta: no field exceeds B = sum over beta > 0 of nu(h_beta) >=
-    2*delta in size.  A B too wide for the fields is refused up front.
+    Every key the chain's operators read or write is a weight of the
+    Demazure module V of the whole word.  Each chain term w is a weight of
+    the module of a prefix of the word, which V contains; the operator at
+    node i reads the mirror s_i(w) and walks the i-string between w and
+    s_i(w), and all of these are weights of the module of the prefix one
+    letter longer, which is stable under node i's sl_2 and also lies in V.
+    This holds for k < 0 too, where the operator reads the mirror without
+    writing it: at node 0 that key has finite part s_theta(w) + level*theta
+    and grade g - k, above w's grade g.  A weight of V lies at grade
+    0..delta (grade 0 holds the extremal weight, delta the top), and its
+    finite part is Weyl-conjugate to a dominant weight below nu = top +
+    delta*theta.  So no field of a key exceeds B = sum over beta > 0 of
+    nu(h_beta) >= 2*delta in size, and a B too wide for the fields is
+    refused up front.
     """
     top, word = straighten(rs, AffineWeight(extremal, level, 0))
     nu = rs.add(top.finite, rs.scale(top.delta, rs.theta.coords))
     bound = sum(rs.pairing(nu, b) for b in range(len(rs.positive_roots)))
     bits = 8 * struct.calcsize(_FIELD)
     if bound >= 1 << bits - 1:
-        raise RuntimeError(f"internal error: weight bound {bound} of {top} overflows {bits}-bit chain fields")
+        raise RuntimeError(
+            f"internal error: weight bound {bound} of {top} overflows the {bits}-bit fields of the"
+            " keys its Demazure chain reads and writes"
+        )
     chain = _Chain({_pack(rs, top.finite, top.delta): 1})
     for letter in word:
         chain = demazure_operator(rs, letter, chain, level)
@@ -186,7 +214,7 @@ def demazure_character(rs, level, weight):
 def graded_isotypic(rs, level, weight):
     """Graded isotypic decomposition of the same module as
     :func:`demazure_character`: ``{(dominant weight, grade): multiplicity}``,
-    every multiplicity positive.
+    every multiplicity positive, in sorted (weight, grade) order.
 
     The module is stable under the finite Lie algebra, so its Weyl group
     element factors as w0*u with lengths adding, and D_w = D_w0 D_u; u is
@@ -213,7 +241,7 @@ def graded_isotypic(rs, level, weight):
             raise RuntimeError(
                 f"internal error: multiplicity {m} of {lam} at grade {g} in the module of {weight}"
             )
-    return {key: m for key, m in out.items() if m}
+    return {key: out[key] for key in sorted(out) if out[key]}
 
 
 def kr_character(rs, level, node):

@@ -38,6 +38,8 @@ class GradedCharacter:
         self.system = system
         if terms is None:
             self.terms = {}
+        elif all(terms.values()):  # the common case: one copy at C speed
+            self.terms = dict(terms)
         else:
             self.terms = {k: m for k, m in terms.items() if m}
 
@@ -174,12 +176,20 @@ class GradedCharacter:
         if kind not in ("plain", "graded"):
             raise ValueError(f"unknown serialization kind {kind!r}")
         header = json.dumps({"system": self.system.name, "kind": kind}, separators=(",", ":"))
-        terms = self.terms
-        body = "".join([
-            '{"w":[%s],"g":%d,"m":"%d"}\n' % (",".join(map(str, w)), g, terms[w, g])
-            for w, g in sorted(terms)
-        ])
-        return header + "\n" + body
+        # sorting the distinct weights, then each weight's grades, gives the
+        # (weight, grade) order with every weight's prefix formatted once
+        groups = {}
+        for (w, g), m in self.terms.items():
+            if w in groups:
+                groups[w].append((g, m))
+            else:
+                groups[w] = [(g, m)]
+        lines = [header + "\n"]
+        for w in sorted(groups):
+            head = '{"w":[%s],"g":' % ",".join(map(str, w))
+            lines += [head + '%d,"m":"%d"}\n' % gm for gm in sorted(groups.pop(w))]
+        del groups  # freed before the join, so the peak stays at the lines plus the text
+        return "".join(lines)
 
     @classmethod
     def from_jsonl(cls, text):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from collections import Counter
 
@@ -131,7 +132,9 @@ def packed_operator(rs, i, char, level):
     """The library's operator on a character: its terms packed, the
     operator applied, the result unpacked."""
     chain = affine._Chain({affine._pack(rs, w, g): m for (w, g), m in char.terms.items()})
-    return affine._unpack(rs, affine.demazure_operator(rs, i, chain, level))
+    out = affine.demazure_operator(rs, i, chain, level)
+    assert all(out.terms.values())  # a cancelled term leaves the chain
+    return affine._unpack(rs, out)
 
 
 # every operator test runs on the library's packed kernel and on the
@@ -180,6 +183,94 @@ def test_operators_are_idempotent():
                 assert operator(A2, i, once, level) == once
                 results.append(once)
             assert results[0] == results[1]
+
+
+def mirror(rs, i, key, level):
+    """s_i of a (weight, grade) key; at node 0 the level enters."""
+    aw = affine_reflect(rs, AffineWeight(key[0], level, key[1]), i)
+    return aw.finite, aw.delta
+
+
+def keys_pairing(rs, i, level, k, span=6):
+    """Every weight in the box -span..span (at grade 0) pairing k with node i."""
+    return [(w, 0) for w in itertools.product(range(-span, span + 1), repeat=rs.rank)
+            if affine_pairing(rs, AffineWeight(w, level, 0), i) == k]
+
+
+@pytest.mark.parametrize("name", ["A2", "G2"])
+@pytest.mark.parametrize("k", [-1, -2, -5])
+def test_lone_negative_term_walks_its_absent_mirror(name, k):
+    # a term pairing k < 0 with no mirror in the input gives minus the
+    # interior of its string, |k| - 1 terms, exactly as the oracle does
+    rs = root_system(name)
+    for level in (1, 2, 3):
+        for i in range(rs.rank + 1):
+            keys = keys_pairing(rs, i, level, k)[:3]
+            assert keys
+            for key in keys:
+                x = GradedCharacter(rs, {key: 3})
+                out = packed_operator(rs, i, x, level)
+                assert out == tuple_demazure_operator(rs, i, x, level)
+                assert sorted(out.terms.values()) == [-3] * (-k - 1)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "C3"])
+def test_symmetric_strings_pass_through(name):
+    # D_i fixes e^w + e^(s_i w), so an s_i-symmetric input comes back unchanged
+    rs = root_system(name)
+    rng = seeded(f"symmetric-{name}")
+    for _ in range(30):
+        level, i = rng.randint(1, 3), rng.randint(0, rs.rank)
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            key = (tuple(rng.randint(-8, 8) for _ in range(rs.rank)), rng.randint(-3, 3))
+            m = rng.randint(-4, 4) or 1
+            terms[key] = terms[mirror(rs, i, key, level)] = m
+        x = GradedCharacter(rs, terms)
+        for operator in KERNELS:
+            assert operator(rs, i, x, level) == x
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "C3"])
+def test_packed_kernel_matches_the_oracle_on_any_character(name):
+    # random characters, not Demazure chains: lone terms, mirror pairs with
+    # equal and unequal multiplicities, and terms that cancel part of a
+    # string to zero; G2's coordinates reach strings of 25 terms and more,
+    # and node 0 runs at levels 1-3
+    rs = root_system(name)
+    rng = seeded(f"kernel-{name}")
+    span = 12 if name == "G2" else 6
+    cancelled = empty = longest = 0
+    node0_levels = set()
+    for _ in range(150):
+        level, i = rng.randint(1, 3), rng.randint(0, rs.rank)
+        if i == 0:
+            node0_levels.add(level)
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            key = (tuple(rng.randint(-span, span) for _ in range(rs.rank)), rng.randint(-3, 3))
+            m = rng.randint(-4, 4) or 1
+            terms[key] = m
+            shape = rng.random()
+            if shape < 0.2:
+                terms[mirror(rs, i, key, level)] = m
+            elif shape < 0.4:
+                terms[mirror(rs, i, key, level)] = rng.randint(-4, 4) or 1
+            elif shape < 0.7:
+                # minus one inner term of the string: its key cancels
+                string = tuple_demazure_operator(rs, i, GradedCharacter(rs, {key: m}), level)
+                if string.terms:
+                    inner = rng.choice(sorted(string.terms))
+                    if inner != key:
+                        terms[inner] = -string.terms[inner]
+        x = GradedCharacter(rs, terms)
+        out = packed_operator(rs, i, x, level)
+        assert out == tuple_demazure_operator(rs, i, x, level)
+        cancelled += any(key not in out.terms for key in x.terms)
+        empty += not out.terms
+        longest = max(longest, *(abs(affine_pairing(rs, AffineWeight(w, level, 0), i)) for w, _ in x.terms))
+    assert cancelled and empty and longest >= (24 if name == "G2" else 12)
+    assert node0_levels == {1, 2, 3}
 
 
 def test_packed_terms_round_trip():
@@ -285,14 +376,32 @@ CHAIN_SWEEP = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4",
                "E6", "F4", "G2"]
 
 
+class RecordingTerms(dict):
+    """A chain's terms that record every key looked up with ``get`` or
+    ``in``: the keys the operator reads besides the ones it writes."""
+
+    def __init__(self, terms, reads):
+        super().__init__(terms)
+        self.reads = reads
+
+    def get(self, key, default=None):
+        self.reads.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.reads.add(key)
+        return super().__contains__(key)
+
+
 @pytest.mark.parametrize("name", CHAIN_SWEEP)
 def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
     # both routes through the library's chain against the same routes
     # through the tuple-key chain of conftest, byte for byte and in term
-    # order; every key the oracle chain writes is a weight of the module,
-    # so its pairings with the simple coroots and with the highest coroot
-    # stay within sum over positive roots beta of (top + delta*theta)(h_beta)
-    # and its grade within 0..delta
+    # order; every key the oracle chain writes and every key the library
+    # chain looks up is a weight of the module, so its pairings with the
+    # simple coroots and with the highest coroot stay within sum over
+    # positive roots beta of (top + delta*theta)(h_beta) and its grade
+    # within 0..delta
     rs = root_system(name)
     cases = sorted({
         (level, weight)
@@ -300,14 +409,18 @@ def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
         for weight in [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)]
         + [rs.kr_weight(1, level), rs.kr_weight(rs.rank, level)]
     })
-    touched = set()
+    touched, reads = set(), set()
+    chain = affine._Chain
 
     def oracle(rs, level, extremal):
         return tuple_demazure_from(rs, level, extremal, touched)
 
     for level, weight in cases:
-        full = demazure_character(rs, level, weight)
-        components = graded_isotypic(rs, level, weight)
+        reads.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(affine, "_Chain", lambda terms: chain(RecordingTerms(terms, reads)))
+            full = demazure_character(rs, level, weight)
+            components = graded_isotypic(rs, level, weight)
         touched.clear()
         with monkeypatch.context() as patch:
             patch.setattr(affine, "_demazure_from", oracle)
@@ -316,8 +429,10 @@ def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
         top, _ = straighten(rs, AffineWeight(weight, level, 0))
         nu = rs.add(top.finite, rs.scale(top.delta, rs.theta.coords))
         bound = sum(rs.pairing(nu, b) for b in range(len(rs.positive_roots)))
-        assert max(abs(c) for w, _ in touched for c in (*w, rs.theta_pairing(w))) <= bound
-        assert 0 <= min(g for _, g in touched) and max(g for _, g in touched) <= top.delta
+        looked_up = affine._unpack(rs, chain(dict.fromkeys(reads, 1))).terms
+        for keys in (touched, looked_up):
+            assert max(abs(c) for w, _ in keys for c in (*w, rs.theta_pairing(w))) <= bound
+            assert 0 <= min(g for _, g in keys) and max(g for _, g in keys) <= top.delta
 
 
 def test_graded_isotypic_small_cases():

@@ -22,6 +22,13 @@ def test_zero_coefficients_are_dropped():
     x = GradedCharacter(rs, {((1,), 0): 0, ((0,), 1): 2})
     assert ((1,), 0) not in x.terms
     assert x.dimension() == 2
+    # the terms are a fresh zero-free dict in the argument's order, whether
+    # or not the argument holds a zero, and never the argument itself
+    for terms in ({((1,), 0): 0, ((0,), 1): 2, ((-1,), 0): 0}, {((1,), 0): 5, ((0,), 1): 2}):
+        x = GradedCharacter(rs, terms)
+        assert list(x.terms.items()) == [(k, m) for k, m in terms.items() if m]
+        x.terms[(9,), 9] = 1
+        assert ((9,), 9) not in terms
 
 
 def test_unit_is_the_identity():
@@ -187,6 +194,8 @@ def test_jsonl_matches_json_dumps_reference(system):
     rs = root_system(system)
     rng = seeded(f"codec-{system}")
     samples = [GradedCharacter(rs), weyl_character(rs, rs.zero_weight())]
+    # many grades at each of a few weights
+    samples.append(random_character(rng, rs, nterms=40, grade_span=9))
     for _ in range(6):
         x = random_character(rng, rs, nterms=12, coeff_span=9)
         samples.append(x)

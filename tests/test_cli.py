@@ -554,9 +554,14 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 def test_every_public_name_has_a_caller_or_is_documented():
     """Each public function, class and method in ``src/demkit`` is used as
-    a name somewhere in ``src/demkit`` outside its own definition, or the
-    README documents it: the library keeps no code only the tests call."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    a name somewhere in ``src/demkit`` outside its own definition, or a
+    README code span or code block names it: the library keeps no code only
+    the tests call, and a word of prose does not count as documentation."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```.*?```", text, flags=re.S)
+    for block in blocks:
+        text = text.replace(block, "")
+    readme = "\n".join(blocks + re.findall(r"`([^`\n]+)`", text))
     sources = sorted(pathlib.Path(demkit.__file__).parent.glob("*.py"))
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sources]
     unused = []
