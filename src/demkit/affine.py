@@ -84,12 +84,23 @@ def _pack(rs, weight, grade):
 
 
 def _unpack(rs, chain):
-    """The ``GradedCharacter`` of packed terms, in their order."""
-    fields = struct.Struct(f"<{rs.rank + 2}{_FIELD}")
+    """The ``GradedCharacter`` of packed terms, in their order.  The weight
+    fields of each distinct weight are decoded once, and every grade of
+    the weight shares that one tuple."""
+    bits = 8 * struct.calcsize(_FIELD)
+    fields = struct.Struct(f"<{rs.rank}{_FIELD}")
+    wmask = (1 << bits * rs.rank) - 1 << bits  # fields 1..n; field 0 follows from them
     # flipping the top bit of each field leaves it in two's complement
-    flip = _pack(rs, rs.zero_weight(), 0)
-    keys = map(fields.unpack, [(key ^ flip).to_bytes(fields.size, "little") for key in chain.terms])
-    return GradedCharacter(rs, {(f[1:-1], f[-1]): m for f, m in zip(keys, chain.terms.values())})
+    flip = _pack(rs, rs.zero_weight(), 0) & wmask
+    top, half = bits * (rs.rank + 1), 1 << bits - 1
+    weights, terms = {}, {}
+    for key, m in chain.terms.items():
+        wbits = key & wmask
+        w = weights.get(wbits)
+        if w is None:
+            w = weights[wbits] = fields.unpack(((wbits ^ flip) >> bits).to_bytes(fields.size, "little"))
+        terms[w, (key >> top) - half] = m
+    return GradedCharacter(rs, terms)
 
 
 def demazure_operator(rs, i, chain, level):

@@ -10,19 +10,31 @@ Characters serialize as JSON lines (:meth:`GradedCharacter.to_jsonl`): a
 ``{"system":…,"kind":…}`` header, then one ``{"w":[…],"g":…,"m":"…"}``
 line per term in sorted (weight, grade) order, multiplicities as decimal
 strings.  The term lines are formatted by hand, byte-identical to
-``json.dumps`` with compact separators; :meth:`GradedCharacter.from_jsonl`
-parses them back and raises ``ValueError`` on any malformed file.
+``json.dumps`` with compact separators, and every line ends in ``\n``.
+:meth:`GradedCharacter.from_jsonl` is the exact inverse: it matches the
+term lines against one pattern per rank, converts each distinct weight
+once, and raises ``ValueError`` on any other spelling.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+import re
 from operator import add
 
 __all__ = ["GradedCharacter"]
 
-_PARSE_CHUNK = 1024  # term lines per json.loads call in from_jsonl
+_INT = "(?:0|-?[1-9][0-9]*)"  # an int as str() spells it: no sign on 0, no leading zeros
+
+
+def _record_pattern(rank):
+    """One term line exactly as ``to_jsonl`` writes it, for weights of
+    ``rank`` coordinates; its groups are the weight's coordinates, the
+    grade and the multiplicity.  ``re`` caches the compiled pattern."""
+    return re.compile(
+        r'^\{"w":\[(%s(?:,%s){%d})\],"g":(%s),"m":"(-?[1-9][0-9]*)"\}\n' % (_INT, _INT, rank - 1, _INT),
+        re.MULTILINE,
+    )
 
 
 class GradedCharacter:
@@ -193,48 +205,39 @@ class GradedCharacter:
 
     @classmethod
     def from_jsonl(cls, text):
-        """Parse :meth:`to_jsonl` output.  Raises ``ValueError`` for
-        anything that is not a well-formed character file: a header or
-        record that is not a JSON object, a weight that is not a list of
-        ``rank`` ints, a grade that is not an int, a multiplicity that is
-        zero or not a canonical decimal string, or a repeated term."""
+        """Parse :meth:`to_jsonl` output: the exact inverse of it.  The
+        header is read as JSON; every record must be spelled exactly as
+        ``to_jsonl`` spells it, one per ``\\n``-terminated line.  Raises
+        ``ValueError`` for anything else: a bad header, a record with
+        other spacing, key order or keys, a weight that is not ``rank``
+        canonical ints, a grade that is not a canonical int, a
+        multiplicity that is zero or not a canonical decimal string, a
+        blank line, a line not ending in ``\\n``, or a repeated term."""
         from .rootsystem import root_system
 
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty character file")
-        header = json.loads(lines[0])
+        start = text.find("\n") + 1  # where the body begins
+        if not start:
+            raise ValueError("a character file is a header line, then one line per term")
+        header = json.loads(text[:start])
         if (
             type(header) is not dict
             or type(header.get("system")) is not str
             or header.get("kind") not in ("plain", "graded")
         ):
-            raise ValueError(f"bad character header {lines[0]!r}")
+            raise ValueError(f"bad character header {text[:start]!r}")
         rs = root_system(header["system"])
-        rank = rs.rank
-        terms = {}
-        # One json.loads per chunk of lines is faster than one per line and
-        # keeps memory bounded; a record count other than the chunk's line
-        # count means some line did not hold exactly one record.
-        for start in range(1, len(lines), _PARSE_CHUNK):
-            chunk = lines[start:start + _PARSE_CHUNK]
-            records = json.loads("[" + ",".join(chunk) + "]")
-            if len(records) != len(chunk):
-                raise ValueError("character file must hold one record per line")
-            for rec in records:
-                try:  # TypeError: not an object, or an unhashable coordinate
-                    w, g, m = rec["w"], rec["g"], rec["m"]
-                    # m must read back exactly as to_jsonl writes it
-                    if (type(w) is not list or len(w) != rank or type(g) is not int
-                            or type(m) is not str or str(n := int(m)) != m or not n):
-                        raise ValueError(f"bad character record {rec!r}")
-                    terms[tuple(w), g] = n
-                except (TypeError, KeyError):
-                    raise ValueError(f"bad character record {rec!r}") from None
-        if len(terms) != len(lines) - 1:
+        record = _record_pattern(rs.rank)
+        records = record.findall(text, start)
+        # each match is one whole line, so one per line means all of them
+        if len(records) != text.count("\n", start) or not text.endswith("\n"):
+            for number, line in enumerate(text[start:].split("\n"), 2):
+                if not record.fullmatch(line + "\n"):
+                    raise ValueError(f"bad character record on line {number}: {line!r}")
+            raise ValueError("a character file must end in a newline")
+        weights = {w: tuple(map(int, w.split(","))) for w in {w for w, _, _ in records}}
+        terms = {(weights[w], int(g)): int(m) for w, g, m in records}
+        if len(terms) != len(records):
             raise ValueError("repeated term in character file")
-        if not set(map(type, chain.from_iterable(w for w, _ in terms))) <= {int}:
-            raise ValueError("weight coordinates must be ints")
         char = cls(rs, terms)
         if header["kind"] == "plain" and not char.is_plain:
             raise ValueError("character file declared plain but carries nonzero grades")

@@ -25,6 +25,10 @@ Each command imports the modules it runs when it runs: every command loads
 ``finite`` and ``charalg``, and ``cache`` adds ``cache`` and ``charalg``.
 The package's own exports resolve lazily too, so ``char`` never compiles
 ``theorems`` and no command but ``char`` and ``cache`` loads ``cache``.
+
+The parser is built per command: :func:`build_parser` registers every
+command name but adds arguments only along the command path the request
+names, and builds every parser only when it names none (see there).
 """
 
 from __future__ import annotations
@@ -262,115 +266,174 @@ def _cmd_cache(args):
 
 
 # ---------------------------------------------------------------------------
-# parser wiring
+# parser wiring: one function per command path adds that path's arguments
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="demkit",
-        description="Exact Demazure and Weyl characters, with verification certificates.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _char_args(p):
+    p.add_argument("--system", required=True, type=_system_arg)
+    p.add_argument("--level", type=int)
+    p.add_argument("--weight", type=_weight_arg)
+    p.add_argument("--kind", choices=("demazure", "weyl", "kr"), default="demazure")
+    p.add_argument("--index", type=int, help="node index for --kind kr")
+    p.add_argument("--graded", action="store_true", help="keep the grading in the output")
+    p.add_argument("--pretty", action="store_true", help="human table instead of JSON lines")
+    p.add_argument("--out")
+    p.add_argument("--cache-dir")
+    p.add_argument("--no-cache", action="store_true")
+    p.set_defaults(func=_cmd_char)
 
-    p_char = sub.add_parser("char", help="compute a character")
-    p_char.add_argument("--system", required=True, type=_system_arg)
-    p_char.add_argument("--level", type=int)
-    p_char.add_argument("--weight", type=_weight_arg)
-    p_char.add_argument("--kind", choices=("demazure", "weyl", "kr"), default="demazure")
-    p_char.add_argument("--index", type=int, help="node index for --kind kr")
-    p_char.add_argument("--graded", action="store_true", help="keep the grading in the output")
-    p_char.add_argument("--pretty", action="store_true", help="human table instead of JSON lines")
-    p_char.add_argument("--out")
-    p_char.add_argument("--cache-dir")
-    p_char.add_argument("--no-cache", action="store_true")
-    p_char.set_defaults(func=_cmd_char)
 
-    p_pres = sub.add_parser("presentation", help="defining relations of a Demazure module")
-    p_pres.add_argument("--system", required=True, type=_system_arg)
-    p_pres.add_argument("--level", required=True, type=int)
-    p_pres.add_argument("--weight", required=True, type=_weight_arg)
-    p_pres.add_argument("--pretty", action="store_true")
-    p_pres.add_argument("--out")
-    p_pres.set_defaults(func=_cmd_presentation)
+def _presentation_args(p):
+    p.add_argument("--system", required=True, type=_system_arg)
+    p.add_argument("--level", required=True, type=int)
+    p.add_argument("--weight", required=True, type=_weight_arg)
+    p.add_argument("--pretty", action="store_true")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_presentation)
 
-    p_verify = sub.add_parser("verify", help="run one verification, emit a certificate")
-    vsub = p_verify.add_subparsers(dest="verify_command", required=True)
 
-    def common(p, *claim_args):
-        """Shared flags; ``claim_args`` names the parsed arguments passed,
-        in order after the root system, to the claim's ``verify_*``."""
-        p.add_argument("--system", required=True, type=_system_arg)
-        if "level" in claim_args:
-            p.add_argument("--level", required=True, type=int)
-        p.add_argument("--out")
-        p.add_argument("--no-timing", action="store_true")
-        p.set_defaults(func=_cmd_verify, claim_args=claim_args)
+def _claim_args(p, *claim_args):
+    """Flags every claim shares; ``claim_args`` names the parsed arguments
+    passed, in order after the root system, to the claim's ``verify_*``."""
+    p.add_argument("--system", required=True, type=_system_arg)
+    if "level" in claim_args:
+        p.add_argument("--level", required=True, type=int)
+    p.add_argument("--out")
+    p.add_argument("--no-timing", action="store_true")
+    p.set_defaults(func=_cmd_verify, claim_args=claim_args)
 
-    p = vsub.add_parser("demprop")
-    common(p, "level", "parts", "lam")
+
+def _demprop_args(p):
+    _claim_args(p, "level", "parts", "lam")
     p.add_argument("--parts", type=_parts_arg, default=[], help="semicolon-separated weights, e.g. '2' or '1,0;0,1'")
     p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
 
-    p = vsub.add_parser("mapsdem")
-    common(p, "level", "parts", "lam")
+
+def _mapsdem_args(p):
+    _claim_args(p, "level", "parts", "lam")
     p.add_argument("--parts", type=_leveled_parts_arg, default=[], help="semicolon-separated level:weight pairs, e.g. '1:2;1:2'")
     p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
 
-    p = vsub.add_parser("krdecom")
-    common(p, "level", "s_vector", "lam")
+
+def _krdecom_args(p):
+    _claim_args(p, "level", "s_vector", "lam")
     p.add_argument("--s-vector", dest="s_vector", required=True, type=_weight_arg)
     p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
 
-    p = vsub.add_parser("ev0")
-    common(p, "level", "lam")
+
+def _ev0_args(p):
+    _claim_args(p, "level", "lam")
     p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
 
-    p = vsub.add_parser("twofold")
-    common(p, "index", "level", "lam", "mu1", "mu2")
+
+def _twofold_args(p):
+    _claim_args(p, "index", "level", "lam", "mu1", "mu2")
     p.add_argument("--index", required=True, type=int)
     p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
     p.add_argument("--mu1", required=True, type=_weight_arg)
     p.add_argument("--mu2", required=True, type=_weight_arg)
 
-    p = vsub.add_parser("genschurpos")
-    common(p, "index", "power", "level", "source_level", "lam", "mu")
+
+def _genschurpos_args(p):
+    _claim_args(p, "index", "power", "level", "source_level", "lam", "mu")
     p.add_argument("--index", required=True, type=int)
     p.add_argument("--power", required=True, type=int)
     p.add_argument("--source-level", dest="source_level", required=True, type=int)
     p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
     p.add_argument("--mu", required=True, type=_weight_arg)
 
-    p = vsub.add_parser("stabilization")
-    common(p, "level", "lam", "max_grade", "n_max")
+
+def _stabilization_args(p):
+    _claim_args(p, "level", "lam", "max_grade", "n_max")
     p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
     p.add_argument("--max-grade", dest="max_grade", required=True, type=int)
     p.add_argument("--n-max", dest="n_max", required=True, type=int)
     p.add_argument("--no-cache", action="store_true", help="accepted but unused: nothing is cached")
 
-    p = vsub.add_parser("minuscule")
-    common(p)
 
-    p_scan = sub.add_parser("scan", help="exhaustive surjection scan")
-    p_scan.add_argument("--system", required=True, type=_system_arg)
-    p_scan.add_argument("--height-bound", dest="height_bound", required=True, type=int)
-    p_scan.add_argument("--jobs", type=int, default=1, help="accepted (>= 1) but unused: the scan is serial")
-    p_scan.add_argument("--out", help="directory for the certificate stream")
-    p_scan.add_argument("--no-timing", action="store_true")
-    p_scan.set_defaults(func=_cmd_scan)
+def _scan_args(p):
+    p.add_argument("--system", required=True, type=_system_arg)
+    p.add_argument("--height-bound", dest="height_bound", required=True, type=int)
+    p.add_argument("--jobs", type=int, default=1, help="accepted (>= 1) but unused: the scan is serial")
+    p.add_argument("--out", help="directory for the certificate stream")
+    p.add_argument("--no-timing", action="store_true")
+    p.set_defaults(func=_cmd_scan)
 
-    p_cache = sub.add_parser("cache", help="manage the character cache")
-    csub = p_cache.add_subparsers(dest="cache_command", required=True)
-    for name in ("path", "stats", "clear"):
-        pc = csub.add_parser(name)
-        pc.add_argument("--cache-dir")
-        pc.set_defaults(func=_cmd_cache)
 
+def _cache_args(p):
+    p.add_argument("--cache-dir")
+    p.set_defaults(func=_cmd_cache)
+
+
+# name -> (add_parser keywords, the path's arguments or a subcommand group);
+# a group is (its dest, its own table)
+_COMMANDS = {
+    "char": ({"help": "compute a character"}, _char_args),
+    "presentation": ({"help": "defining relations of a Demazure module"}, _presentation_args),
+    "verify": ({"help": "run one verification, emit a certificate"}, ("verify_command", {
+        "demprop": ({}, _demprop_args),
+        "mapsdem": ({}, _mapsdem_args),
+        "krdecom": ({}, _krdecom_args),
+        "ev0": ({}, _ev0_args),
+        "twofold": ({}, _twofold_args),
+        "genschurpos": ({}, _genschurpos_args),
+        "stabilization": ({}, _stabilization_args),
+        "minuscule": ({}, _claim_args),
+    })),
+    "scan": ({"help": "exhaustive surjection scan"}, _scan_args),
+    "cache": ({"help": "manage the character cache"}, ("cache_command", {
+        name: ({}, _cache_args) for name in ("path", "stats", "clear")
+    })),
+}
+
+
+def _command_path(argv):
+    """The command path that ``argv``'s leading words name exactly, such
+    as ``("char",)`` or ``("verify", "stabilization")``, or None."""
+    table = _COMMANDS
+    for depth, word in enumerate(argv):
+        if word not in table:
+            return None
+        wiring = table[word][1]
+        if callable(wiring):
+            return tuple(argv[:depth + 1])
+        table = wiring[1]
+    return None
+
+
+def _add_commands(parser, dest, table, path):
+    """Register every name of ``table`` under ``parser``; only the names on
+    ``path`` (all of them when ``path`` is None) get their arguments."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (keywords, wiring) in table.items():
+        p = sub.add_parser(name, **keywords)
+        if path is None or path[0] == name:
+            if callable(wiring):
+                wiring(p)
+            else:
+                _add_commands(p, *wiring, path and path[1:])
+
+
+def build_parser(argv=None):
+    """The ``demkit`` parser.  Every command name is registered, but only
+    the command path that ``argv``'s leading words name exactly (``char``,
+    ``verify stabilization``, ``cache stats``, ...) gets its arguments.
+    With no ``argv``, or one that names no complete path (no words,
+    ``--help`` at the top or group level, an unknown command), every
+    parser gets them.  argparse prints help, usage and errors from the
+    deepest parser it reaches, which is built the same either way."""
+    parser = argparse.ArgumentParser(
+        prog="demkit",
+        description="Exact Demazure and Weyl characters, with verification certificates.",
+    )
+    _add_commands(parser, "command", _COMMANDS, None if argv is None else _command_path(argv))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

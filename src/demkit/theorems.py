@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from itertools import product
 from math import prod
+from operator import le
 from time import perf_counter
 
 from .affine import (
@@ -143,11 +144,14 @@ class _Claim:
             lambda: _char_difference_witness(lhs, rhs), details,
         )
 
-    def dominates(self, source, target):
+    def dominates(self, source, target, payloads=None):
         """Multiplicity domination of the isotypic decomposition ``target``
-        by ``source``; the same decompositions fill the payload."""
+        by ``source``; the same decompositions fill the payload, unless
+        ``payloads`` gives the two payloads already built, as a scan that
+        shares them among its certificates does."""
         ok, wit = surjection_exists(source, target)
-        return self.conclude(ok, decomp_payload(source), decomp_payload(target), lambda: list(wit))
+        lhs, rhs = payloads or (decomp_payload(source), decomp_payload(target))
+        return self.conclude(ok, lhs, rhs, lambda: list(wit))
 
 
 # Hypothesis checks shared by several claims: each returns the reason the
@@ -590,17 +594,20 @@ def scan_tuples(rs, height_bound):
     """All (lam1, lam2, mu1, mu2) with equal sums and coordinates bounded by
     ``height_bound`` that satisfy the minimum conditions, in enumeration
     order.  The box is dominant and mu2 balances the sums by construction,
-    so only the minimum conditions are checked."""
+    so only the minimum conditions are checked: min(lam1(h), lam2(h)) <=
+    min(mu1(h), mu2(h)) at every positive coroot h, on pairing vectors
+    computed once per box weight."""
     box = _dominant_box(rs.rank, height_bound)
+    roots = range(len(rs.positive_roots))
+    pairings = {w: [rs.pairing(w, i) for i in roots] for w in box}
     out = []
     for lam1 in box:
         for lam2 in box:
             total = rs.add(lam1, lam2)
+            lower = list(map(min, pairings[lam1], pairings[lam2]))
             for mu1 in box:
                 mu2 = rs.sub(total, mu1)
-                if any(c < 0 or c > height_bound for c in mu2):
-                    continue
-                if min_condition_failure(rs, (lam1, lam2), (mu1, mu2)) is None:
+                if mu2 in pairings and all(map(le, lower, map(min, pairings[mu1], pairings[mu2]))):
                     out.append((lam1, lam2, mu1, mu2))
     return out
 
@@ -616,9 +623,11 @@ def schur_scan(rs, height_bound):
     decomps = {}
 
     def decompose(a, b):
+        """The product's decomposition and its payload, built once per scan."""
         key = (a, b) if a <= b else (b, a)
         if key not in decomps:
-            decomps[key] = _product_decomposition(rs, *key)
+            decomp = _product_decomposition(rs, *key)
+            decomps[key] = decomp, decomp_payload(decomp)
         return decomps[key]
 
     certs = []
@@ -628,7 +637,8 @@ def schur_scan(rs, height_bound):
             {"lambda1": list(lam1), "lambda2": list(lam2), "mu1": list(mu1), "mu2": list(mu2)},
             "multiplicity-domination",
         )
-        certs.append(claim.dominates(decompose(mu1, mu2), decompose(lam1, lam2)))
+        (source, lhs), (target, rhs) = decompose(mu1, mu2), decompose(lam1, lam2)
+        certs.append(claim.dominates(source, target, (lhs, rhs)))
     return certs
 
 

@@ -285,6 +285,15 @@ def test_packed_terms_round_trip():
     assert list(affine._unpack(rs, chain).terms.items()) == list(terms.items())
 
 
+@pytest.mark.parametrize("name,level,weight", [("A1", 2, (3,)), ("A2", 2, (2, 1)), ("G2", 1, (1, 1))])
+def test_unpack_decodes_each_weight_once(name, level, weight):
+    """Every grade of a weight shares one weight tuple."""
+    char = demazure_character(root_system(name), level, weight)
+    weights = {w for w, _ in char.terms}
+    assert len(char.terms) > len(weights)  # some weight carries several grades
+    assert len({id(w) for w, _ in char.terms}) == len(weights)
+
+
 # ---------------------------------------------------------------------------
 # Demazure characters
 

@@ -243,7 +243,38 @@ def test_from_jsonl_rejects_malformed_headers(header):
     pytest.param('{"w":[0],"g":0,"m":"-0"}', id="mult-negative-zero"),
     pytest.param('{"w":[0],"g":0,"m":"1"},{"w":[2],"g":0,"m":"1"}', id="two-on-one-line"),
     pytest.param('{"w":[0],"g":0,"m":"1"}\n{"w":[0],"g":0,"m":"2"}', id="repeated-term"),
+    # spellings json.loads accepts but to_jsonl never writes
+    pytest.param('{"w": [0],"g":0,"m":"1"}', id="space-after-colon"),
+    pytest.param('{"g":0,"w":[0],"m":"1"}', id="reordered-keys"),
+    pytest.param('{"w":[0],"g":0,"m":"1","x":0}', id="extra-key"),
+    pytest.param('{"w":[-0],"g":0,"m":"1"}', id="weight-negative-zero"),
+    pytest.param('{"w":[00],"g":0,"m":"1"}', id="weight-leading-zero"),
+    pytest.param('{"w":[0],"g":-0,"m":"1"}', id="grade-negative-zero"),
+    pytest.param('{"w":[0],"g":01,"m":"1"}', id="grade-leading-zero"),
+    pytest.param('{"w":[0],"g":0,"m":"1"}\n', id="blank-line"),
+    pytest.param('\n{"w":[0],"g":0,"m":"1"}', id="blank-line-first"),
+    pytest.param('{"w":[0],"g":0,"m":"1"}\r', id="crlf"),
+    pytest.param('{"w":[0],"g":0,"m":"1"}\u2028{"w":[1],"g":0,"m":"1"}', id="line-separator"),
 ])
 def test_from_jsonl_rejects_malformed_records(record):
     with pytest.raises(ValueError):
         GradedCharacter.from_jsonl('{"system":"A1","kind":"graded"}\n' + record + "\n")
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"system":"A1","kind":"graded"}\n{"w":[0],"g":0,"m":"1"}', id="no-final-newline"),
+    pytest.param('{"system":"A1","kind":"graded"}', id="header-without-newline"),
+    pytest.param('{"system":"A1","kind":"graded"}\n\n', id="header-then-blank-line"),
+])
+def test_from_jsonl_rejects_unterminated_and_blank_lines(text):
+    with pytest.raises(ValueError):
+        GradedCharacter.from_jsonl(text)
+
+
+@pytest.mark.parametrize("kind", ["plain", "graded"])
+def test_header_only_round_trip(kind):
+    rs = root_system("B2")
+    text = GradedCharacter(rs).to_jsonl(kind=kind)
+    assert text == '{"system":"B2","kind":"%s"}\n' % kind
+    back = GradedCharacter.from_jsonl(text)
+    assert back == GradedCharacter(rs) and back.to_jsonl(kind=kind) == text

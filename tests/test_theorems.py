@@ -25,7 +25,7 @@ from demkit.theorems import (
 from demkit.theorems import _char_difference_witness
 from demkit.affine import demazure_character
 from demkit.charalg import GradedCharacter
-from demkit.finite import weyl_dimension
+from demkit.finite import min_condition_failure, weyl_dimension
 from demkit.rootsystem import root_system
 
 A1 = root_system("A1")
@@ -422,6 +422,50 @@ def test_import_leaves_the_process_pool_unloaded():
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stderr == "[]", run
+
+
+def _scan_tuples_by_min_condition(rs, height_bound):
+    """``scan_tuples`` by the claim-level route: ``min_condition_failure``
+    on each balanced tuple of the box."""
+    box = dominant_box(rs, height_bound)
+    out = []
+    for lam1, lam2, mu1 in itertools.product(box, repeat=3):
+        mu2 = tuple(a + b - c for a, b, c in zip(lam1, lam2, mu1))
+        if all(0 <= c <= height_bound for c in mu2):
+            if min_condition_failure(rs, (lam1, lam2), (mu1, mu2)) is None:
+                out.append((lam1, lam2, mu1, mu2))
+    return out
+
+
+@pytest.mark.parametrize("name,height_bound", [
+    ("A1", 3), ("A2", 2), ("A3", 1), ("B2", 2), ("G2", 2),
+])
+def test_scan_tuples_match_the_min_condition_route(name, height_bound):
+    rs = root_system(name)
+    tuples = scan_tuples(rs, height_bound)
+    assert tuples == _scan_tuples_by_min_condition(rs, height_bound)
+    # the minimum conditions reject some balanced tuples of every box
+    box = dominant_box(rs, height_bound)
+    balanced = sum(
+        all(0 <= a + b - c <= height_bound for a, b, c in zip(lam1, lam2, mu1))
+        for lam1, lam2, mu1 in itertools.product(box, repeat=3)
+    )
+    assert 0 < len(tuples) < balanced
+
+
+def test_scan_builds_each_payload_once(monkeypatch):
+    """A scan builds each distinct product's payload once and shares it
+    among the certificates that name the product."""
+    calls = []
+    real = demkit.theorems.decomp_payload
+
+    def counting(decomp):
+        calls.append(decomp)
+        return real(decomp)
+
+    monkeypatch.setattr(demkit.theorems, "decomp_payload", counting)
+    certs = schur_scan(A2, 1)
+    assert len(calls) == SCAN_PRODUCTS < 2 * len(certs)
 
 
 def test_scan_rejects_negative_bound():
