@@ -9,10 +9,15 @@ the operators of a reduced word for its whole Weyl group element w0*u, and
 ``graded_isotypic`` applies only u's and reads off graded isotypic
 multiplicities by Bott's rule.  The claims layer reads decompositions from
 the second route; the tests hold it to the first.  Both run one operator
-chain on terms packed into single ints (``_pack``), so that a string step
-is one integer addition.  An operator fixes every s_i-symmetric part of
-its input, so it copies the input and walks only the asymmetric part of
-each string (``demazure_operator``).
+chain with one entry per weight: the key is the weight packed into a single
+int (``_pack``), so that a string step is one integer addition, and the
+value is the weight's grade polynomial evaluated at a power of two, so that
+one addition moves every grade of the weight at once.  The chain runs
+twice, first without grades to size the polynomial's digits, and its
+values are read back digit by digit (``_demazure_from`` proves the
+result exact).  An operator fixes every s_i-symmetric part of its input,
+so it copies the input and walks only the asymmetric part of each string
+(``demazure_operator``).
 
 Conventions.  An affine weight is ``(finite, level, delta)``: a finite weight
 in fundamental coordinates, the coefficient of the level-defining fundamental
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import struct
 from collections import namedtuple
+from itertools import compress
 
 from .charalg import GradedCharacter
 
@@ -50,8 +56,10 @@ __all__ = [
 
 AffineWeight = namedtuple("AffineWeight", "finite level delta")
 
-_FIELD = "i"  # struct code of one field of a packed chain term: 32 bits
-_Chain = namedtuple("_Chain", "terms")  # {packed term: multiplicity}
+_FIELD = "i"  # struct code of one weight field of a chain key: 32 bits
+# {packed weight: grade polynomial at X = 2**width}; width 0 forgets the grade
+_Chain = namedtuple("_Chain", "terms width")
+_DIGITS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct code of a grade digit, by its bytes
 
 
 def straighten(rs, aw):
@@ -73,39 +81,71 @@ def straighten(rs, aw):
     return AffineWeight(finite, aw.level, aw.delta + lift), tuple(reversed(word))
 
 
-def _pack(rs, weight, grade):
-    """A chain term as one int of ``_FIELD``-sized fields, each offset by
+def _pack(rs, weight):
+    """A chain key as one int of ``_FIELD``-sized fields, each offset by
     half its range: field 0 holds -weight(h_theta), the finite part of the
-    pairing with the zeroth coroot, fields 1..n the weight, field n+1 the
-    grade.  A difference of packed terms is a string step."""
+    pairing with the zeroth coroot, fields 1..n the weight.  A difference
+    of keys is a string step."""
     bits = 8 * struct.calcsize(_FIELD)
-    fields = (-rs.theta_pairing(weight), *weight, grade)
+    fields = (-rs.theta_pairing(weight), *weight)
     return sum(f + (1 << bits - 1) << bits * j for j, f in enumerate(fields))
 
 
-def _unpack(rs, chain):
-    """The ``GradedCharacter`` of packed terms, in their order.  The weight
-    fields of each distinct weight are decoded once, and every grade of
-    the weight shares that one tuple."""
+def _digit_bytes(counts):
+    """Bytes per grade digit: the fewest of 1, 2, 4, 8, 16, ... whose
+    digits exceed every one of ``counts``."""
+    need = max((m.bit_length() for m in counts.values()), default=0)
+    size = 1
+    while 8 * size < need:
+        size *= 2
+    return size
+
+
+def _unpack(rs, chain, counts, delta):
+    """The ``GradedCharacter`` of a chain, weight by weight in chain order
+    and each weight's grades ascending: the base-2**width digits of a
+    weight's value are its multiplicities at grades 0..delta.  The weight
+    fields of each key are decoded once, and every grade of the weight
+    shares that one tuple.
+
+    A value must be non-negative with no digit above grade ``delta``, its
+    digits must sum to the weight's entry in ``counts`` (the width-0
+    chain), and both chains must hold the same weights; anything else is
+    an internal error (see ``_demazure_from``)."""
     bits = 8 * struct.calcsize(_FIELD)
     fields = struct.Struct(f"<{rs.rank}{_FIELD}")
-    wmask = (1 << bits * rs.rank) - 1 << bits  # fields 1..n; field 0 follows from them
-    # flipping the top bit of each field leaves it in two's complement
-    flip = _pack(rs, rs.zero_weight(), 0) & wmask
-    top, half = bits * (rs.rank + 1), 1 << bits - 1
-    weights, terms = {}, {}
-    for key, m in chain.terms.items():
-        wbits = key & wmask
-        w = weights.get(wbits)
-        if w is None:
-            w = weights[wbits] = fields.unpack(((wbits ^ flip) >> bits).to_bytes(fields.size, "little"))
-        terms[w, (key >> top) - half] = m
+    flip = _pack(rs, rs.zero_weight())  # leaves each field in two's complement
+    size = chain.width // 8
+    span = size * (delta + 1)
+    if size in _DIGITS:
+        digits = struct.Struct(f"<{delta + 1}{_DIGITS[size]}").unpack
+    else:
+        def digits(raw):
+            return [int.from_bytes(raw[j:j + size], "little") for j in range(0, span, size)]
+    limit, grades = 1 << 8 * span, range(delta + 1)
+    if len(chain.terms) != len(counts):
+        raise RuntimeError(
+            f"internal error: the graded Demazure chain holds {len(chain.terms)} weights, its"
+            f" grade-free pass {len(counts)}"
+        )
+    terms = {}
+    for key, p in chain.terms.items():
+        w = fields.unpack(((key ^ flip) >> bits).to_bytes(fields.size, "little"))
+        mults = digits(p.to_bytes(span, "little")) if 0 <= p < limit else None
+        if mults is None or sum(mults) != counts.get(key):
+            raise RuntimeError(
+                f"internal error: the grade polynomial of weight {w} does not decode in"
+                f" {chain.width}-bit digits at grades 0..{delta}"
+            )
+        for g in compress(grades, mults):
+            terms[w, g] = mults[g]
     return GradedCharacter(rs, terms)
 
 
 def demazure_operator(rs, i, chain, level):
-    """One isobaric divided-difference operator D_i, applied to the packed
-    terms of a Demazure chain (see ``_pack``).
+    """One isobaric divided-difference operator D_i, applied to a Demazure
+    chain: packed weights (see ``_pack``) whose values are their grade
+    polynomials P(X) evaluated at X = 2**width.
 
     On a monomial e^w with k = <w, h_i>, D_i gives the string e^w + e^(w -
     a_i) + ... + e^(s_i w) when k >= 0, nothing when k == -1, and minus the
@@ -115,46 +155,61 @@ def demazure_operator(rs, i, chain, level):
 
         D_i f = f + sum over k > 0 of a(w) (e^(w - a_i) + ... + e^(s_i w)).
 
+    k depends on the weight alone: it is field i of the key, plus ``level``
+    at node 0.  A finite node keeps the grade, so a(w) is P(w) - P(s_i w).
+    Node 0 walks along +theta and lowers the grade by one per step, and
+    s_0 w lies k grades below w, so a(w) is P(w) - X^k P(s_0 w) and each
+    step divides by X; that division must be exact, and is checked.  At a
+    finite node the same loop runs with X^0.
+
     The output starts as a copy of the input, and only the asymmetric part
-    of each string is walked: a term with k > 0 walks its k steps when a(w)
-    is nonzero, and a term with k < 0 whose mirror s_i w is absent walks the
-    mirror's string with -c(w).  This is exact on any input.  k is field i
-    of the term, plus ``level`` at node 0; a string step adds one int.
+    of each string is walked: a weight with k > 0 walks its k steps when
+    a(w) is nonzero, and a weight with k < 0 whose mirror s_i w is absent
+    walks the mirror's string with -X^-k P(w).  This is exact on any input
+    whose node-0 divisions are.  A string step adds one int to the key.
     """
     bits = 8 * struct.calcsize(_FIELD)
     shift, mask = bits * i, (1 << bits) - 1
     base = (level if i == 0 else 0) - (1 << bits - 1)
-    # node 0 walks along +theta and lowers the grade; node i walks along
-    # -alpha_i at a fixed grade; key + k*fwd is the mirror s_i(key)
-    zero = _pack(rs, rs.zero_weight(), 0)
+    # key + k*fwd is the mirror s_i(key)
+    zero = _pack(rs, rs.zero_weight())
     if i == 0:
-        fwd = _pack(rs, rs.theta.coords, -1) - zero
+        fwd, x = _pack(rs, rs.theta.coords) - zero, chain.width
     else:
-        fwd = zero - _pack(rs, rs.simple_root_coords[i - 1], 0)
+        fwd, x = zero - _pack(rs, rs.simple_root_coords[i - 1]), 0
     terms = chain.terms
     out = dict(terms)
     get = out.get
-    for key, m in terms.items():
+    for key, p in terms.items():
         k = (key >> shift & mask) + base
+        # a shift by 0 still copies a long int, so finite nodes skip them
         if k > 0:
-            m -= terms.get(key + k * fwd, 0)
-            if not m:
+            other = terms.get(key + k * fwd)
+            if other is not None:
+                p -= other << x * k if x else other
+            if not p:
                 continue
+            if x and p & (1 << x * k) - 1:
+                raise RuntimeError(
+                    f"internal error: a node-0 string of {k} steps would lower a grade below 0"
+                )
         elif k < 0:
             mirror = key + k * fwd
             if mirror in terms:
                 continue
-            key, k, m = mirror, -k, -m
+            key, k, p = mirror, -k, -p << x * -k if x else -p
         else:
             continue
         for _ in range(k):
             key += fwd
-            v = get(key, 0) + m
+            if x:
+                p >>= x
+            v = get(key, 0) + p
             if v:
                 out[key] = v
             else:
                 del out[key]
-    return _Chain(out)
+    return _Chain(out, chain.width)
 
 
 def _check_stable_input(rs, level, weight):
@@ -172,20 +227,37 @@ def _demazure_from(rs, level, extremal):
     """Apply the Demazure operators of the word that straightens the affine
     weight ``(extremal, level, 0)``, starting from the dominant monomial.
 
-    Every key the chain's operators read or write is a weight of the
-    Demazure module V of the whole word.  Each chain term w is a weight of
-    the module of a prefix of the word, which V contains; the operator at
-    node i reads the mirror s_i(w) and walks the i-string between w and
-    s_i(w), and all of these are weights of the module of the prefix one
-    letter longer, which is stable under node i's sl_2 and also lies in V.
-    This holds for k < 0 too, where the operator reads the mirror without
-    writing it: at node 0 that key has finite part s_theta(w) + level*theta
-    and grade g - k, above w's grade g.  A weight of V lies at grade
-    0..delta (grade 0 holds the extremal weight, delta the top), and its
-    finite part is Weyl-conjugate to a dominant weight below nu = top +
-    delta*theta.  So no field of a key exceeds B = sum over beta > 0 of
-    nu(h_beta) >= 2*delta in size, and a B too wide for the fields is
-    refused up front.
+    Bounds.  Every key the chain's operators read or write is a weight of
+    the Demazure module V of the whole word.  Each chain weight w is a
+    weight of the module of a prefix of the word, which V contains; the
+    operator at node i reads the mirror s_i(w) and walks the i-string
+    between w and s_i(w), and all of these are weights of the module of the
+    prefix one letter longer, which is stable under node i's sl_2 and also
+    lies in V.  This holds for k < 0 too, where the operator reads the
+    mirror without writing it.  A weight of V lies at grade 0..delta (grade
+    0 holds the extremal weight, delta the top), and its finite part is
+    Weyl-conjugate to a dominant weight below nu = top + delta*theta.  So
+    no field of a key exceeds B = sum over beta > 0 of nu(h_beta) in size,
+    and a B too wide for the fields is refused up front.
+
+    Exactness.  A weight's value is its grade polynomial P(X) = sum over g
+    of c(g) X^g, evaluated at X = 2**width.  Evaluation is a ring
+    homomorphism Z[X] -> Z, and the operators only add, subtract, multiply
+    by X^k and divide by X.  Each division is exact on the polynomials: a
+    node-0 string of k steps ends k grades lower, at a weight of V, so at a
+    grade >= 0.  The operator checks that the integer division is exact too
+    (an internal error otherwise), so every value is exactly P(2**width),
+    whatever its digits look like on the way.  D_0 commutes with forgetting
+    the grade, so the same chain at width 0 gives m(w) = P(1), the
+    dimension of the w weight space.  The coefficients c(g) are dimensions
+    of graded pieces of that space, so each is at most m(w), and the chain
+    runs again with 2**width above every m(w): then the base-2**width
+    digits of P(2**width) are the c(g).  ``_unpack`` still checks that
+    every value is non-negative with no digit above grade delta, that its
+    digits sum to m(w), and that both chains hold the same weights.  A
+    coefficient too wide for its digit would carry, and each carry lowers
+    the digit sum by 2**width - 1, so the decode cannot give a wrong
+    character: it gives the right one or an internal error.
     """
     top, word = straighten(rs, AffineWeight(extremal, level, 0))
     nu = rs.add(top.finite, rs.scale(top.delta, rs.theta.coords))
@@ -196,10 +268,15 @@ def _demazure_from(rs, level, extremal):
             f"internal error: weight bound {bound} of {top} overflows the {bits}-bit fields of the"
             " keys its Demazure chain reads and writes"
         )
-    chain = _Chain({_pack(rs, top.finite, top.delta): 1})
+    key = _pack(rs, top.finite)
+    counts = _Chain({key: 1}, 0)
+    for letter in word:
+        counts = demazure_operator(rs, letter, counts, level)
+    width = 8 * _digit_bytes(counts.terms)
+    chain = _Chain({key: 1 << width * top.delta}, width)
     for letter in word:
         chain = demazure_operator(rs, letter, chain, level)
-    return _unpack(rs, chain)
+    return _unpack(rs, chain, counts.terms, top.delta)
 
 
 def demazure_character(rs, level, weight):
@@ -216,10 +293,7 @@ def demazure_character(rs, level, weight):
     # w0 maps the dominant chamber onto the antidominant one, which meets
     # each Weyl orbit once: w0*weight = -dom(-weight)
     extremal = rs.scale(-1, rs._to_dominant(rs.scale(-1, weight))[0])
-    char = _demazure_from(rs, level, extremal)
-    if any(g < 0 for (_, g) in char.terms):
-        raise RuntimeError(f"internal error: negative grade in the character of {weight}")
-    return char
+    return _demazure_from(rs, level, extremal)
 
 
 def graded_isotypic(rs, level, weight):

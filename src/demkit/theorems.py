@@ -27,14 +27,6 @@ from math import prod
 from operator import le
 from time import perf_counter
 
-from .affine import (
-    affine_irreducible_character_truncated, demazure_character, graded_isotypic, kr_character,
-)
-from .finite import (
-    isotypic_character, min_condition_failure, surjection_exists, tensor_decompose,
-    weyl_character, weyl_dimension,
-)
-
 __all__ = [
     "Certificate",
     "char_payload",
@@ -149,6 +141,8 @@ class _Claim:
         by ``source``; the same decompositions fill the payload, unless
         ``payloads`` gives the two payloads already built, as a scan that
         shares them among its certificates does."""
+        from .finite import surjection_exists
+
         ok, wit = surjection_exists(source, target)
         lhs, rhs = payloads or (decomp_payload(source), decomp_payload(target))
         return self.conclude(ok, lhs, rhs, lambda: list(wit))
@@ -180,12 +174,16 @@ def _part_failure(rs, weights):
 
 def _product_decomposition(rs, a, b):
     """Isotypic decomposition of the product of two irreducibles."""
+    from .finite import tensor_decompose, weyl_character
+
     return tensor_decompose(rs, weyl_character(rs, a) * weyl_character(rs, b))
 
 
 def _demazure_decomposition(rs, level, weight):
     """Ungraded isotypic decomposition of a stable Demazure module: its
     graded decomposition summed over grades."""
+    from .affine import graded_isotypic
+
     out = {}
     for (lam, _), m in graded_isotypic(rs, level, weight).items():
         out[lam] = out.get(lam, 0) + m
@@ -204,6 +202,9 @@ def verify_demprop(rs, level, parts, lam):
     Hypotheses: every part lies in the d-divisible sublattice, and lam pairs
     with the highest coroot at most ``level``.
     """
+    from .affine import demazure_character
+    from .finite import weyl_character, weyl_dimension
+
     lam = rs.check_weight(lam)
     parts = [rs.check_weight(p) for p in parts]
     claim = _Claim(
@@ -247,6 +248,9 @@ def verify_mapsdem(rs, level, parts, lam):
     requires level * mu = sum of part_level * part_weight for some mu in
     the d-divisible sublattice dominating the parts root-wise.
     """
+    from .affine import demazure_character
+    from .finite import surjection_exists, tensor_decompose, weyl_character
+
     lam = rs.check_weight(lam)
     parts = [(int(p), rs.check_weight(w)) for p, w in parts]
     iso_clause = bool(parts) and all(p == level for p, _ in parts) and \
@@ -319,6 +323,9 @@ def verify_krdecom(rs, level, s_vector, lam):
     character at level*mu + lam, mu = sum_i d_i s_i omega_i, equals the
     product of node characters raised to the s_i times the irreducible
     character of lam."""
+    from .affine import demazure_character, kr_character
+    from .finite import weyl_character
+
     lam = rs.check_weight(lam)
     s_vector = tuple(int(s) for s in s_vector)
     claim = _Claim(
@@ -347,6 +354,9 @@ def verify_ev0(rs, level, lam):
     """Check the evaluation-module criterion: the graded Demazure character
     is concentrated in grade 0 and equals the irreducible character exactly
     when lam is level-dominant; otherwise grade 1 must be non-empty."""
+    from .affine import demazure_character
+    from .finite import weyl_character
+
     lam = rs.check_weight(lam)
     claim = _Claim("ev0", rs, {"level": level, "lambda": list(lam)}, "graded-character")
     reason = _level_failure(level) or _lambda_failure(rs, lam)
@@ -423,6 +433,8 @@ def verify_twofold(rs, node, level, lam, mu1, mu2):
     the exact criterion for a surjection of modules over the finite-type
     algebra, a necessary condition for the graded current-algebra one.
     """
+    from .finite import min_condition_failure
+
     lam = rs.check_weight(lam)
     mu1 = rs.check_weight(mu1)
     mu2 = rs.check_weight(mu2)
@@ -534,6 +546,9 @@ def _top_window(rs, level, weight, max_depth):
     highest grade and truncated at ``max_depth``; this is the grading in
     which the direct limit stabilizes.  Only the isotypic components inside
     the window are expanded."""
+    from .affine import graded_isotypic
+    from .finite import isotypic_character
+
     components = graded_isotypic(rs, level, weight)
     anchor = max(g for (_, g) in components)
     return isotypic_character(rs, {
@@ -546,6 +561,8 @@ def verify_stabilization(rs, level, lam, max_grade, n_max):
     weights N*level*theta + lam stabilize in N and that the stable value is
     the depth-truncated irreducible affine character -- two independent
     pipelines meeting exactly."""
+    from .affine import affine_irreducible_character_truncated
+
     lam = rs.check_weight(lam)
     claim = _Claim(
         "stabilization", rs,

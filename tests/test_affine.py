@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import struct
 from collections import Counter
 
 import pytest
@@ -128,13 +129,43 @@ def test_straighten_replay_and_wall_crossings(name):
 # the operators
 
 
+def unpack_weight(rs, key):
+    """The weight of a packed chain key, read field by field; field 0 must
+    hold minus its pairing with the highest coroot."""
+    bits = 8 * struct.calcsize(affine._FIELD)
+    fields = [(key >> bits * j & (1 << bits) - 1) - (1 << bits - 1) for j in range(rs.rank + 1)]
+    weight = tuple(fields[1:])
+    assert fields[0] == -rs.theta_pairing(weight) and key >> bits * (rs.rank + 1) == 0
+    return weight
+
+
+# the packed kernel under test: 32-bit digits hold every multiplicity these
+# tests make, and every grade is raised by 64, more than any string here
+# walks down, so no node-0 string goes below grade 0
+WIDTH, RAISE = 32, 64
+
+
 def packed_operator(rs, i, char, level):
-    """The library's operator on a character: its terms packed, the
-    operator applied, the result unpacked."""
-    chain = affine._Chain({affine._pack(rs, w, g): m for (w, g), m in char.terms.items()})
-    out = affine.demazure_operator(rs, i, chain, level)
-    assert all(out.terms.values())  # a cancelled term leaves the chain
-    return affine._unpack(rs, out)
+    """The library's operator on a character: each weight's grades packed
+    into one polynomial at X = 2**WIDTH and multiplied by X**RAISE (D_0
+    commutes with multiplying by a power of q), the operator applied, the
+    result read back in balanced signed digits and lowered again."""
+    polys = {}
+    for (w, g), m in char.terms.items():
+        key = affine._pack(rs, w)
+        polys[key] = polys.get(key, 0) + (m << WIDTH * (g + RAISE))
+    out = affine.demazure_operator(rs, i, affine._Chain(polys, WIDTH), level)
+    assert out.width == WIDTH and all(out.terms.values())  # a cancelled weight leaves the chain
+    half, terms = 1 << WIDTH - 1, {}
+    for key, p in out.terms.items():
+        w, g = unpack_weight(rs, key), -RAISE
+        while p:
+            m = (p + half & (1 << WIDTH) - 1) - half
+            if m:
+                terms[w, g] = m
+            p = p - m >> WIDTH
+            g += 1
+    return GradedCharacter(rs, terms)
 
 
 # every operator test runs on the library's packed kernel and on the
@@ -274,15 +305,42 @@ def test_packed_kernel_matches_the_oracle_on_any_character(name):
 
 
 def test_packed_terms_round_trip():
-    # negative fields and grades, and the term order, survive packing
+    # negative weight fields, full digits at every digit size (struct's
+    # four and two wider ones) and the term order (weights in chain order,
+    # each weight's grades ascending) survive packing
     rs = root_system("B3")
     rng = seeded("pack")
-    terms = {
-        (tuple(rng.randint(-50, 50) for _ in range(3)), rng.randint(-9, 9)): rng.randint(-5, 5) or 1
-        for _ in range(200)
+    delta = 9
+    for size in (1, 2, 4, 8, 3, 16):
+        width = 8 * size
+        terms, chain, counts = {}, {}, {}
+        for _ in range(200):
+            w = tuple(rng.randint(-50, 50) for _ in range(3))
+            key = affine._pack(rs, w)
+            if key in chain:
+                continue
+            grades = sorted(rng.sample(range(delta + 1), rng.randint(1, 4)))
+            mults = [rng.choice((1, (1 << width) - 1, rng.randint(1, (1 << width) - 1))) for _ in grades]
+            terms.update(((w, g), m) for g, m in zip(grades, mults))
+            chain[key] = sum(m << width * g for g, m in zip(grades, mults))
+            counts[key] = sum(mults)
+        out = affine._unpack(rs, affine._Chain(chain, width), counts, delta)
+        assert list(out.terms.items()) == list(terms.items())
+
+
+def test_unpack_refuses_what_does_not_decode():
+    # one-byte digits at grades 0..1: a negative value, a digit above
+    # grade 1, digits that do not sum to the grade-free count, and a weight
+    # that only the grade-free pass holds are internal errors
+    key, other = affine._pack(A2, (1, 0)), affine._pack(A2, (0, 1))
+    value = 3 + (2 << 8)
+    assert affine._unpack(A2, affine._Chain({key: value}, 8), {key: 5}, 1).terms == {
+        ((1, 0), 0): 3, ((1, 0), 1): 2,
     }
-    chain = affine._Chain({affine._pack(rs, w, g): m for (w, g), m in terms.items()})
-    assert list(affine._unpack(rs, chain).terms.items()) == list(terms.items())
+    for chain, counts in [({key: -value}, {key: -5}), ({key: value + (1 << 16)}, {key: 6}),
+                          ({key: value}, {key: 4}), ({key: value}, {key: 5, other: 1})]:
+        with pytest.raises(RuntimeError, match="^internal error: "):
+            affine._unpack(A2, affine._Chain(chain, 8), counts, 1)
 
 
 @pytest.mark.parametrize("name,level,weight", [("A1", 2, (3,)), ("A2", 2, (2, 1)), ("G2", 1, (1, 1))])
@@ -407,10 +465,10 @@ def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
     # both routes through the library's chain against the same routes
     # through the tuple-key chain of conftest, byte for byte and in term
     # order; every key the oracle chain writes and every key the library
-    # chain looks up is a weight of the module, so its pairings with the
-    # simple coroots and with the highest coroot stay within sum over
-    # positive roots beta of (top + delta*theta)(h_beta) and its grade
-    # within 0..delta
+    # chain looks up (in both of its passes) is a weight of the module, so
+    # its pairings with the simple coroots and with the highest coroot stay
+    # within sum over positive roots beta of (top + delta*theta)(h_beta),
+    # and every grade the oracle writes within 0..delta
     rs = root_system(name)
     cases = sorted({
         (level, weight)
@@ -427,7 +485,7 @@ def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
     for level, weight in cases:
         reads.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(affine, "_Chain", lambda terms: chain(RecordingTerms(terms, reads)))
+            patch.setattr(affine, "_Chain", lambda terms, width: chain(RecordingTerms(terms, reads), width))
             full = demazure_character(rs, level, weight)
             components = graded_isotypic(rs, level, weight)
         touched.clear()
@@ -438,10 +496,57 @@ def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
         top, _ = straighten(rs, AffineWeight(weight, level, 0))
         nu = rs.add(top.finite, rs.scale(top.delta, rs.theta.coords))
         bound = sum(rs.pairing(nu, b) for b in range(len(rs.positive_roots)))
-        looked_up = affine._unpack(rs, chain(dict.fromkeys(reads, 1))).terms
-        for keys in (touched, looked_up):
-            assert max(abs(c) for w, _ in keys for c in (*w, rs.theta_pairing(w))) <= bound
-            assert 0 <= min(g for _, g in keys) and max(g for _, g in keys) <= top.delta
+        looked_up = [unpack_weight(rs, key) for key in reads]
+        for weights in ([w for w, _ in touched], looked_up):
+            assert max(abs(c) for w in weights for c in (*w, rs.theta_pairing(w))) <= bound
+        assert 0 <= min(g for _, g in touched) and max(g for _, g in touched) <= top.delta
+
+
+@pytest.mark.parametrize("name", CHAIN_SWEEP)
+def test_width_zero_chain_is_the_collapse(monkeypatch, name):
+    # the grade-free pass that sizes the digits holds each weight's
+    # multiplicity summed over grades: for the whole word that is the
+    # collapsed character, for the straightening word alone the collapsed
+    # tuple-key chain of the same word
+    rs = root_system(name)
+    counts, digit_bytes = [], affine._digit_bytes
+
+    def recording(terms):
+        counts.append(dict(terms))
+        return digit_bytes(terms)
+
+    monkeypatch.setattr(affine, "_digit_bytes", recording)
+    for level in (1, 2, 3):
+        for weight in [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)] + [rs.kr_weight(1, level)]:
+            counts.clear()
+            full = demazure_character(rs, level, weight).collapse()
+            graded_isotypic(rs, level, weight)
+            part = tuple_demazure_from(rs, level, weight).collapse()
+            assert counts == [
+                {affine._pack(rs, w): m for (w, _), m in char.terms.items()} for char in (full, part)
+            ]
+
+
+@pytest.mark.parametrize("size", [3, 16])
+def test_digits_wider_than_struct_decode(monkeypatch, size):
+    # a module whose multiplicities need more than 64 bits gets 128-bit
+    # digits, which struct has no code for; forced digit sizes give the
+    # same characters
+    cases = [(A2, 1, (4, 4)), (B2, 2, (3, 2)), (root_system("G2"), 1, (1, 1))]
+    expected = [demazure_character(rs, level, w) for rs, level, w in cases]
+    monkeypatch.setattr(affine, "_digit_bytes", lambda counts: size)
+    assert [demazure_character(rs, level, w) for rs, level, w in cases] == expected
+
+
+def test_node_zero_guard_refuses_a_grade_below_zero():
+    # A1 weight -2 pairs 3 with node 0 at level 1: its string would end 3
+    # grades lower, and at grade 0 there is no room for it
+    for grade in (0, 1, 2):
+        chain = affine._Chain({affine._pack(A1, (-2,)): 1 << 8 * grade}, 8)
+        with pytest.raises(RuntimeError, match="^internal error: a node-0 string of 3 steps"):
+            affine.demazure_operator(A1, 0, chain, 1)
+    chain = affine._Chain({affine._pack(A1, (-2,)): 1 << 8 * 3}, 8)
+    assert len(affine.demazure_operator(A1, 0, chain, 1).terms) == 4
 
 
 def test_graded_isotypic_small_cases():

@@ -13,6 +13,8 @@ import pathlib
 import pytest
 
 import demkit
+import demkit.affine
+import demkit.finite
 import demkit.theorems
 from conftest import scaled
 from demkit.rootsystem import root_system
@@ -162,16 +164,17 @@ def test_hypothesis_failure_records_elapsed_time(monkeypatch):
 # refuted paths: one corrupted builder per claim
 
 
-def _doubling(monkeypatch, name, when):
-    """Replace ``theorems.<name>`` by a builder that doubles its result
-    whenever ``when(*args)`` holds."""
-    real = getattr(demkit.theorems, name)
+def _doubling(monkeypatch, module, name, when):
+    """Replace ``module.<name>`` by a builder that doubles its result
+    whenever ``when(*args)`` holds; the claims import their builders when
+    they run, so they call the replacement."""
+    real = getattr(module, name)
 
     def corrupted(*args):
         out = real(*args)
         return scaled(out, 2) if when(*args) else out
 
-    monkeypatch.setattr(demkit.theorems, name, corrupted)
+    monkeypatch.setattr(module, name, corrupted)
 
 
 def _mult(payload, witness):
@@ -201,13 +204,13 @@ A2 = root_system("A2")
 
 
 def test_demprop_refuted(monkeypatch):
-    _doubling(monkeypatch, "weyl_character", lambda rs, w: True)
+    _doubling(monkeypatch, demkit.finite, "weyl_character", lambda rs, w: True)
     _assert_char_witness(verify_demprop(A2, 1, [(1, 0)], (0, 1)))
 
 
 def test_mapsdem_surjection_refuted(monkeypatch):
     # the level-2 part's factor is inflated, so rhs_dim 18 exceeds lhs_dim 16
-    _doubling(monkeypatch, "demazure_character", lambda rs, level, w: level == 2)
+    _doubling(monkeypatch, demkit.affine, "demazure_character", lambda rs, level, w: level == 2)
     cert = verify_mapsdem(A1, 1, [(2, (2,))], (0,))
     assert cert.claim == "mapsdem-surjection" and cert.verdict == "refuted"
     assert cert.witness == {"dimension_deficit": "2"}
@@ -215,7 +218,7 @@ def test_mapsdem_surjection_refuted(monkeypatch):
 
 
 def test_mapsdem_isomorphism_refuted(monkeypatch):
-    _doubling(monkeypatch, "weyl_character", lambda rs, w: True)
+    _doubling(monkeypatch, demkit.finite, "weyl_character", lambda rs, w: True)
     cert = verify_mapsdem(A1, 1, [(1, (2,))] * 2, (0,))
     assert cert.claim == "mapsdem-isomorphism"
     _assert_char_witness(cert)
@@ -223,21 +226,21 @@ def test_mapsdem_isomorphism_refuted(monkeypatch):
 
 
 def test_krdecom_refuted(monkeypatch):
-    _doubling(monkeypatch, "kr_character", lambda rs, level, node: True)
+    _doubling(monkeypatch, demkit.affine, "kr_character", lambda rs, level, node: True)
     _assert_char_witness(verify_krdecom(A2, 1, (1, 1), (0, 0)))
 
 
 def test_ev0_level_dominant_branch_refuted(monkeypatch):
-    _doubling(monkeypatch, "weyl_character", lambda rs, w: True)
+    _doubling(monkeypatch, demkit.finite, "weyl_character", lambda rs, w: True)
     cert = verify_ev0(A1, 2, (2,))
     assert cert.details["level_dominant"] is True
     _assert_char_witness(cert)
 
 
 def test_ev0_outside_level_branch_refuted(monkeypatch):
-    real = demkit.theorems.demazure_character
+    real = demkit.affine.demazure_character
     monkeypatch.setattr(
-        demkit.theorems, "demazure_character", lambda *args: real(*args).slice(0)
+        demkit.affine, "demazure_character", lambda *args: real(*args).slice(0)
     )
     cert = verify_ev0(A1, 1, (2,))
     assert cert.details["level_dominant"] is False
@@ -246,19 +249,19 @@ def test_ev0_outside_level_branch_refuted(monkeypatch):
 
 def test_twofold_refuted(monkeypatch):
     # only the target side mu1 (x) mu2 contains the doubled irreducible
-    _doubling(monkeypatch, "weyl_character", lambda rs, w: w == (3,))
+    _doubling(monkeypatch, demkit.finite, "weyl_character", lambda rs, w: w == (3,))
     _assert_domination_witness(verify_twofold(A1, 1, 2, (2,), (3,), (1,)))
 
 
 def test_genschurpos_refuted(monkeypatch):
     # only the level-2 target is decomposed at level 2
-    real = demkit.theorems.graded_isotypic
+    real = demkit.affine.graded_isotypic
 
     def corrupted(rs, level, weight):
         out = real(rs, level, weight)
         return {k: 2 * m for k, m in out.items()} if level == 2 else out
 
-    monkeypatch.setattr(demkit.theorems, "graded_isotypic", corrupted)
+    monkeypatch.setattr(demkit.affine, "graded_isotypic", corrupted)
     _assert_domination_witness(verify_genschurpos(A1, 1, 1, 2, 1, (0,), (1,)))
 
 
@@ -270,7 +273,7 @@ def test_minuscule_refuted(monkeypatch):
 
 def test_scan_refuted(monkeypatch):
     # (0, 2, 1, 1): the target V0 (x) V2 now holds V2 twice, V1 (x) V1 once
-    _doubling(monkeypatch, "weyl_character", lambda rs, w: w == (2,))
+    _doubling(monkeypatch, demkit.finite, "weyl_character", lambda rs, w: w == (2,))
     certs = schur_scan(A1, 2)
     refuted = [c for c in certs if c.verdict == "refuted"]
     assert refuted and len(refuted) < len(certs)
@@ -279,7 +282,7 @@ def test_scan_refuted(monkeypatch):
 
 
 def test_stabilization_refuted(monkeypatch):
-    _doubling(monkeypatch, "affine_irreducible_character_truncated", lambda *args: True)
+    _doubling(monkeypatch, demkit.affine, "affine_irreducible_character_truncated", lambda *args: True)
     cert = verify_stabilization(A1, 1, (0,), 2, 4)
     assert cert.details["stable_from"] <= 3
     _assert_char_witness(cert)

@@ -402,6 +402,20 @@ def test_chain_fields_too_narrow_exit_5(capsys, monkeypatch, isolated_cache):
     assert not isolated_cache.exists() or not os.listdir(isolated_cache)
 
 
+def test_grade_digits_too_narrow_exit_5(capsys, monkeypatch, isolated_cache):
+    # A1 weight 20 at level 1 has a multiplicity of 5448 at one grade: with
+    # its grade digits forced to one byte that multiplicity carries, and the
+    # decode refuses it: no character on stdout, one error line, no cache
+    # entry
+    from demkit import affine
+
+    monkeypatch.setattr(affine, "_digit_bytes", lambda counts: 1)
+    code, out, err = run(capsys, "char", "--system", "A1", "--level", "1", "--graded", "--weight", "20")
+    assert code == 5 and out == ""
+    assert err.startswith("error: internal error: the grade polynomial of weight ") and err.count("\n") == 1
+    assert not isolated_cache.exists() or not os.listdir(isolated_cache)
+
+
 @pytest.mark.parametrize("label,attr,corrupt,call,argv", [
     ("A2", "dual_coxeter", lambda rs: rs.dual_coxeter + 1,
      lambda rs: demkit.affine_irreducible_character_truncated(rs, 1, (0, 0), 2),
@@ -526,6 +540,12 @@ def test_each_command_imports_only_what_it_runs(argv):
         assert "demkit.theorems" not in loaded
     if argv[0] in ("verify", "scan", "presentation"):
         assert "demkit.cache" not in loaded
+    # the claims import their builders when they run: the minuscule claim
+    # is a table lookup on the root system, and a scan runs no affine code
+    if argv[:2] == ["verify", "minuscule"]:
+        assert not {"demkit.affine", "demkit.finite", "demkit.charalg"} & loaded
+    if argv[0] == "scan":
+        assert "demkit.affine" not in loaded
 
 
 def test_finite_loads_no_affine():

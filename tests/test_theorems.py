@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import demkit.affine
 import demkit.finite
 import demkit.theorems
 
@@ -525,12 +526,10 @@ def test_each_side_is_decomposed_once(monkeypatch, build, decompositions):
             return real(*args, **kwargs)
         return wrapped
 
-    # patched in both modules, so decompositions made inside the
-    # surjection test are counted too
-    extraction = counting(demkit.theorems.tensor_decompose)
-    monkeypatch.setattr(demkit.theorems, "tensor_decompose", extraction)
-    monkeypatch.setattr(demkit.finite, "tensor_decompose", extraction)
-    monkeypatch.setattr(demkit.theorems, "graded_isotypic", counting(demkit.theorems.graded_isotypic))
+    # patched where the claims import them from, which also counts the
+    # decompositions made inside the surjection test
+    monkeypatch.setattr(demkit.finite, "tensor_decompose", counting(demkit.finite.tensor_decompose))
+    monkeypatch.setattr(demkit.affine, "graded_isotypic", counting(demkit.affine.graded_isotypic))
     certs = build()
     assert certs and all(c.verdict == "verified" for c in certs)
     assert len(calls) == decompositions
