@@ -14,10 +14,11 @@ int (``_pack``), so that a string step is one integer addition, and the
 value is the weight's grade polynomial evaluated at a power of two, so that
 one addition moves every grade of the weight at once.  The chain runs
 twice, first without grades to size the polynomial's digits, and its
-values are read back digit by digit (``_demazure_from`` proves the
-result exact).  An operator fixes every s_i-symmetric part of its input,
-so it copies the input and walks only the asymmetric part of each string
-(``demazure_operator``).
+values are read back digit by digit, weights in sorted order, so the
+character's terms come out in canonical order (``_demazure_from`` proves
+the result exact).  An operator fixes every s_i-symmetric part of its
+input, so it copies the input and walks only the asymmetric part of each
+string (``demazure_operator``).
 
 Conventions.  An affine weight is ``(finite, level, delta)``: a finite weight
 in fundamental coordinates, the coefficient of the level-defining fundamental
@@ -57,6 +58,7 @@ __all__ = [
 AffineWeight = namedtuple("AffineWeight", "finite level delta")
 
 _FIELD = "i"  # struct code of one weight field of a chain key: 32 bits
+_BITS = 8 * struct.calcsize(_FIELD)
 # {packed weight: grade polynomial at X = 2**width}; width 0 forgets the grade
 _Chain = namedtuple("_Chain", "terms width")
 _DIGITS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct code of a grade digit, by its bytes
@@ -86,9 +88,8 @@ def _pack(rs, weight):
     half its range: field 0 holds -weight(h_theta), the finite part of the
     pairing with the zeroth coroot, fields 1..n the weight.  A difference
     of keys is a string step."""
-    bits = 8 * struct.calcsize(_FIELD)
     fields = (-rs.theta_pairing(weight), *weight)
-    return sum(f + (1 << bits - 1) << bits * j for j, f in enumerate(fields))
+    return sum(f + (1 << _BITS - 1) << _BITS * j for j, f in enumerate(fields))
 
 
 def _digit_bytes(counts):
@@ -102,17 +103,16 @@ def _digit_bytes(counts):
 
 
 def _unpack(rs, chain, counts, delta):
-    """The ``GradedCharacter`` of a chain, weight by weight in chain order
-    and each weight's grades ascending: the base-2**width digits of a
-    weight's value are its multiplicities at grades 0..delta.  The weight
-    fields of each key are decoded once, and every grade of the weight
-    shares that one tuple.
+    """The ``GradedCharacter`` of a chain, its terms in canonical (weight,
+    grade) order: the base-2**width digits of a weight's value are its
+    multiplicities at grades 0..delta.  The weight fields of each key are
+    decoded once, the decoded weights are sorted, and every grade of a
+    weight shares its one tuple.
 
     A value must be non-negative with no digit above grade ``delta``, its
     digits must sum to the weight's entry in ``counts`` (the width-0
     chain), and both chains must hold the same weights; anything else is
     an internal error (see ``_demazure_from``)."""
-    bits = 8 * struct.calcsize(_FIELD)
     fields = struct.Struct(f"<{rs.rank}{_FIELD}")
     flip = _pack(rs, rs.zero_weight())  # leaves each field in two's complement
     size = chain.width // 8
@@ -128,9 +128,12 @@ def _unpack(rs, chain, counts, delta):
             f"internal error: the graded Demazure chain holds {len(chain.terms)} weights, its"
             f" grade-free pass {len(counts)}"
         )
+    keys = {fields.unpack(((key ^ flip) >> _BITS).to_bytes(fields.size, "little")): key
+            for key in chain.terms}
     terms = {}
-    for key, p in chain.terms.items():
-        w = fields.unpack(((key ^ flip) >> bits).to_bytes(fields.size, "little"))
+    for w in sorted(keys):
+        key = keys[w]
+        p = chain.terms[key]
         mults = digits(p.to_bytes(span, "little")) if 0 <= p < limit else None
         if mults is None or sum(mults) != counts.get(key):
             raise RuntimeError(
@@ -139,6 +142,7 @@ def _unpack(rs, chain, counts, delta):
             )
         for g in compress(grades, mults):
             terms[w, g] = mults[g]
+    del keys  # freed before GradedCharacter copies the terms
     return GradedCharacter(rs, terms)
 
 
@@ -168,9 +172,8 @@ def demazure_operator(rs, i, chain, level):
     walks the mirror's string with -X^-k P(w).  This is exact on any input
     whose node-0 divisions are.  A string step adds one int to the key.
     """
-    bits = 8 * struct.calcsize(_FIELD)
-    shift, mask = bits * i, (1 << bits) - 1
-    base = (level if i == 0 else 0) - (1 << bits - 1)
+    shift, mask = _BITS * i, (1 << _BITS) - 1
+    base = (level if i == 0 else 0) - (1 << _BITS - 1)
     # key + k*fwd is the mirror s_i(key)
     zero = _pack(rs, rs.zero_weight())
     if i == 0:
@@ -262,10 +265,9 @@ def _demazure_from(rs, level, extremal):
     top, word = straighten(rs, AffineWeight(extremal, level, 0))
     nu = rs.add(top.finite, rs.scale(top.delta, rs.theta.coords))
     bound = sum(rs.pairing(nu, b) for b in range(len(rs.positive_roots)))
-    bits = 8 * struct.calcsize(_FIELD)
-    if bound >= 1 << bits - 1:
+    if bound >= 1 << _BITS - 1:
         raise RuntimeError(
-            f"internal error: weight bound {bound} of {top} overflows the {bits}-bit fields of the"
+            f"internal error: weight bound {bound} of {top} overflows the {_BITS}-bit fields of the"
             " keys its Demazure chain reads and writes"
         )
     key = _pack(rs, top.finite)

@@ -10,7 +10,8 @@ Characters serialize as JSON lines (:meth:`GradedCharacter.to_jsonl`): a
 ``{"system":…,"kind":…}`` header, then one ``{"w":[…],"g":…,"m":"…"}``
 line per term in sorted (weight, grade) order, multiplicities as decimal
 strings.  The term lines are formatted by hand, byte-identical to
-``json.dumps`` with compact separators, and every line ends in ``\n``.
+``json.dumps`` with compact separators, each weight's prefix once, and
+every line ends in ``\n``.  The Demazure chain emits sorted terms.
 :meth:`GradedCharacter.from_jsonl` is the exact inverse: it matches the
 term lines against one pattern per rank, converts each distinct weight
 once, and raises ``ValueError`` on any other spelling.
@@ -178,29 +179,19 @@ class GradedCharacter:
     # serialization: JSON lines, one term per line, multiplicities as
     # decimal strings so arbitrary precision survives every consumer
 
-    def sorted_terms(self):
-        terms = self.terms
-        return [(key, terms[key]) for key in sorted(terms)]
-
     def to_jsonl(self, kind=None):
         if kind is None:
             kind = "plain" if self.is_plain else "graded"
         if kind not in ("plain", "graded"):
             raise ValueError(f"unknown serialization kind {kind!r}")
         header = json.dumps({"system": self.system.name, "kind": kind}, separators=(",", ":"))
-        # sorting the distinct weights, then each weight's grades, gives the
-        # (weight, grade) order with every weight's prefix formatted once
-        groups = {}
-        for (w, g), m in self.terms.items():
-            if w in groups:
-                groups[w].append((g, m))
-            else:
-                groups[w] = [(g, m)]
+        terms, last = self.terms, None
         lines = [header + "\n"]
-        for w in sorted(groups):
-            head = '{"w":[%s],"g":' % ",".join(map(str, w))
-            lines += [head + '%d,"m":"%d"}\n' % gm for gm in sorted(groups.pop(w))]
-        del groups  # freed before the join, so the peak stays at the lines plus the text
+        for key in sorted(terms):
+            w, g = key
+            if w != last:  # each weight's prefix is formatted once
+                last, head = w, '{"w":[%s],"g":' % ",".join(map(str, w))
+            lines.append(head + '%d,"m":"%d"}\n' % (g, terms[key]))
         return "".join(lines)
 
     @classmethod

@@ -21,8 +21,10 @@ validated but changes neither the work nor the output.
 Each command imports the modules it runs when it runs: every command loads
 ``rootsystem``; ``char`` adds ``affine``, ``charalg`` and ``cache`` (and
 ``finite`` for ``--kind weyl``), ``presentation`` adds ``affine`` and
-``charalg``, ``verify`` and ``scan`` add ``theorems`` with ``affine``,
-``finite`` and ``charalg``, and ``cache`` adds ``cache`` and ``charalg``.
+``charalg``, ``verify minuscule`` adds ``theorems`` alone, ``verify
+twofold`` and ``scan`` add ``theorems``, ``finite`` and ``charalg``, every
+other ``verify`` claim adds ``theorems`` with ``affine``, ``finite`` and
+``charalg``, and ``cache`` adds ``cache`` and ``charalg``.
 The package's own exports resolve lazily too, so ``char`` never compiles
 ``theorems`` and no command but ``char`` and ``cache`` loads ``cache``.
 
@@ -118,7 +120,7 @@ def _format_graded_dim(graded):
 
 def _pretty_character(char):
     lines = ["weight\tgrade\tmult"]
-    for (w, g), m in char.sorted_terms():
+    for (w, g), m in sorted(char.terms.items()):
         lines.append(f"{','.join(map(str, w))}\t{g}\t{m}")
     lines.append(f"dim {char.dimension()}")
     lines.append(f"graded dim {_format_graded_dim(char.graded_dimension())}")

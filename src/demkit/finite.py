@@ -3,8 +3,10 @@
 One multiplicity recursion, :func:`dominant_multiplicities`, tabulates
 every finite-dominant weight of an affine module at each depth; the
 truncated affine character is those tables and the finite one their
-depth-0 slice, each multiplicity expanded over its Weyl orbit.  The test
-suite (``tests/conftest.py``) holds the finite characters to an
+depth-0 slice, each multiplicity expanded over its Weyl orbit.  The root
+system memoises only each irreducible's slice; :func:`isotypic_character`
+is the one orbit expansion, and tensor product extraction reads slices.
+The test suite (``tests/conftest.py``) holds the finite characters to an
 independent route, the divided-difference operators along a reduced word
 for the longest Weyl element; the two share no algorithmic step, which
 is what makes their exact agreement a meaningful cross-check.
@@ -37,21 +39,17 @@ __all__ = [
 
 
 def weyl_character(rs, weight):
-    """Character of the irreducible module of a dominant highest weight,
-    by the exact multiplicity recursion (all grades 0)."""
-    return _weyl_entry(rs, rs.check_dominant(weight))[0]
+    """Character of the irreducible module of a dominant highest weight:
+    the isotypic character of that weight alone (all grades 0)."""
+    return isotypic_character(rs, {(rs.check_dominant(weight), 0): 1})
 
 
-def _weyl_entry(rs, weight):
-    """``(character, dominant multiplicities)`` of the irreducible module
-    of a dominant ``weight``, memoised together on ``rs``."""
-    hit = rs._weyl_cache.get(weight)
-    if hit is not None:
-        return hit
-    mult = dominant_multiplicities(rs, weight, rs.theta_pairing(weight), 0)[0]
-    terms = {(w, 0): m for mu, m in mult.items() for w in rs.weyl_orbit(mu)}
-    entry = rs._weyl_cache[weight] = (GradedCharacter(rs, terms), mult)
-    return entry
+def _weyl_table(rs, weight):
+    """The dominant multiplicities of the irreducible module of a dominant
+    ``weight``, memoised on ``rs``: the depth-0 slice of the recursion."""
+    if weight not in rs._weyl_cache:
+        rs._weyl_cache[weight] = dominant_multiplicities(rs, weight, rs.theta_pairing(weight), 0)[0]
+    return rs._weyl_cache[weight]
 
 
 def dominant_multiplicities(rs, top, level, max_depth):
@@ -139,7 +137,7 @@ def isotypic_character(rs, components):
     (weight, grade) is expanded over its Weyl orbit once."""
     dominant = {}
     for (lam, g), c in components.items():
-        for mu, m in _weyl_entry(rs, lam)[1].items():
+        for mu, m in _weyl_table(rs, lam).items():
             dominant[(mu, g)] = dominant.get((mu, g), 0) + c * m
     return GradedCharacter(
         rs, {(w, g): m for (mu, g), m in dominant.items() for w in rs.weyl_orbit(mu)}
@@ -192,7 +190,7 @@ def tensor_decompose(rs, char):
         if mult < 0:
             raise ValueError(f"not a character: negative multiplicity at {pick}")
         out[pick] = mult
-        for w, m in _weyl_entry(rs, pick)[1].items():
+        for w, m in _weyl_table(rs, pick).items():
             v = remaining.get(w, 0) - mult * m
             if v:
                 if v < 0:

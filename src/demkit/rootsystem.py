@@ -186,8 +186,8 @@ class RootSystem:
         # h-vee: 1 + height of the coroot of the highest root
         self.dual_coxeter = 1 + sum(theta.coroot)
         self._dominant_cache = {}
-        # dominant weight -> (character, dominant multiplicities), kept by
-        # finite.weyl_character on the instance its characters belong to
+        # dominant weight -> dominant multiplicities of its irreducible
+        # module, kept by finite on the instance its characters belong to
         self._weyl_cache = {}
 
     def __repr__(self):

@@ -78,7 +78,7 @@ class Certificate:
 def char_payload(char):
     """JSON-ready term list of a character, canonically ordered."""
     return [
-        {"w": list(w), "g": g, "m": str(m)} for (w, g), m in char.sorted_terms()
+        {"w": list(w), "g": g, "m": str(m)} for (w, g), m in sorted(char.terms.items())
     ]
 
 

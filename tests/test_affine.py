@@ -306,8 +306,8 @@ def test_packed_kernel_matches_the_oracle_on_any_character(name):
 
 def test_packed_terms_round_trip():
     # negative weight fields, full digits at every digit size (struct's
-    # four and two wider ones) and the term order (weights in chain order,
-    # each weight's grades ascending) survive packing
+    # four and two wider ones) survive packing, and the terms come out in
+    # sorted (weight, grade) order
     rs = root_system("B3")
     rng = seeded("pack")
     delta = 9
@@ -325,7 +325,7 @@ def test_packed_terms_round_trip():
             chain[key] = sum(m << width * g for g, m in zip(grades, mults))
             counts[key] = sum(mults)
         out = affine._unpack(rs, affine._Chain(chain, width), counts, delta)
-        assert list(out.terms.items()) == list(terms.items())
+        assert list(out.terms.items()) == sorted(terms.items())
 
 
 def test_unpack_refuses_what_does_not_decode():
@@ -468,7 +468,8 @@ def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
     # chain looks up (in both of its passes) is a weight of the module, so
     # its pairings with the simple coroots and with the highest coroot stay
     # within sum over positive roots beta of (top + delta*theta)(h_beta),
-    # and every grade the oracle writes within 0..delta
+    # and every grade the oracle writes within 0..delta; the library's
+    # terms come out in sorted (weight, grade) order
     rs = root_system(name)
     cases = sorted({
         (level, weight)
@@ -488,6 +489,7 @@ def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
             patch.setattr(affine, "_Chain", lambda terms, width: chain(RecordingTerms(terms, reads), width))
             full = demazure_character(rs, level, weight)
             components = graded_isotypic(rs, level, weight)
+        assert list(full.terms) == sorted(full.terms)
         touched.clear()
         with monkeypatch.context() as patch:
             patch.setattr(affine, "_demazure_from", oracle)

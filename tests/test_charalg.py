@@ -203,13 +203,14 @@ def test_jsonl_matches_json_dumps_reference(system):
         samples.append(GradedCharacter(rs, {(w, g - 2): m for (w, g), m in x.terms.items()}))
         samples.append(scaled(x, 2**64 + rng.randint(1, 99)))  # past 64 bits
         samples.append(scaled(x, -(3**50)))  # large and negative
+    # terms inserted in reverse sorted order, so to_jsonl must sort them
+    samples.append(GradedCharacter(rs, dict(sorted(samples[2].terms.items(), reverse=True))))
     for x in samples:
         for kind in ("plain", "graded") if x.is_plain else ("graded",):
             text = x.to_jsonl(kind=kind)
             assert text == _reference_jsonl(x, kind)
             assert GradedCharacter.from_jsonl(text) == x
         assert x.to_jsonl() == x.to_jsonl(kind="plain" if x.is_plain else "graded")
-        assert x.sorted_terms() == sorted(x.terms.items())
 
 
 @pytest.mark.parametrize("header", [

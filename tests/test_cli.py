@@ -395,6 +395,7 @@ def test_chain_fields_too_narrow_exit_5(capsys, monkeypatch, isolated_cache):
     args = ("char", "--system", "A1", "--level", "1", "--graded", "--weight")
     _, wide, _ = run(capsys, *args, "12", "--no-cache")
     monkeypatch.setattr(affine, "_FIELD", "b")
+    monkeypatch.setattr(affine, "_BITS", 8)
     assert run(capsys, *args, "12", "--no-cache") == (0, wide, "")
     code, out, err = run(capsys, *args, "20")
     assert code == 5 and out == ""
