@@ -146,11 +146,8 @@ class CharacterCache:
 
     def clear(self):
         """Remove every entry, stale versions and kinds included."""
-        removed = 0
         for name in self._names():
             try:
                 os.unlink(os.path.join(self.directory, name))
-                removed += 1
             except OSError:
                 pass
-        return removed

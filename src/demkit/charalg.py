@@ -3,8 +3,10 @@
 A :class:`GradedCharacter` is a finitely supported map
 ``(weight, grade) -> integer`` attached to one root system; weights are
 tuples in the fundamental basis and grades are plain integers.  Coefficients
-are Python ints, so multiplicities never overflow.  Values are immutable:
-every operation returns a fresh character.
+are Python ints, so multiplicities never overflow.  A character is immutable
+and keeps only what the claims use: the product, collapse, slice, dimension,
+graded dimension and the codec below; a power is a run of products.  The
+constructor is the one place that drops zero multiplicities.
 
 Characters serialize as JSON lines (:meth:`GradedCharacter.to_jsonl`): a
 ``{"system":…,"kind":…}`` header, then one ``{"w":[…],"g":…,"m":"…"}``
@@ -65,13 +67,7 @@ class GradedCharacter:
         return cls(system, {(system.zero_weight(), 0): 1})
 
     # ------------------------------------------------------------------
-    # ring structure
-
-    def _check_compatible(self, other):
-        if self.system is not other.system:
-            raise ValueError(
-                f"cannot combine characters over {self.system.name} and {other.system.name}"
-            )
+    # equality and the product
 
     def __eq__(self, other):
         if not isinstance(other, GradedCharacter):
@@ -83,26 +79,12 @@ class GradedCharacter:
     def __bool__(self):
         return bool(self.terms)
 
-    def __add__(self, other):
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for k, m in other.terms.items():
-            v = out.get(k, 0) + m
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return GradedCharacter(self.system, out)
-
-    def __neg__(self):
-        return GradedCharacter(self.system, {k: -m for k, m in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         """Convolution product: weights add, grades add."""
-        self._check_compatible(other)
+        if self.system is not other.system:
+            raise ValueError(
+                f"cannot multiply characters over {self.system.name} and {other.system.name}"
+            )
         out = {}
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -110,25 +92,8 @@ class GradedCharacter:
         for (w1, g1), m1 in a.items():
             for (w2, g2), m2 in b.items():
                 key = (tuple(map(add, w1, w2)), g1 + g2)
-                v = out.get(key, 0) + m1 * m2
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
+                out[key] = out.get(key, 0) + m1 * m2
         return GradedCharacter(self.system, out)
-
-    def __pow__(self, exponent):
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        result = GradedCharacter.unit(self.system)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     # ------------------------------------------------------------------
     # views and statistics

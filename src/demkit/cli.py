@@ -6,15 +6,15 @@ a certificate), ``scan`` (exhaustive surjection scan), ``cache`` (manage
 the on-disk character cache).
 
 Exit codes: 0 success/verified, 1 refuted, 2 invalid flags, 3 hypothesis
-violations and other domain errors, 4 inconclusive, 5 internal error (a
-failed internal consistency check), 6 I/O error (an output path or cache
-directory that cannot be written or read); 3, 5 and 6 are reported as one
-``error:`` line on stderr.  All primary output is UTF-8 JSON or
-JSON-lines; ``--no-timing`` strips the elapsed fields so reruns are
-byte-identical.  Each ``verify`` subcommand runs ``theorems.verify_<name>``
-on the arguments its parser names; only ``char`` and ``cache`` touch the cache, and ``verify
-stabilization --no-cache`` is accepted but unused.  ``scan`` runs in one
-process, decomposes each distinct product of two irreducibles once, and
+violations and other domain errors, 4 inconclusive, 5 internal error (a failed
+internal consistency check, or any other unexpected exception), 6 I/O error
+(an output path or cache directory that cannot be written or read); 3, 5 and 6
+are reported as one ``error:`` line on stderr.  All primary output is UTF-8
+JSON or JSON-lines; ``--no-timing`` strips the elapsed fields so reruns are
+byte-identical.  Each ``verify`` subcommand runs ``theorems.verify_<name>`` on
+the arguments its parser names; only ``char`` and ``cache`` touch the cache,
+and ``verify stabilization --no-cache`` is accepted but unused.  ``scan`` runs
+in one process, decomposes each distinct product of two irreducibles once, and
 computes every certificate before it writes any; its ``--jobs`` flag is
 validated but changes neither the work nor the output.
 
@@ -447,6 +447,9 @@ def main(argv=None):
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
+    except Exception as exc:  # a crash must never read as exit 1, "refuted"
+        sys.stderr.write(f"error: internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 def main_entry():

@@ -345,7 +345,10 @@ def verify_krdecom(rs, level, s_vector, lam):
     rhs = weyl_character(rs, lam)
     for node, s in enumerate(s_vector, start=1):
         if s:
-            rhs = rhs * kr_character(rs, level, node).collapse() ** s
+            factor = power = kr_character(rs, level, node).collapse()
+            for _ in range(s - 1):
+                power = power * factor
+            rhs = rhs * power
     details = {"lhs_dim": str(lhs.dimension()), "rhs_dim": str(rhs.dimension())}
     return claim.equal(lhs, rhs, details)
 

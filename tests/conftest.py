@@ -107,6 +107,18 @@ def scaled(char, k):
     return GradedCharacter(char.system, {key: k * m for key, m in char.terms.items()})
 
 
+def summed(*chars):
+    """The sum of characters over one root system, added term by term."""
+    system = chars[0].system
+    if any(char.system is not system for char in chars):
+        raise ValueError("cannot add characters over different root systems")
+    out = {}
+    for char in chars:
+        for key, m in char.terms.items():
+            out[key] = out.get(key, 0) + m
+    return GradedCharacter(system, out)
+
+
 def affine_pairing(rs, aw, i):
     """Pairing of an affine weight against the i-th simple coroot, i in 0..n:
     node 0 pairs as ``level - finite(h_theta)``."""

@@ -386,6 +386,36 @@ def test_internal_errors_exit_5(capsys, monkeypatch):
     assert err == "error: internal error: simulated\n"
 
 
+def test_unexpected_exceptions_exit_5(capsys, monkeypatch):
+    # a crash is an internal error, never exit 1 ("refuted") and never a
+    # traceback: one error line naming the exception type
+    from demkit import finite
+
+    for exc in (KeyError("(2, 1)"), MemoryError()):
+        def crash(rs, lam):
+            raise exc
+
+        monkeypatch.setattr(finite, "weyl_character", crash)
+        code, out, err = run(capsys, "char", "--system", "B2", "--kind", "weyl", "--weight", "2,1")
+        assert code == 5 and out == ""
+        assert err == f"error: internal error: {type(exc).__name__}: {exc}\n"
+        assert err.count("\n") == 1
+
+
+def test_negative_weight_needs_the_equals_form(capsys):
+    # argparse reads a separate "-1,0" as an option; "--lambda=-1,0" reaches
+    # the claim, which refuses the non-dominant weight as a hypothesis
+    args = ("verify", "ev0", "--system", "A2", "--level", "1", "--no-timing")
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *args, "--lambda", "-1,0")
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    code, out, err = run(capsys, *args, "--lambda=-1,0")
+    assert code == 3 and err == ""
+    cert = json.loads(out)
+    assert cert["verdict"] == "hypothesis-violated" and cert["inputs"]["lambda"] == [-1, 0]
+
+
 def test_chain_fields_too_narrow_exit_5(capsys, monkeypatch, isolated_cache):
     # with 8-bit chain fields (offset 128), A1 weight 12 at level 1 (weight
     # bound 72) still fits and gives the same character; weight 20 (bound

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import (
     brauer_klimyk, clebsch_gordan_sl2, demazure_weyl_character, dominant_box, monomial,
-    random_dominant, scaled, seeded,
+    random_dominant, scaled, seeded, summed,
 )
 from demkit.charalg import GradedCharacter
 from demkit.finite import (
@@ -143,9 +143,7 @@ def test_reconstruction_invariant(name):
         product = weyl_character(rs, random_dominant(rng, rs, 2)) * \
             weyl_character(rs, random_dominant(rng, rs, 2))
         decomp = tensor_decompose(rs, product)
-        rebuilt = GradedCharacter(rs)
-        for lam, mult in decomp.items():
-            rebuilt = rebuilt + scaled(weyl_character(rs, lam), mult)
+        rebuilt = summed(*(scaled(weyl_character(rs, lam), mult) for lam, mult in decomp.items()))
         assert rebuilt == product
         assert all(m > 0 for m in decomp.values())
 
@@ -168,7 +166,7 @@ def test_rejects_non_characters():
     with pytest.raises(ValueError):
         tensor_decompose(A1, graded)
     # Weyl-symmetric support with impossible multiplicities
-    bogus = weyl_character(A1, (2,)) - scaled(weyl_character(A1, (0,)), 3)
+    bogus = summed(weyl_character(A1, (2,)), scaled(weyl_character(A1, (0,)), -3))
     assert bogus.is_w_invariant()
     with pytest.raises(ValueError):
         tensor_decompose(A1, bogus)
