@@ -142,8 +142,7 @@ def _unpack(rs, chain, counts, delta):
             )
         for g in compress(grades, mults):
             terms[w, g] = mults[g]
-    del keys  # freed before GradedCharacter copies the terms
-    return GradedCharacter(rs, terms)
+    return GradedCharacter._adopt(rs, terms)  # fresh, and compress kept no zero
 
 
 def demazure_operator(rs, i, chain, level):

@@ -4,15 +4,16 @@ One character per file.  An entry is the :meth:`GradedCharacter.to_jsonl`
 text of the character, except that its header line also carries the
 body's term count and the SHA-256 of the body (every line after the
 header), e.g. ``{"system":"A2","kind":"graded","terms":7,"sha256":"…"}``.
-``load`` checks system, kind, count and digest before it parses the body,
-so an edited or truncated body is a miss, and so is any entry
-``from_jsonl`` rejects.  Keys are injective over distinct mathematical
-objects, and file names carry a format version (2 since entries carry the
-digest); bumping the version orphans every prior entry.  ``stats`` counts only
-current-version ``demazure`` and ``weyl`` entries; ``clear`` removes every
-entry file.  Writes are atomic (write to a temp file in the same directory,
-then rename), so concurrent readers never observe a torn file and
-concurrent writers of the same key simply race to identical content.
+``load`` checks system, kind, count (an int: ``7.0`` is no count) and
+digest before it parses the body, so an edited or truncated body is a
+miss, and so is any entry ``from_jsonl`` rejects.  Keys are injective
+over distinct mathematical objects, and file names carry a format version
+(2 since entries carry the digest); bumping the version orphans every
+prior entry.  ``stats`` counts only current-version ``demazure`` and
+``weyl`` entries; ``clear`` removes every entry file.  Writes are atomic
+(write to a temp file in the same directory, then rename), so concurrent
+readers never observe a torn file and concurrent writers of the same key
+simply race to identical content.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ class CharacterCache:
                 type(header) is not dict
                 or header.get("system") != key.system
                 or header.get("kind") != key.expected_header_kind
-                or header.get("terms") != data.count(b"\n", start)
+                or type(header.get("terms")) is not int  # not 2.0, not true
+                or header["terms"] != data.count(b"\n", start)
                 or header.get("sha256") != sha256(memoryview(data)[start:]).hexdigest()
             ):
                 return None

@@ -15,8 +15,9 @@ strings.  The term lines are formatted by hand, byte-identical to
 ``json.dumps`` with compact separators, each weight's prefix once, and
 every line ends in ``\n``.  The Demazure chain emits sorted terms.
 :meth:`GradedCharacter.from_jsonl` is the exact inverse: it matches the
-term lines against one pattern per rank, converts each distinct weight
-once, and raises ``ValueError`` on any other spelling.
+term lines against one pattern per rank, streams them into the result
+with each run of one weight's lines sharing one tuple, and raises
+``ValueError`` on any other spelling.
 """
 
 from __future__ import annotations
@@ -65,6 +66,15 @@ class GradedCharacter:
     def unit(cls, system):
         """The ring identity: the zero weight at grade 0."""
         return cls(system, {(system.zero_weight(), 0): 1})
+
+    @classmethod
+    def _adopt(cls, system, terms):
+        """The character whose terms are ``terms`` itself, not a copy: for
+        a decoder's fresh dict of nonzero multiplicities that nothing else
+        holds."""
+        char = cls.__new__(cls)
+        char.system, char.terms = system, terms
+        return char
 
     # ------------------------------------------------------------------
     # equality and the product
@@ -149,6 +159,8 @@ class GradedCharacter:
             kind = "plain" if self.is_plain else "graded"
         if kind not in ("plain", "graded"):
             raise ValueError(f"unknown serialization kind {kind!r}")
+        if kind == "plain" and not self.is_plain:  # from_jsonl would refuse the file
+            raise ValueError("a character with nonzero grades cannot be written as plain")
         header = json.dumps({"system": self.system.name, "kind": kind}, separators=(",", ":"))
         terms, last = self.terms, None
         lines = [header + "\n"]
@@ -168,7 +180,12 @@ class GradedCharacter:
         other spacing, key order or keys, a weight that is not ``rank``
         canonical ints, a grade that is not a canonical int, a
         multiplicity that is zero or not a canonical decimal string, a
-        blank line, a line not ending in ``\\n``, or a repeated term."""
+        blank line, a line not ending in ``\\n``, or a repeated term.
+
+        The records stream into the character's own dict, one match at a
+        time, so the parse holds no list of records beside ``text`` and
+        the result.  Consecutive records of one weight (every grade of it,
+        as the file is sorted) share one weight tuple."""
         from .rootsystem import root_system
 
         start = text.find("\n") + 1  # where the body begins
@@ -183,18 +200,21 @@ class GradedCharacter:
             raise ValueError(f"bad character header {text[:start]!r}")
         rs = root_system(header["system"])
         record = _record_pattern(rs.rank)
-        records = record.findall(text, start)
+        terms, count, last = {}, 0, None
+        for count, match in enumerate(record.finditer(text, start), 1):
+            coords, g, m = match.groups()
+            if coords != last:
+                last, w = coords, tuple(map(int, coords.split(",")))
+            terms[w, int(g)] = int(m)
         # each match is one whole line, so one per line means all of them
-        if len(records) != text.count("\n", start) or not text.endswith("\n"):
+        if count != text.count("\n", start) or not text.endswith("\n"):
             for number, line in enumerate(text[start:].split("\n"), 2):
                 if not record.fullmatch(line + "\n"):
                     raise ValueError(f"bad character record on line {number}: {line!r}")
             raise ValueError("a character file must end in a newline")
-        weights = {w: tuple(map(int, w.split(","))) for w in {w for w, _, _ in records}}
-        terms = {(weights[w], int(g)): int(m) for w, g, m in records}
-        if len(terms) != len(records):
+        if len(terms) != count:
             raise ValueError("repeated term in character file")
-        char = cls(rs, terms)
+        char = cls._adopt(rs, terms)  # the pattern admits no zero multiplicity
         if header["kind"] == "plain" and not char.is_plain:
             raise ValueError("character file declared plain but carries nonzero grades")
         return char

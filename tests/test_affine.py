@@ -345,11 +345,15 @@ def test_unpack_refuses_what_does_not_decode():
 
 @pytest.mark.parametrize("name,level,weight", [("A1", 2, (3,)), ("A2", 2, (2, 1)), ("G2", 1, (1, 1))])
 def test_unpack_decodes_each_weight_once(name, level, weight):
-    """Every grade of a weight shares one weight tuple."""
+    """Every grade of a weight shares one weight tuple, also after a round
+    trip through the character file."""
     char = demazure_character(root_system(name), level, weight)
     weights = {w for w, _ in char.terms}
     assert len(char.terms) > len(weights)  # some weight carries several grades
-    assert len({id(w) for w, _ in char.terms}) == len(weights)
+    back = GradedCharacter.from_jsonl(char.to_jsonl())
+    assert back == char
+    for ch in (char, back):
+        assert len({id(w) for w, _ in ch.terms}) == len(weights)
 
 
 # ---------------------------------------------------------------------------

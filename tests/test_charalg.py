@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from conftest import monomial, random_dominant, scaled, seeded, summed
@@ -29,6 +31,19 @@ def test_zero_coefficients_are_dropped():
         assert list(x.terms.items()) == [(k, m) for k, m in terms.items() if m]
         x.terms[(9,), 9] = 1
         assert ((9,), 9) not in terms
+
+
+def test_constructor_copies_what_it_is_given():
+    # only the decoders hand over their own dicts; a caller's dict stays
+    # the caller's, so changing it later leaves the character as built
+    rs = root_system("A1")
+    for terms in ({((1,), 0): 5, ((0,), 1): 2}, {((1,), 0): 5, ((0,), 1): 0}):
+        x = GradedCharacter(rs, terms)
+        before = dict(x.terms)
+        terms[(1,), 0] = 7
+        terms[(3,), 0] = 1
+        del terms[(0,), 1]
+        assert x.terms == before and x.terms is not terms
 
 
 def test_unit_is_the_identity():
@@ -208,6 +223,33 @@ def test_jsonl_matches_json_dumps_reference(system):
             assert text == _reference_jsonl(x, kind)
             assert GradedCharacter.from_jsonl(text) == x
         assert x.to_jsonl() == x.to_jsonl(kind="plain" if x.is_plain else "graded")
+
+
+def test_plain_serialization_of_a_graded_character_is_refused():
+    # from_jsonl refuses such a file, so to_jsonl does not write it
+    graded = GradedCharacter(root_system("A1"), {((0,), 0): 2, ((2,), 1): 1})
+    with pytest.raises(ValueError, match="nonzero grades"):
+        graded.to_jsonl(kind="plain")
+    assert GradedCharacter.from_jsonl(graded.to_jsonl(kind="graded")) == graded
+
+
+def test_from_jsonl_holds_little_beside_its_result():
+    # the records stream into the result: the parse's traced peak stays
+    # within 1.5 times what the character it returns retains, so no list
+    # of records or copy of the terms is alive at any one time
+    from demkit.affine import demazure_character
+
+    text = demazure_character(root_system("A2"), 2, (10, 9)).to_jsonl()
+    GradedCharacter.from_jsonl(text)  # compile the record pattern untraced
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        char = GradedCharacter.from_jsonl(text)
+        kept, peak = (n - base for n in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(char.terms) > 5000
+    assert peak <= 1.5 * kept, (peak, kept)
 
 
 @pytest.mark.parametrize("header", [

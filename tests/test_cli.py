@@ -150,6 +150,25 @@ def test_malformed_cache_entries_are_misses(capsys, isolated_cache, entry):
     assert out == uncached
 
 
+@pytest.mark.parametrize("count", [1.0, True], ids=["float", "bool"])
+def test_term_count_that_is_not_an_int_is_a_miss(capsys, isolated_cache, monkeypatch, count):
+    # 1.0 == True == 1, so only the type turns these one-term entries away
+    from demkit.charalg import GradedCharacter
+
+    args = ("char", "--system", "A1", "--level", "1", "--weight", "0", "--graded")
+    path, header, body = _cached_entry(capsys, isolated_cache, args)
+    assert header["terms"] == len(body) == 1
+    path.write_text(json.dumps(dict(header, terms=count), separators=(",", ":")) + "\n" + "".join(body))
+    calls = []
+    real_from = GradedCharacter.from_jsonl.__func__
+    monkeypatch.setattr(GradedCharacter, "from_jsonl",
+                        classmethod(lambda cls, text: calls.append(1) or real_from(cls, text)))
+    code, out, _ = run(capsys, *args)
+    _, uncached, _ = run(capsys, *args, "--no-cache")
+    assert code == 0 and out == uncached and calls == []
+    assert json.loads(path.read_text().splitlines()[0])["terms"] == 1  # rewritten
+
+
 @pytest.mark.parametrize("edit", [
     lambda lines: [ln.replace('"m":"1"', '"m":"5"', 1) for ln in lines],  # one multiplicity
     lambda lines: lines[:-1],  # last term dropped
