@@ -1,19 +1,20 @@
 """On-disk character cache.
 
-One character per file.  An entry is the :meth:`GradedCharacter.to_jsonl`
-text of the character, except that its header line also carries the
-body's term count and the SHA-256 of the body (every line after the
-header), e.g. ``{"system":"A2","kind":"graded","terms":7,"sha256":"…"}``.
-``load`` checks system, kind, count (an int: ``7.0`` is no count) and
-digest before it parses the body, so an edited or truncated body is a
-miss, and so is any entry ``from_jsonl`` rejects.  Keys are injective
-over distinct mathematical objects, and file names carry a format version
-(2 since entries carry the digest); bumping the version orphans every
-prior entry.  ``stats`` counts only current-version ``demazure`` and
-``weyl`` entries; ``clear`` removes every entry file.  Writes are atomic
-(write to a temp file in the same directory, then rename), so concurrent
-readers never observe a torn file and concurrent writers of the same key
-simply race to identical content.
+One character per file.  An entry is a seal line, then the character file
+exactly as :meth:`GradedCharacter.to_jsonl` writes it in the key's kind,
+which is what a cold ``char`` prints.  The seal holds the entry's own file
+name, the term count and the SHA-256 of all that follows the seal, e.g.
+``{"entry":"v3_demazure_A2_l1_w1_1.jsonl","terms":8,"sha256":"…"}``.
+``load`` checks the name, the count's type (``8.0`` is no count) and the
+digest, then the header line against the key's system and kind, then
+parses the file once and compares the count; any other entry, one copied
+to another key's file name included, is a miss.  Keys are injective over
+distinct mathematical objects, and file names carry a format version (3
+since the seal); bumping it orphans every prior entry.  ``stats`` counts
+only current-version ``demazure`` and ``weyl`` entries; ``clear`` removes
+every entry file.  Writes are atomic (write to a temp file in the same
+directory, then rename), so concurrent readers never observe a torn file
+and concurrent writers of the same key simply race to identical content.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ except ImportError:
 
 __all__ = ["FORMAT_VERSION", "CacheKey", "CharacterCache", "resolve_cache_dir"]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 ENV_VAR = "DEMKIT_CACHE"
 
@@ -74,51 +75,47 @@ class CharacterCache:
         return os.path.join(self.directory, key.filename())
 
     def load(self, key):
-        """``(char, text)`` for the cached character, where ``text`` is the
-        checked entry as ``store`` returns it, or None on a miss.  Stale,
-        corrupt or malformed entries count as misses; any other failure to
-        read raises, so the request fails before it builds anything."""
+        """``(char, text)`` for the cached character, where ``text`` is its
+        character file as ``store`` returns it, or None on a miss.  Stale,
+        misfiled, corrupt or malformed entries count as misses; any other
+        failure to read raises, so the request fails before it builds
+        anything."""
         try:
             with open(self._path(key), "rb") as fh:
                 data = fh.read()
         except FileNotFoundError:  # no entry, or no cache directory yet
             return None
-        start = data.find(b"\n") + 1  # where the body begins
+        start = data.find(b"\n") + 1  # where the character file begins
         try:
-            header = json.loads(data[:start])
+            seal = json.loads(data[:start])
             if (
-                type(header) is not dict
-                or header.get("system") != key.system
-                or header.get("kind") != key.expected_header_kind
-                or type(header.get("terms")) is not int  # not 2.0, not true
-                or header["terms"] != data.count(b"\n", start)
-                or header.get("sha256") != sha256(memoryview(data)[start:]).hexdigest()
+                type(seal) is not dict
+                or seal.get("entry") != key.filename()
+                or type(seal.get("terms")) is not int  # not 2.0, not true
+                or seal.get("sha256") != sha256(memoryview(data)[start:]).hexdigest()
             ):
                 return None
-            head = json.dumps({"system": key.system, "kind": header["kind"]}, separators=(",", ":"))
-            text = head + "\n" + str(memoryview(data)[start:], "utf-8")
-            return GradedCharacter.from_jsonl(text), text
+            text = str(memoryview(data)[start:], "utf-8")
+            if not text.startswith(GradedCharacter._header(key.system, key.expected_header_kind)):
+                return None  # printed as read, so only the key's header as to_jsonl spells it
+            char = GradedCharacter.from_jsonl(text)
         except ValueError:
             return None
+        return (char, text) if len(char.terms) == seal["terms"] else None
 
     def store(self, key, char):
         """Write ``char`` under ``key``; returns its ``to_jsonl`` text in
-        the key's kind, so a caller that prints it serializes once."""
+        the key's kind, the entry after its seal, so a caller that prints
+        it serializes once."""
         os.makedirs(self.directory, exist_ok=True)
         text = char.to_jsonl(kind=key.expected_header_kind)
         data = text.encode("utf-8")
-        body = memoryview(data)[data.index(b"\n") + 1:]
-        header = {
-            "system": key.system,
-            "kind": key.expected_header_kind,
-            "terms": len(char.terms),
-            "sha256": sha256(body).hexdigest(),
-        }
+        seal = {"entry": key.filename(), "terms": len(char.terms), "sha256": sha256(data).hexdigest()}
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
-                fh.write(body)
+                fh.write(json.dumps(seal, separators=(",", ":")).encode("utf-8") + b"\n")
+                fh.write(data)
             os.replace(tmp, self._path(key))
         except BaseException:
             try:
@@ -137,14 +134,11 @@ class CharacterCache:
             return []
         return sorted(n for n in names if n.endswith(".jsonl"))
 
-    def entries(self):
-        """Entries of the current format version and a known kind, the only
-        ones ``load`` can read."""
-        prefixes = tuple(f"v{FORMAT_VERSION}_{kind}_" for kind in ("demazure", "weyl"))
-        return [n for n in self._names() if n.startswith(prefixes)]
-
     def stats(self):
-        return {"entries": len(self.entries())}
+        """The count of entries of the current format version and a known
+        kind, the only ones ``load`` can read."""
+        prefixes = tuple(f"v{FORMAT_VERSION}_{kind}_" for kind in ("demazure", "weyl"))
+        return {"entries": sum(n.startswith(prefixes) for n in self._names())}
 
     def clear(self):
         """Remove every entry, stale versions and kinds included."""

@@ -161,15 +161,19 @@ class GradedCharacter:
             raise ValueError(f"unknown serialization kind {kind!r}")
         if kind == "plain" and not self.is_plain:  # from_jsonl would refuse the file
             raise ValueError("a character with nonzero grades cannot be written as plain")
-        header = json.dumps({"system": self.system.name, "kind": kind}, separators=(",", ":"))
         terms, last = self.terms, None
-        lines = [header + "\n"]
+        lines = [self._header(self.system.name, kind)]
         for key in sorted(terms):
             w, g = key
             if w != last:  # each weight's prefix is formatted once
                 last, head = w, '{"w":[%s],"g":' % ",".join(map(str, w))
             lines.append(head + '%d,"m":"%d"}\n' % (g, terms[key]))
         return "".join(lines)
+
+    @staticmethod
+    def _header(system, kind):
+        """The first line of every ``kind`` character file of the system named ``system``."""
+        return json.dumps({"system": system, "kind": kind}, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_jsonl(cls, text):

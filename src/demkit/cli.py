@@ -235,14 +235,8 @@ def _cmd_scan(args):
     if args.out:
         os.makedirs(args.out, exist_ok=True)  # an unusable directory fails before the scan
     certs = theorems.schur_scan(rs, args.height_bound)
-    lines = [c.to_json(include_timing=not args.no_timing) for c in certs]
-    if args.out:
-        path = os.path.join(args.out, f"scan_{rs.name}_h{args.height_bound}.jsonl")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-    else:
-        for ln in lines:
-            sys.stdout.write(ln + "\n")
+    text = "".join(c.to_json(include_timing=not args.no_timing) + "\n" for c in certs)
+    _emit(text, args.out and os.path.join(args.out, f"scan_{rs.name}_h{args.height_bound}.jsonl"))
     summary = theorems.scan_summary(certs)
     sys.stdout.write(json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
     return EXIT_OK if summary["refuted"] == 0 else EXIT_REFUTED

@@ -89,76 +89,87 @@ def test_cache_header_revalidation(capsys, isolated_cache):
 
 
 def test_entry_of_another_system_is_a_miss(capsys, isolated_cache):
-    # a G2 entry whose count and digest check out, stored under the B2 key:
-    # the rank matches, so the body parses as B2 and only load's own
-    # system check can turn it away
+    # the G2 file under a seal that names the B2 key and checks out: the
+    # rank matches, so the file parses as a character and only load's
+    # header-line check can turn it away
     b2 = ("char", "--system", "B2", "--level", "1", "--weight", "1,0", "--graded")
-    path, _, _ = _cached_entry(capsys, isolated_cache, b2)
+    path, _, lines = _cached_entry(capsys, isolated_cache, b2)
     _, g2, _ = run(capsys, "char", "--system", "G2", "--level", "1", "--weight", "1,0", "--graded", "--no-cache")
-    path.write_text(_entry_with_valid_digest(*g2.splitlines(keepends=True)[1:], system="G2"))
+    path.write_bytes(_sealed(path, g2))
     code, out, err = run(capsys, *b2)
     _, uncached, _ = run(capsys, *b2, "--no-cache")
     assert code == 0 and err == "" and out == uncached
+    assert path.read_text(encoding="utf-8").splitlines(keepends=True)[1:] == lines  # rewritten
 
 
 def _cached_entry(capsys, isolated_cache, args):
-    """Run ``args`` once to fill the cache; the entry's path and its
-    header and body lines."""
+    """Run ``args`` once to fill the cache; the entry's path, its seal and
+    the lines of the character file after the seal."""
     run(capsys, *args)
     (name,) = os.listdir(isolated_cache)
     path = isolated_cache / name
-    head, *body = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    return path, json.loads(head), body
+    seal, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    return path, json.loads(seal), lines
 
 
-def _entry_with_valid_digest(*body, system="A1"):
-    """A graded cache entry (of A1 by default) whose header passes the
-    count and digest checks for the ``body`` lines, so only the system
-    check or the parse can reject it."""
-    text = "".join(body)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    header = {"system": system, "kind": "graded", "terms": len(body), "sha256": digest}
-    return json.dumps(header, separators=(",", ":")) + "\n" + text
+def _sealed(path, text, terms=None):
+    """A cache entry at ``path`` over the character file ``text`` (str or
+    bytes) whose seal passes the name, count-type and digest checks: it
+    names ``path``'s key and counts ``text``'s term lines unless ``terms``
+    is given, so only the checks after the seal can turn it away."""
+    data = text if isinstance(text, bytes) else text.encode("utf-8")
+    if terms is None:
+        terms = data.count(b"\n") - 1
+    seal = {"entry": path.name, "terms": terms, "sha256": hashlib.sha256(data).hexdigest()}
+    return json.dumps(seal, separators=(",", ":")).encode("utf-8") + b"\n" + data
 
 
 A1_GRADED = ("char", "--system", "A1", "--level", "1", "--weight", "2", "--graded")
+A1_HEADER = '{"system":"A1","kind":"graded"}\n'
 
 
 def test_cache_entry_carries_term_count_and_digest(capsys, isolated_cache):
-    path, header, body = _cached_entry(capsys, isolated_cache, A1_GRADED)
-    assert path.name.startswith("v2_")
-    assert header["terms"] == len(body) == 4
-    assert header["sha256"] == hashlib.sha256("".join(body).encode("utf-8")).hexdigest()
+    # the entry is its seal, then exactly the uncached output
+    path, seal, lines = _cached_entry(capsys, isolated_cache, A1_GRADED)
+    assert path.name == "v3_demazure_A1_l1_w2.jsonl"
+    text = "".join(lines)
+    assert seal == {"entry": path.name, "terms": 4, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
     _, uncached, _ = run(capsys, *A1_GRADED, "--no-cache")
-    assert uncached.splitlines(keepends=True)[1:] == body
+    assert uncached == text and len(lines) == 5
 
 
 @pytest.mark.parametrize("entry", [
-    lambda body: "[1]\n" + "".join(body),  # header not an object
-    lambda body: '{"system":"A1","kind":"graded"}\n' + "".join(body),  # version-1 header
-    lambda body: _entry_with_valid_digest('{"w":2,"g":0,"m":"1"}\n'),
-    lambda body: _entry_with_valid_digest("[0]\n"),  # record not an object
-    lambda body: b"\xff\xfe\n",  # not UTF-8
-], ids=["header-list", "no-digest", "weight-not-list", "record-list", "not-utf8"])
+    lambda path, text: b"[1]\n" + text.encode("utf-8"),  # seal not an object
+    lambda path, text: b'{"entry":"%s","terms":4}\n' % path.name.encode() + text.encode("utf-8"),  # no digest
+    lambda path, text: _sealed(path, A1_HEADER + '{"w":2,"g":0,"m":"1"}\n'),
+    lambda path, text: _sealed(path, A1_HEADER + "[0]\n"),  # record not an object
+    lambda path, text: _sealed(path, A1_HEADER.encode("utf-8") + b"\xff\xfe\n"),  # not UTF-8
+    lambda path, text: _sealed(path, '{"system":"A1","kind":"plain"}\n{"w":[2],"g":0,"m":"1"}\n'),
+    lambda path, text: _sealed(path, text, terms=5),  # one term more than the file holds
+    lambda path, text: _sealed(path, " " + text),  # a header that parses but is not to_jsonl's
+], ids=["header-list", "no-digest", "weight-not-list", "record-list", "not-utf8",
+        "wrong-kind", "wrong-count", "header-spelling"])
 def test_malformed_cache_entries_are_misses(capsys, isolated_cache, entry):
-    path, _, body = _cached_entry(capsys, isolated_cache, A1_GRADED)
-    raw = entry(body)
-    path.write_bytes(raw if isinstance(raw, bytes) else raw.encode("utf-8"))
+    path, _, lines = _cached_entry(capsys, isolated_cache, A1_GRADED)
+    entry_bytes = path.read_bytes()
+    path.write_bytes(entry(path, "".join(lines)))
     code, out, err = run(capsys, *A1_GRADED)
     assert code == 0 and err == ""
     _, uncached, _ = run(capsys, *A1_GRADED, "--no-cache")
     assert out == uncached
+    assert path.read_bytes() == entry_bytes  # rewritten
 
 
 @pytest.mark.parametrize("count", [1.0, True], ids=["float", "bool"])
 def test_term_count_that_is_not_an_int_is_a_miss(capsys, isolated_cache, monkeypatch, count):
-    # 1.0 == True == 1, so only the type turns these one-term entries away
+    # 1.0 == True == 1, so only the type turns these one-term entries away,
+    # before anything is parsed
     from demkit.charalg import GradedCharacter
 
     args = ("char", "--system", "A1", "--level", "1", "--weight", "0", "--graded")
-    path, header, body = _cached_entry(capsys, isolated_cache, args)
-    assert header["terms"] == len(body) == 1
-    path.write_text(json.dumps(dict(header, terms=count), separators=(",", ":")) + "\n" + "".join(body))
+    path, seal, lines = _cached_entry(capsys, isolated_cache, args)
+    assert seal["terms"] == len(lines) - 1 == 1
+    path.write_bytes(_sealed(path, "".join(lines), terms=count))
     calls = []
     real_from = GradedCharacter.from_jsonl.__func__
     monkeypatch.setattr(GradedCharacter, "from_jsonl",
@@ -166,7 +177,7 @@ def test_term_count_that_is_not_an_int_is_a_miss(capsys, isolated_cache, monkeyp
     code, out, _ = run(capsys, *args)
     _, uncached, _ = run(capsys, *args, "--no-cache")
     assert code == 0 and out == uncached and calls == []
-    assert json.loads(path.read_text().splitlines()[0])["terms"] == 1  # rewritten
+    assert json.loads(path.read_text().splitlines()[0]) == seal  # rewritten
 
 
 @pytest.mark.parametrize("edit", [
@@ -177,14 +188,32 @@ def test_term_count_that_is_not_an_int_is_a_miss(capsys, isolated_cache, monkeyp
 ], ids=["multiplicity", "dropped-line", "cut-line", "extra-line"])
 def test_edited_cache_bodies_are_recomputed(capsys, isolated_cache, edit):
     args = ("char", "--system", "B2", "--level", "1", "--weight", "0,2", "--graded")
-    path, header, body = _cached_entry(capsys, isolated_cache, args)
-    edited = edit(body)
-    assert edited != body
-    path.write_text(json.dumps(header, separators=(",", ":")) + "\n" + "".join(edited))
+    path, seal, lines = _cached_entry(capsys, isolated_cache, args)
+    edited = edit(lines)
+    assert edited != lines
+    path.write_text(json.dumps(seal, separators=(",", ":")) + "\n" + "".join(edited))  # the old digest
     code, out, _ = run(capsys, *args)
     _, uncached, _ = run(capsys, *args, "--no-cache")
     assert code == 0 and out == uncached
-    assert path.read_text().splitlines(keepends=True)[1:] == body  # rewritten
+    assert path.read_text().splitlines(keepends=True)[1:] == lines  # rewritten
+
+
+@pytest.mark.parametrize("level,weight", [(1, (0, 2)), (2, (2, 0))], ids=["weight", "level"])
+def test_misfiled_cache_entry_is_a_miss(capsys, isolated_cache, level, weight):
+    # a whole real entry, copied to another key's file name: its count,
+    # digest, system and kind all check out, but its seal names its own file
+    from demkit.cache import CacheKey
+
+    args = ("char", "--system", "A2", "--level", "1", "--weight", "2,0", "--graded")
+    path, _, _ = _cached_entry(capsys, isolated_cache, args)
+    wanted = ("char", "--system", "A2", "--level", str(level), "--weight", ",".join(map(str, weight)), "--graded")
+    _, uncached, _ = run(capsys, *wanted, "--no-cache")
+    misfiled = isolated_cache / CacheKey("A2", "demazure", level, weight).filename()
+    misfiled.write_bytes(path.read_bytes())
+    code, out, err = run(capsys, *wanted)
+    assert (code, out, err) == (0, uncached, "")
+    seal, *lines = misfiled.read_text(encoding="utf-8").splitlines(keepends=True)  # rewritten
+    assert json.loads(seal)["entry"] == misfiled.name and "".join(lines) == uncached
 
 
 # a warm hit prints the entry it has just checked, and serializes only a
@@ -240,6 +269,29 @@ def test_cache_stats_skip_stale_versions_and_clear_removes_them(capsys, isolated
     assert code == 0 and json.loads(out) == {"entries": 0}
     run(capsys, "cache", "clear")
     assert not stale.exists()
+
+
+def test_version_2_entries_are_neither_read_nor_counted(capsys, isolated_cache):
+    # a version-2 entry (the term count and digest in the header line),
+    # under its own name and under the current name: neither is read, and
+    # clear removes both
+    isolated_cache.mkdir()
+    body = '{"w":[0],"g":0,"m":"1"}\n'  # a wrong character, whose digest checks out
+    header = {"system": "A1", "kind": "graded", "terms": 1, "sha256": hashlib.sha256(body.encode()).hexdigest()}
+    v2 = json.dumps(header, separators=(",", ":")) + "\n" + body
+    old = isolated_cache / "v2_demazure_A1_l1_w2.jsonl"
+    current = isolated_cache / "v3_demazure_A1_l1_w2.jsonl"
+    old.write_text(v2, encoding="utf-8")
+    current.write_text(v2, encoding="utf-8")
+    assert json.loads(run(capsys, "cache", "stats")[1]) == {"entries": 1}  # the current name only
+    code, out, _ = run(capsys, *A1_GRADED)
+    _, uncached, _ = run(capsys, *A1_GRADED, "--no-cache")
+    assert code == 0 and out == uncached
+    assert current.read_text(encoding="utf-8").splitlines(keepends=True)[1:] == uncached.splitlines(keepends=True)
+    assert old.read_text(encoding="utf-8") == v2
+    assert json.loads(run(capsys, "cache", "stats")[1]) == {"entries": 1}
+    run(capsys, "cache", "clear")
+    assert os.listdir(isolated_cache) == []
 
 
 def test_cache_stats_skip_unknown_kinds_and_clear_removes_them(capsys, isolated_cache):
@@ -737,3 +789,14 @@ def test_trace_target_resolves(name):
     else:
         fn = getattr(module, attr)
     assert callable(fn)
+
+
+def test_one_benchmark_pass_is_correct():
+    """One untimed pass of the char workload: every request, cold and warm
+    cache, against its pinned digest and exit code, through the CLI the
+    benchmark drives."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "char", "--seconds", "0"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr
