@@ -12,15 +12,17 @@ to another key's file name included, is a miss.  Keys are injective over
 distinct mathematical objects, and file names carry a format version (3
 since the seal); bumping it orphans every prior entry.  ``stats`` counts
 only current-version ``demazure`` and ``weyl`` entries; ``clear`` removes
-every entry file.  Writes are atomic (write to a temp file in the same
-directory, then rename), so concurrent readers never observe a torn file
-and concurrent writers of the same key simply race to identical content.
+entry files of every version and kind, and no other file.  Writes are
+atomic (write to a temp file in the same directory, then rename), so
+concurrent readers never observe a torn file and concurrent writers of the
+same key simply race to identical content.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from collections import namedtuple
 
@@ -39,6 +41,7 @@ __all__ = ["FORMAT_VERSION", "CacheKey", "CharacterCache", "resolve_cache_dir"]
 FORMAT_VERSION = 3
 
 ENV_VAR = "DEMKIT_CACHE"
+_ENTRY_NAME = re.compile(r"v\d+_[a-z-]+_.+\.jsonl")  # v<version>_<kind>_<key>.jsonl
 
 
 def resolve_cache_dir(explicit=None):
@@ -126,13 +129,13 @@ class CharacterCache:
         return text
 
     def _names(self):
-        """Every entry file, of any format version.  A missing directory
-        is an empty cache; any other failure to list it propagates."""
+        """Every entry file, of any version and kind, and no other file.  A
+        missing directory is an empty cache; any other failure propagates."""
         try:
             names = os.listdir(self.directory)
         except FileNotFoundError:
             return []
-        return sorted(n for n in names if n.endswith(".jsonl"))
+        return sorted(filter(_ENTRY_NAME.fullmatch, names))
 
     def stats(self):
         """The count of entries of the current format version and a known
@@ -141,9 +144,10 @@ class CharacterCache:
         return {"entries": sum(n.startswith(prefixes) for n in self._names())}
 
     def clear(self):
-        """Remove every entry, stale versions and kinds included."""
+        """Remove every entry, stale versions and kinds included.  An entry
+        already gone is skipped; any other failure to remove one raises."""
         for name in self._names():
             try:
                 os.unlink(os.path.join(self.directory, name))
-            except OSError:
+            except FileNotFoundError:
                 pass

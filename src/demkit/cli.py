@@ -105,8 +105,6 @@ def _emit(text, out_path):
 
 
 def _format_graded_dim(graded):
-    if not graded:
-        return "0"
     pieces = []
     for g, m in sorted(graded.items()):
         if g == 0:

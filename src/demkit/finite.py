@@ -5,7 +5,8 @@ every finite-dominant weight of an affine module at each depth; the
 truncated affine character is those tables and the finite one their
 depth-0 slice, each multiplicity expanded over its Weyl orbit.  The root
 system memoises only each irreducible's slice; :func:`isotypic_character`
-is the one orbit expansion, and tensor product extraction reads slices.
+expands decompositions (the truncated oracle in ``affine`` expands its own
+tables), and tensor product extraction reads slices.
 The test suite (``tests/conftest.py``) holds the finite characters to an
 independent route, the divided-difference operators along a reduced word
 for the longest Weyl element; the two share no algorithmic step, which

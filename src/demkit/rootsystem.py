@@ -50,11 +50,14 @@ WALK_STEP_CAP = 10**6
 
 
 def parse_system(name):
-    """Parse a system label like ``"A2"`` into ``(series, rank)``."""
+    """Parse a system label like ``"A2"`` into ``(series, rank)``; a label
+    that names no simple type (``"D3"``, ``"E9"``) is refused too."""
     m = _SYSTEM_RE.match(name.strip())
     if not m:
         raise ValueError(f"malformed system label {name!r}; expected e.g. 'A2' or 'G2'")
-    return m.group(1), int(m.group(2))
+    series, rank = m.group(1), int(m.group(2))
+    _validate_type(series, rank)
+    return series, rank
 
 
 def _validate_type(series, rank):

@@ -22,9 +22,10 @@ CLI exit 5).
 from __future__ import annotations
 
 import json
+from functools import reduce
 from itertools import product
 from math import prod
-from operator import le
+from operator import le, mul
 from time import perf_counter
 
 __all__ = [
@@ -194,6 +195,19 @@ def _demazure_decomposition(rs, level, weight):
 # character factorization of stable Demazure modules
 
 
+def _fusion_sides(rs, level, lam, parts):
+    """The two sides of the fusion identity for parts ``(p, w)``: the
+    collapsed D(level, lam + sum of p*w), and the collapsed D(p, p*w) of
+    each part, in order, each distinct part built once.  A right-hand side
+    multiplies the factors first and the irreducible character of lam last."""
+    from .affine import demazure_character
+
+    built = {part: demazure_character(rs, part[0], rs.scale(*part)).collapse()
+             for part in dict.fromkeys(parts)}
+    weight = reduce(rs.add, (rs.scale(*part) for part in parts), lam)
+    return demazure_character(rs, level, weight).collapse(), [built[part] for part in parts]
+
+
 def verify_demprop(rs, level, parts, lam):
     """Check that the ungraded Demazure character at weight
     level*(sum of parts) + lam factors as the product of the part characters
@@ -202,7 +216,6 @@ def verify_demprop(rs, level, parts, lam):
     Hypotheses: every part lies in the d-divisible sublattice, and lam pairs
     with the highest coroot at most ``level``.
     """
-    from .affine import demazure_character
     from .finite import weyl_character, weyl_dimension
 
     lam = rs.check_weight(lam)
@@ -216,16 +229,9 @@ def verify_demprop(rs, level, parts, lam):
     if reason:
         return claim.violated(reason)
 
-    mu = rs.zero_weight()
-    for p in parts:
-        mu = rs.add(mu, p)
-    lhs = demazure_character(rs, level, rs.add(rs.scale(level, mu), lam)).collapse()
-    rhs = weyl_character(rs, lam)
-    factor_dims = []
-    for p in parts:
-        factor = demazure_character(rs, level, rs.scale(level, p))
-        factor_dims.append(factor.dimension())
-        rhs = rhs * factor.collapse()
+    lhs, factors = _fusion_sides(rs, level, lam, [(level, p) for p in parts])
+    rhs = reduce(mul, [*factors, weyl_character(rs, lam)])
+    factor_dims = [factor.dimension() for factor in factors]
     indep_rhs_dim = prod(factor_dims, start=weyl_dimension(rs, lam))
     details = {
         "lhs_dim": str(lhs.dimension()),
@@ -285,27 +291,19 @@ def verify_mapsdem(rs, level, parts, lam):
                 {"failing_alpha": list(root.root_coords), "mu_pairing": have, "parts_pairing": need}
             )
 
-    lhs_weight = rs.add(rs.scale(level, mu), lam)
-    lhs_char = demazure_character(rs, level, lhs_weight).collapse()
+    lhs_char, factors = _fusion_sides(rs, level, lam, parts)
     lhs_dim = lhs_char.dimension()
-    rhs_dim = demazure_character(rs, level, lam).dimension()
-    factors = []
-    for p, w in parts:
-        factor = demazure_character(rs, p, rs.scale(p, w)).collapse()
-        factors.append(factor)
-        rhs_dim *= factor.dimension()
+    rhs_dim = prod((f.dimension() for f in factors), start=demazure_character(rs, level, lam).dimension())
     details = {"lhs_dim": str(lhs_dim), "rhs_dim": str(rhs_dim)}
     if not iso_clause:
         return claim.conclude(
             lhs_dim >= rhs_dim, str(lhs_dim), str(rhs_dim),
             lambda: {"dimension_deficit": str(rhs_dim - lhs_dim)}, details,
         )
-    rhs_char = weyl_character(rs, lam)
-    for factor in factors:
-        rhs_char = rhs_char * factor
+    rhs_char = reduce(mul, [*factors, weyl_character(rs, lam)])
     # the two sides come from independent routes: D_u and Bott's rule on
     # the left, extraction from the product character on the right
-    lhs_decomp = _demazure_decomposition(rs, level, lhs_weight)
+    lhs_decomp = _demazure_decomposition(rs, level, rs.add(rs.scale(level, mu), lam))
     rhs_decomp = tensor_decompose(rs, rhs_char)
     fwd, fwd_wit = surjection_exists(lhs_decomp, rhs_decomp)
     bwd, bwd_wit = surjection_exists(rhs_decomp, lhs_decomp)
@@ -323,7 +321,6 @@ def verify_krdecom(rs, level, s_vector, lam):
     character at level*mu + lam, mu = sum_i d_i s_i omega_i, equals the
     product of node characters raised to the s_i times the irreducible
     character of lam."""
-    from .affine import demazure_character, kr_character
     from .finite import weyl_character
 
     lam = rs.check_weight(lam)
@@ -340,15 +337,10 @@ def verify_krdecom(rs, level, s_vector, lam):
     )
     if reason:
         return claim.violated(reason)
-    mu = tuple(d * s for d, s in zip(rs.d_simple, s_vector))
-    lhs = demazure_character(rs, level, rs.add(rs.scale(level, mu), lam)).collapse()
-    rhs = weyl_character(rs, lam)
-    for node, s in enumerate(s_vector, start=1):
-        if s:
-            factor = power = kr_character(rs, level, node).collapse()
-            for _ in range(s - 1):
-                power = power * factor
-            rhs = rhs * power
+    # s_i copies of the level-``level`` KR module at node i, D(level, d_i*level*omega_i)
+    parts = [(level, rs.kr_weight(i, 1)) for i, s in enumerate(s_vector, start=1) for _ in range(s)]
+    lhs, factors = _fusion_sides(rs, level, lam, parts)
+    rhs = reduce(mul, [*factors, weyl_character(rs, lam)])
     details = {"lhs_dim": str(lhs.dimension()), "rhs_dim": str(rhs.dimension())}
     return claim.equal(lhs, rhs, details)
 

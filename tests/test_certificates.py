@@ -8,6 +8,8 @@ that it must return ``refuted``, and check the witness it carries.
 """
 
 import ast
+import hashlib
+import itertools
 import pathlib
 
 import pytest
@@ -226,7 +228,9 @@ def test_mapsdem_isomorphism_refuted(monkeypatch):
 
 
 def test_krdecom_refuted(monkeypatch):
-    _doubling(monkeypatch, demkit.affine, "kr_character", lambda rs, level, node: True)
+    # only the node-1 KR factor d_1*level*omega_1 is doubled, not the left side
+    _doubling(monkeypatch, demkit.affine, "demazure_character",
+              lambda rs, level, w: w == rs.kr_weight(1, level))
     _assert_char_witness(verify_krdecom(A2, 1, (1, 1), (0, 0)))
 
 
@@ -317,3 +321,43 @@ def test_certificates_are_built_only_by_the_spine():
                     if isinstance(sub, ast.Constant) and sub.value in ("verified", "refuted")
                 )
     assert offenders == []
+
+
+# ---------------------------------------------------------------------------
+# the factorization claims, swept and hashed: every --no-timing certificate
+# of demprop, krdecom and both mapsdem clauses over small inputs, in order;
+# the digest is the one the claims gave while each built its own factors
+
+
+FACTORIZATION_DIGEST = "e92a150f269ad06f581749b3e6a99adb20407504ec44ac38344c238b6014e469"
+
+
+def _factorization_certificates():
+    for name in ("A1", "A2", "B2", "G2"):
+        rs = root_system(name)
+        p = rs.kr_weight(rs.rank, 1)
+        q = rs.add(p, rs.kr_weight(1, 1))  # distinct from p on every rank
+        for level in (1, 2):
+            for lam in itertools.product((0, 1), repeat=rs.rank):
+                for parts in ([], [p], [p, p], [p, q]):
+                    yield verify_demprop(rs, level, parts, lam)
+                    yield verify_mapsdem(rs, level, [(level, w) for w in parts], lam)
+                    # the other part level: 2 at level 1, 1 at level 2
+                    yield verify_mapsdem(rs, level, [(3 - level, w) for w in parts], lam)
+                for s_vector in itertools.product((0, 1, 2), repeat=rs.rank):
+                    yield verify_krdecom(rs, level, s_vector, lam)
+
+
+def test_factorization_sweep_is_byte_identical():
+    digest = hashlib.sha256()
+    claims = set()
+    count = 0
+    for cert in _factorization_certificates():
+        digest.update(cert.to_json(include_timing=False).encode("utf-8") + b"\n")
+        claims.add((cert.claim, cert.verdict))
+        count += 1
+    assert count == 564
+    assert {"demprop", "krdecom", "mapsdem-isomorphism", "mapsdem-surjection"} == {
+        claim for claim, verdict in claims if verdict == "verified"
+    }
+    assert digest.hexdigest() == FACTORIZATION_DIGEST

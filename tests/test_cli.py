@@ -34,6 +34,10 @@ def test_char_graded_pretty(capsys):
     assert code == 0
     assert "dim 4" in out
     assert "graded dim 3 + 1·q" in out
+    # a grade >= 2 is spelled q^g
+    code, out, _ = run(capsys, "char", "--system", "A1", "--level", "1", "--weight", "4", "--graded", "--pretty")
+    assert code == 0
+    assert out.endswith("\ndim 16\ngraded dim 5 + 3·q + 4·q^2 + 3·q^3 + 1·q^4\n")
 
 
 def test_char_level1_fundamental(capsys):
@@ -304,6 +308,42 @@ def test_cache_stats_skip_unknown_kinds_and_clear_removes_them(capsys, isolated_
     assert not oracle.exists()
 
 
+def test_cache_clear_removes_only_entries(capsys, isolated_cache):
+    # a scan written into the cache directory and a user's own JSON-lines
+    # file are not entries: stats does not count them and clear keeps them
+    run(capsys, *A1_GRADED)
+    run(capsys, "scan", "--system", "A1", "--height-bound", "1", "--no-timing", "--out", str(isolated_cache))
+    (isolated_cache / "notes.jsonl").write_text('{"note":"mine"}\n', encoding="utf-8")
+    assert json.loads(run(capsys, "cache", "stats")[1]) == {"entries": 1}
+    assert run(capsys, "cache", "clear") == (0, '{"cleared":true}\n', "")
+    assert sorted(os.listdir(isolated_cache)) == ["notes.jsonl", "scan_A1_h1.jsonl"]
+
+
+def test_cache_clear_skips_a_vanished_entry_and_exits_6_on_any_other_failure(
+        capsys, monkeypatch, isolated_cache):
+    run(capsys, *A1_GRADED)
+    (entry,) = os.listdir(isolated_cache)
+    real = os.unlink
+
+    def vanishing(path):
+        real(path)  # another process removed it between the listing and the unlink
+        raise FileNotFoundError(2, "No such file or directory", path)
+
+    monkeypatch.setattr(os, "unlink", vanishing)
+    assert run(capsys, "cache", "clear") == (0, '{"cleared":true}\n', "")
+    assert os.listdir(isolated_cache) == []
+    run(capsys, *A1_GRADED)
+
+    def refusing(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "unlink", refusing)
+    code, out, err = run(capsys, "cache", "clear")
+    assert code == 6 and out == ""
+    assert err.startswith("error: [Errno 13] Permission denied") and err.count("\n") == 1
+    assert os.listdir(isolated_cache) == [entry]
+
+
 def test_cache_dir_flag_beats_environment(capsys, tmp_path):
     other = tmp_path / "elsewhere"
     code, out, _ = run(capsys, "cache", "path", "--cache-dir", str(other))
@@ -413,6 +453,33 @@ def test_invalid_flags_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("label", ["D3", "E9", "A0", "B1", "G3"])
+@pytest.mark.parametrize("argv", [
+    ("char", "--level", "1", "--weight", "1"),
+    ("scan", "--height-bound", "1"),
+    ("verify", "minuscule"),
+], ids=["char", "scan", "verify-minuscule"])
+def test_labels_naming_no_simple_type_exit_2(capsys, isolated_cache, label, argv):
+    # well spelled, but no simple type has that rank: a flag error, like X3
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--system", label])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument --system: invalid simple type ({label[0]},{label[1:]})" in err
+    assert not isolated_cache.exists()
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("--kind", "weyl"), "--weight is required for --kind weyl"),
+    (("--level", "1"), "--weight is required for --kind demazure"),
+    (("--weight", "2"), "--level is required for Demazure characters"),
+    (("--kind", "kr", "--level", "1"), "--index is required for --kind kr"),
+], ids=["weyl-weight", "demazure-weight", "level", "kr-index"])
+def test_char_missing_flags_exit_3(capsys, isolated_cache, argv, error):
+    assert run(capsys, "char", "--system", "A1", "--graded", *argv) == (3, "", f"error: {error}\n")
+    assert not isolated_cache.exists()
+
+
 def test_domain_errors_exit_3(capsys):
     code, _, err = run(capsys, "char", "--system", "A1", "--level", "0", "--weight", "2")
     assert code == 3 and "error" in err
@@ -516,6 +583,12 @@ def test_grade_digits_too_narrow_exit_5(capsys, monkeypatch, isolated_cache):
     assert code == 5 and out == ""
     assert err.startswith("error: internal error: the grade polynomial of weight ") and err.count("\n") == 1
     assert not isolated_cache.exists() or not os.listdir(isolated_cache)
+
+
+def test_presentation_pretty(capsys):
+    code, out, _ = run(capsys, "presentation", "--system", "A1", "--level", "2", "--weight", "3", "--pretty")
+    assert code == 0
+    assert out == "alpha\tpairing\ts\tm\tnilpotency\n1\t3\t2\t1\t(t^1)^2\n"
 
 
 @pytest.mark.parametrize("label,attr,corrupt,call,argv", [

@@ -67,6 +67,12 @@ def test_parse_system():
         parse_system("A")
     with pytest.raises(ValueError):
         parse_system("2A")
+    # well spelled, but no simple type has that rank
+    for label in ("D3", "E9", "A0", "B1", "G3"):
+        with pytest.raises(ValueError, match=r"^invalid simple type"):
+            parse_system(label)
+        with pytest.raises(ValueError, match=r"^invalid simple type"):
+            root_system(label)
 
 
 def test_one_instance_per_type_however_spelled():

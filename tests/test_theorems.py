@@ -32,6 +32,7 @@ from demkit.rootsystem import root_system
 A1 = root_system("A1")
 A2 = root_system("A2")
 B2 = root_system("B2")
+C3 = root_system("C3")
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +108,27 @@ def test_mapsdem_negative_fixture():
     cert = verify_mapsdem(A2, 2, [(1, (1, 0)), (1, (1, 0))], (0, 0))
     assert cert.verdict == "hypothesis-violated"
     assert cert.witness["failing_alpha"] == [1, 0]
+
+
+@pytest.mark.parametrize("build,builds", [
+    (lambda: verify_demprop(C3, 1, [(0, 2, 0)] * 2, (1, 0, 0)), 2),
+    (lambda: verify_mapsdem(A1, 1, [(1, (2,))] * 2, (0,)), 3),
+    (lambda: verify_krdecom(C3, 1, (0, 2, 0), (1, 0, 0)), 2),
+], ids=["demprop", "mapsdem-isomorphism", "krdecom"])
+def test_each_distinct_part_is_built_once(monkeypatch, build, builds):
+    """The fusion claims build the left-hand module once and each distinct
+    part's Demazure module once, however often the part repeats; mapsdem
+    also builds D(level, lambda) for its dimension bound."""
+    real = demkit.affine.demazure_character
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(demkit.affine, "demazure_character", counting)
+    assert build().verdict == "verified"
+    assert len(calls) == builds
 
 
 def test_mapsdem_rejects_non_divisible_sums():
