@@ -12,13 +12,14 @@ the second route; the tests hold it to the first.  Both run one operator
 chain with one entry per weight: the key is the weight packed into a single
 int (``_pack``), so that a string step is one integer addition, and the
 value is the weight's grade polynomial evaluated at a power of two, so that
-one addition moves every grade of the weight at once.  The chain runs
-twice, first without grades to size the polynomial's digits, and its
-values are read back digit by digit, weights in sorted order, so the
-character's terms come out in canonical order (``_demazure_from`` proves
-the result exact).  An operator fixes every s_i-symmetric part of its
-input, so it copies the input and walks only the asymmetric part of each
-string (``demazure_operator``).
+one addition moves every grade of the weight at once.  The digits are
+sized from the module's dimension: where the paper's factorization gives
+it up front (``_dimension``), the chain runs once, and elsewhere it runs
+twice, first without grades.  Its values are read back digit by digit,
+weights in sorted order, so the character's terms come out in canonical
+order (``_demazure_from`` proves the result exact).  An operator fixes
+every s_i-symmetric part of its input, so it copies the input and walks
+only the asymmetric part of each string (``demazure_operator``).
 
 Conventions.  An affine weight is ``(finite, level, delta)``: a finite weight
 in fundamental coordinates, the coefficient of the level-defining fundamental
@@ -41,6 +42,7 @@ from __future__ import annotations
 import struct
 from collections import namedtuple
 from itertools import compress
+from math import prod
 
 from .charalg import GradedCharacter
 
@@ -92,27 +94,28 @@ def _pack(rs, weight):
     return sum(f + (1 << _BITS - 1) << _BITS * j for j, f in enumerate(fields))
 
 
-def _digit_bytes(counts):
+def _digit_bytes(bound):
     """Bytes per grade digit: the fewest of 1, 2, 4, 8, 16, ... whose
-    digits exceed every one of ``counts``."""
-    need = max((m.bit_length() for m in counts.values()), default=0)
+    digits exceed ``bound``."""
+    need = bound.bit_length()
     size = 1
     while 8 * size < need:
         size *= 2
     return size
 
 
-def _unpack(rs, chain, counts, delta):
+def _unpack(rs, chain, counts, delta, dim=None):
     """The ``GradedCharacter`` of a chain, its terms in canonical (weight,
     grade) order: the base-2**width digits of a weight's value are its
     multiplicities at grades 0..delta.  The weight fields of each key are
     decoded once, the decoded weights are sorted, and every grade of a
     weight shares its one tuple.
 
-    A value must be non-negative with no digit above grade ``delta``, its
-    digits must sum to the weight's entry in ``counts`` (the width-0
-    chain), and both chains must hold the same weights; anything else is
-    an internal error (see ``_demazure_from``)."""
+    A value must be non-negative with no digit above grade ``delta``.
+    Given ``counts`` (the width-0 chain), each weight's digits must sum to
+    its count and both chains must hold the same weights; without, the
+    digits of all weights must sum to ``dim``.  Anything else is an
+    internal error (see ``_demazure_from``)."""
     fields = struct.Struct(f"<{rs.rank}{_FIELD}")
     flip = _pack(rs, rs.zero_weight())  # leaves each field in two's complement
     size = chain.width // 8
@@ -123,7 +126,7 @@ def _unpack(rs, chain, counts, delta):
         def digits(raw):
             return [int.from_bytes(raw[j:j + size], "little") for j in range(0, span, size)]
     limit, grades = 1 << 8 * span, range(delta + 1)
-    if len(chain.terms) != len(counts):
+    if counts is not None and len(chain.terms) != len(counts):
         raise RuntimeError(
             f"internal error: the graded Demazure chain holds {len(chain.terms)} weights, its"
             f" grade-free pass {len(counts)}"
@@ -135,13 +138,18 @@ def _unpack(rs, chain, counts, delta):
         key = keys[w]
         p = chain.terms[key]
         mults = digits(p.to_bytes(span, "little")) if 0 <= p < limit else None
-        if mults is None or sum(mults) != counts.get(key):
+        if mults is None or counts is not None and sum(mults) != counts.get(key):
             raise RuntimeError(
                 f"internal error: the grade polynomial of weight {w} does not decode in"
                 f" {chain.width}-bit digits at grades 0..{delta}"
             )
         for g in compress(grades, mults):
             terms[w, g] = mults[g]
+    if counts is None and sum(terms.values()) != dim:
+        raise RuntimeError(
+            f"internal error: the graded Demazure chain's {chain.width}-bit digits sum to"
+            f" {sum(terms.values())}, not to the module's dimension {dim}"
+        )
     return GradedCharacter._adopt(rs, terms)  # fresh, and compress kept no zero
 
 
@@ -225,9 +233,46 @@ def _check_stable_input(rs, level, weight):
     return weight
 
 
-def _demazure_from(rs, level, extremal):
+def _lowest(rs, weight):
+    """w0*weight for a dominant weight: w0 maps the dominant chamber onto
+    the antidominant one, which meets each Weyl orbit once, so w0*weight =
+    -dom(-weight)."""
+    return rs.scale(-1, rs._to_dominant(rs.scale(-1, weight))[0])
+
+
+def _word(rs, level, extremal):
+    """The straightened top of the affine weight ``(extremal, level, 0)``
+    and the word whose operators build its module from the top's monomial,
+    after refusing a weight bound too wide for the key fields (see
+    ``_demazure_from``)."""
+    top, word = straighten(rs, AffineWeight(extremal, level, 0))
+    nu = rs.add(top.finite, rs.scale(top.delta, rs.theta.coords))
+    bound = sum(rs.pairing(nu, b) for b in range(len(rs.positive_roots)))
+    if bound >= 1 << _BITS - 1:
+        raise RuntimeError(
+            f"internal error: weight bound {bound} of {top} overflows the {_BITS}-bit fields of the"
+            " keys its Demazure chain reads and writes"
+        )
+    return top, word
+
+
+def _run(rs, level, word, chain):
+    """Apply the operators of ``word`` to ``chain``, first letter first."""
+    for letter in word:
+        chain = demazure_operator(rs, letter, chain, level)
+    return chain
+
+
+def _grade_free_dimension(rs, level, weight):
+    """dim D(level, weight) as the total of its width-0 chain."""
+    top, word = _word(rs, level, _lowest(rs, weight))
+    return sum(_run(rs, level, word, _Chain({_pack(rs, top.finite): 1}, 0)).terms.values())
+
+
+def _demazure_from(rs, level, extremal, dim=None):
     """Apply the Demazure operators of the word that straightens the affine
-    weight ``(extremal, level, 0)``, starting from the dominant monomial.
+    weight ``(extremal, level, 0)``, starting from the dominant monomial;
+    ``dim`` is the exact dimension of the module, or None.
 
     Bounds.  Every key the chain's operators read or write is a weight of
     the Demazure module V of the whole word.  Each chain weight w is a
@@ -240,7 +285,7 @@ def _demazure_from(rs, level, extremal):
     0 holds the extremal weight, delta the top), and its finite part is
     Weyl-conjugate to a dominant weight below nu = top + delta*theta.  So
     no field of a key exceeds B = sum over beta > 0 of nu(h_beta) in size,
-    and a B too wide for the fields is refused up front.
+    and a B too wide for the fields is refused up front (``_word``).
 
     Exactness.  A weight's value is its grade polynomial P(X) = sum over g
     of c(g) X^g, evaluated at X = 2**width.  Evaluation is a ring
@@ -249,35 +294,98 @@ def _demazure_from(rs, level, extremal):
     node-0 string of k steps ends k grades lower, at a weight of V, so at a
     grade >= 0.  The operator checks that the integer division is exact too
     (an internal error otherwise), so every value is exactly P(2**width),
-    whatever its digits look like on the way.  D_0 commutes with forgetting
-    the grade, so the same chain at width 0 gives m(w) = P(1), the
-    dimension of the w weight space.  The coefficients c(g) are dimensions
-    of graded pieces of that space, so each is at most m(w), and the chain
-    runs again with 2**width above every m(w): then the base-2**width
-    digits of P(2**width) are the c(g).  ``_unpack`` still checks that
-    every value is non-negative with no digit above grade delta, that its
-    digits sum to m(w), and that both chains hold the same weights.  A
-    coefficient too wide for its digit would carry, and each carry lowers
-    the digit sum by 2**width - 1, so the decode cannot give a wrong
-    character: it gives the right one or an internal error.
+    whatever its digits look like on the way.  The coefficients c(g) are
+    dimensions of graded pieces of V, so each is at most dim V, and with
+    ``dim`` the chain runs once with 2**width > dim: then the
+    base-2**width digits of P(2**width) are the c(g).  ``_unpack`` checks
+    that every value is non-negative with no digit above grade delta and
+    that the digits of all weights sum to ``dim``.  A coefficient too wide
+    for its digit would carry, and each carry lowers the digit sum by
+    2**width - 1 >= dim, so a wrong ``dim`` is caught unless the true
+    dimension exceeds it by a multiple of 2**width - 1, more than doubling
+    it; each such build therefore checks the paper's dimension identity
+    that gave ``dim`` (see ``_dimension``).
+
+    Without ``dim``, a first pass sizes the digits.  D_0 commutes with
+    forgetting the grade, so the same chain at width 0 gives m(w) = P(1),
+    the dimension of the w weight space, which bounds every c(g) of w.  The
+    chain then runs again with 2**width above every m(w), and ``_unpack``
+    also checks that each weight's digits sum to its m(w) and that both
+    chains hold the same weights; the decode gives the right character or
+    an internal error.
     """
-    top, word = straighten(rs, AffineWeight(extremal, level, 0))
-    nu = rs.add(top.finite, rs.scale(top.delta, rs.theta.coords))
-    bound = sum(rs.pairing(nu, b) for b in range(len(rs.positive_roots)))
-    if bound >= 1 << _BITS - 1:
-        raise RuntimeError(
-            f"internal error: weight bound {bound} of {top} overflows the {_BITS}-bit fields of the"
-            " keys its Demazure chain reads and writes"
-        )
+    top, word = _word(rs, level, extremal)
     key = _pack(rs, top.finite)
-    counts = _Chain({key: 1}, 0)
-    for letter in word:
-        counts = demazure_operator(rs, letter, counts, level)
-    width = 8 * _digit_bytes(counts.terms)
-    chain = _Chain({key: 1 << width * top.delta}, width)
-    for letter in word:
-        chain = demazure_operator(rs, letter, chain, level)
-    return _unpack(rs, chain, counts.terms, top.delta)
+    counts = None if dim is not None else _run(rs, level, word, _Chain({key: 1}, 0)).terms
+    width = 8 * _digit_bytes(dim if counts is None else max(counts.values()))
+    chain = _run(rs, level, word, _Chain({key: 1 << width * top.delta}, width))
+    return _unpack(rs, chain, counts, top.delta, dim)
+
+
+def _q_system(rs, level, nodes, seed):
+    """``{a: Q^(a)_level for a in nodes}`` on a simply-laced type, nodes
+    0-indexed: Q^(a)_0 = 1, Q^(a)_1 = ``seed(a)`` and
+
+        (Q^(a)_m)^2 = Q^(a)_(m+1) Q^(a)_(m-1) + product over neighbours b of Q^(b)_m,
+
+    so Q^(a)_m is dim D(m, m*omega_a) (Kirillov-Reshetikhin 1987;
+    Hatayama-Kuniba-Okado-Takagi-Yamada 1999).  Q^(a)_level needs Q_m only
+    at nodes within level - m steps of a, so only their seeds are taken.  A
+    division that is not exact is an internal error."""
+    adjacent = [[b for b, c in enumerate(row) if c == -1] for row in rs.cartan]
+    dist = dict.fromkeys(nodes, 0)
+    queue = list(nodes)
+    for a in queue:  # breadth first: the queue grows as it is read
+        for b in adjacent[a]:
+            if b not in dist:
+                dist[b] = dist[a] + 1
+                queue.append(b)
+    q = {a: [1, seed(a)] for a in queue if dist[a] < level}
+    for m in range(1, level):
+        for a in queue:
+            if dist[a] < level - m:
+                value, rest = divmod(q[a][m] ** 2 - prod(q[b][m] for b in adjacent[a]), q[a][m - 1])
+                if rest:
+                    raise RuntimeError(
+                        f"internal error: the Q-system of {rs.name} does not divide at node {a + 1},"
+                        f" m = {m + 1}"
+                    )
+                q[a].append(value)
+    return {a: q[a][level] for a in nodes}
+
+
+def _dimension(rs, level, weight):
+    """The exact dimension of D(level, weight), for a dominant weight at
+    level >= 1, or None; never a bound.
+
+    The paper's factorization: split the weight greedily as lam0 + sum of
+    s_a * ``kr_weight(a, level)``.  When lam0(h_theta) <= level the module
+    is V(lam0) fused with s_a copies of each node's KR module, so dim D =
+    dim V(lam0) * product of (dim D(level, kr_weight(a, level)))^s_a.  A
+    smaller s_a only raises lam0(h_theta), so no other split can apply when
+    the greedy one does not.  On a simply-laced type each KR dimension is
+    the Q-system's (``_q_system``), seeded by the level-1 grade-free
+    chains; on the others it is that factor's own grade-free chain.  V(lam0)
+    is D(level, lam0), whose grade-free chain runs the finite word alone.
+    A chain that would be the request's own gives None: the caller's
+    grade-free pass is that chain."""
+    steps = [d * level for d in rs.d_simple]
+    lam0 = tuple(c % step for c, step in zip(weight, steps))
+    if rs.theta_pairing(lam0) > level:
+        return None
+    powers = {a: c // step for a, (c, step) in enumerate(zip(weight, steps)) if c >= step}
+
+    def grade_free(lvl, w):
+        return None if (lvl, w) == (level, weight) else _grade_free_dimension(rs, lvl, w)
+
+    if rs.pairing_scale == 1:  # simply laced
+        factors = _q_system(rs, level, powers, lambda a: grade_free(1, rs.fundamental_weight(a + 1)))
+    else:
+        factors = {a: grade_free(level, rs.kr_weight(a + 1, level)) for a in powers}
+    rest = grade_free(level, lam0) if any(lam0) else 1
+    if rest is None or None in factors.values():
+        return None
+    return prod((factors[a] ** s for a, s in powers.items()), start=rest)
 
 
 def demazure_character(rs, level, weight):
@@ -286,15 +394,13 @@ def demazure_character(rs, level, weight):
 
     The result has all grades >= 0, its grade-0 slice is the irreducible
     character of ``weight``, and ``weight`` itself carries multiplicity 1.
-    At level 0 only the zero weight is admissible (trivial module).
+    At level 0 only the zero weight is admissible (trivial module).  Where
+    ``_dimension`` knows the module's dimension, the chain runs once.
     """
     weight = _check_stable_input(rs, level, weight)
     if level == 0:
         return GradedCharacter.unit(rs)
-    # w0 maps the dominant chamber onto the antidominant one, which meets
-    # each Weyl orbit once: w0*weight = -dom(-weight)
-    extremal = rs.scale(-1, rs._to_dominant(rs.scale(-1, weight))[0])
-    return _demazure_from(rs, level, extremal)
+    return _demazure_from(rs, level, _lowest(rs, weight), _dimension(rs, level, weight))
 
 
 def graded_isotypic(rs, level, weight):

@@ -41,7 +41,16 @@ __all__ = ["FORMAT_VERSION", "CacheKey", "CharacterCache", "resolve_cache_dir"]
 FORMAT_VERSION = 3
 
 ENV_VAR = "DEMKIT_CACHE"
+_SLICE = 1 << 16  # characters encoded, hashed and written at a time
 _ENTRY_NAME = re.compile(r"v\d+_[a-z-]+_.+\.jsonl")  # v<version>_<kind>_<key>.jsonl
+
+
+def _encoded(text):
+    """The UTF-8 bytes of ``text`` in slices of ``_SLICE`` characters, so
+    no copy of the whole text is made; UTF-8 composes over concatenation,
+    and so does SHA-256."""
+    for start in range(0, len(text), _SLICE):
+        yield text[start:start + _SLICE].encode("utf-8")
 
 
 def resolve_cache_dir(explicit=None):
@@ -112,13 +121,15 @@ class CharacterCache:
         it serializes once."""
         os.makedirs(self.directory, exist_ok=True)
         text = char.to_jsonl(kind=key.expected_header_kind)
-        data = text.encode("utf-8")
-        seal = {"entry": key.filename(), "terms": len(char.terms), "sha256": sha256(data).hexdigest()}
+        digest = sha256()
+        for data in _encoded(text):
+            digest.update(data)
+        seal = {"entry": key.filename(), "terms": len(char.terms), "sha256": digest.hexdigest()}
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(json.dumps(seal, separators=(",", ":")).encode("utf-8") + b"\n")
-                fh.write(data)
+                fh.writelines(_encoded(text))
             os.replace(tmp, self._path(key))
         except BaseException:
             try:

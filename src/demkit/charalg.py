@@ -28,6 +28,7 @@ from operator import add
 
 __all__ = ["GradedCharacter"]
 
+_CHUNK_LINES = 1024  # to_jsonl joins this many lines at a time, never every line string at once
 _INT = "(?:0|-?[1-9][0-9]*)"  # an int as str() spells it: no sign on 0, no leading zeros
 
 
@@ -161,14 +162,18 @@ class GradedCharacter:
             raise ValueError(f"unknown serialization kind {kind!r}")
         if kind == "plain" and not self.is_plain:  # from_jsonl would refuse the file
             raise ValueError("a character with nonzero grades cannot be written as plain")
-        terms, last = self.terms, None
-        lines = [self._header(self.system.name, kind)]
-        for key in sorted(terms):
-            w, g = key
-            if w != last:  # each weight's prefix is formatted once
-                last, head = w, '{"w":[%s],"g":' % ",".join(map(str, w))
-            lines.append(head + '%d,"m":"%d"}\n' % (g, terms[key]))
-        return "".join(lines)
+        terms, keys, last = self.terms, sorted(self.terms), None
+        chunks, lines = [self._header(self.system.name, kind)], []
+        for start in range(0, len(keys), _CHUNK_LINES):
+            for key in keys[start:start + _CHUNK_LINES]:
+                w, g = key
+                if w != last:  # each weight's prefix is formatted once
+                    last, head = w, '{"w":[%s],"g":' % ",".join(map(str, w))
+                lines.append(head + '%d,"m":"%d"}\n' % (g, terms[key]))
+            chunks.append("".join(lines))
+            lines.clear()
+        del keys  # freed before the chunks join into one more copy of them
+        return "".join(chunks)
 
     @staticmethod
     def _header(system, kind):

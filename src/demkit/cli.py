@@ -19,8 +19,9 @@ computes every certificate before it writes any; its ``--jobs`` flag is
 validated but changes neither the work nor the output.
 
 Each command imports the modules it runs when it runs: every command loads
-``rootsystem``; ``char`` adds ``affine``, ``charalg`` and ``cache`` (and
-``finite`` for ``--kind weyl``), ``presentation`` adds ``affine`` and
+``rootsystem``; ``char`` adds ``cache`` and ``charalg``, and its builder,
+``affine`` (``finite`` for ``--kind weyl``), only on a cache miss, so a hit
+loads only ``cache`` and ``charalg``; ``presentation`` adds ``affine`` and
 ``charalg``, ``verify minuscule`` adds ``theorems`` alone, ``verify
 twofold`` and ``scan`` add ``theorems``, ``finite`` and ``charalg``, every
 other ``verify`` claim adds ``theorems`` with ``affine``, ``finite`` and
@@ -36,6 +37,7 @@ names, and builds every parser only when it names none (see there).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -49,6 +51,8 @@ EXIT_HYPOTHESIS = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_INTERNAL = 5
 EXIT_IO = 6
+
+_EMIT_SLICE = 1 << 16  # characters of output encoded at a time
 
 _VERDICT_EXIT = {
     "verified": EXIT_OK,
@@ -97,11 +101,12 @@ def _leveled_parts_arg(value):
 
 
 def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write ``text`` to ``out_path``, or to stdout without one, a slice
+    of ``_EMIT_SLICE`` characters at a time: a text stream encodes what it
+    is given at once, so a whole character file would be copied."""
+    with open(out_path, "w", encoding="utf-8") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        for start in range(0, len(text), _EMIT_SLICE):
+            fh.write(text[start:start + _EMIT_SLICE])
 
 
 def _format_graded_dim(graded):
@@ -130,17 +135,13 @@ def _pretty_character(char):
 
 
 def _cmd_char(args):
-    from .affine import demazure_character, kr_character
     from .cache import CacheKey, CharacterCache, resolve_cache_dir
 
     rs = root_system(args.system)
     if args.kind == "weyl":
         if args.weight is None:
             raise ValueError("--weight is required for --kind weyl")
-        from .finite import weyl_character
-
         key = CacheKey(rs.name, "weyl", 0, args.weight)
-        build = lambda: weyl_character(rs, args.weight)
     else:
         if args.level is None:
             raise ValueError("--level is required for Demazure characters")
@@ -148,12 +149,10 @@ def _cmd_char(args):
             if args.index is None:
                 raise ValueError("--index is required for --kind kr")
             weight = rs.kr_weight(args.index, args.level)
-            build = lambda: kr_character(rs, args.level, args.index)
         else:
             if args.weight is None:
                 raise ValueError("--weight is required for --kind demazure")
             weight = rs.check_weight(args.weight)
-            build = lambda: demazure_character(rs, args.level, weight)
         key = CacheKey(rs.name, "demazure", args.level, weight)
 
     cache = None if args.no_cache else CharacterCache(resolve_cache_dir(args.cache_dir))
@@ -161,7 +160,7 @@ def _cmd_char(args):
     if hit:
         char, text = hit  # the checked serialization, reused when the output is the same
     else:
-        char = build()
+        char = _build_character(rs, args, key.weight)
         text = cache.store(key, char) if cache else None
 
     whole = args.graded or args.kind == "weyl"  # else the grading is collapsed away
@@ -173,6 +172,20 @@ def _cmd_char(args):
         text = char.to_jsonl(kind=key.expected_header_kind)
     _emit(text, args.out)
     return EXIT_OK
+
+
+def _build_character(rs, args, weight):
+    """The character a ``char`` request names, its builder imported only
+    now, so a cache hit loads none."""
+    if args.kind == "weyl":
+        from .finite import weyl_character
+
+        return weyl_character(rs, weight)
+    from .affine import demazure_character, kr_character
+
+    if args.kind == "kr":
+        return kr_character(rs, args.level, args.index)
+    return demazure_character(rs, args.level, weight)
 
 
 # ---------------------------------------------------------------------------

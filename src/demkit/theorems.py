@@ -255,7 +255,7 @@ def verify_mapsdem(rs, level, parts, lam):
     the d-divisible sublattice dominating the parts root-wise.
     """
     from .affine import demazure_character
-    from .finite import surjection_exists, tensor_decompose, weyl_character
+    from .finite import surjection_exists, tensor_decompose, weyl_character, weyl_dimension
 
     lam = rs.check_weight(lam)
     parts = [(int(p), rs.check_weight(w)) for p, w in parts]
@@ -293,7 +293,10 @@ def verify_mapsdem(rs, level, parts, lam):
 
     lhs_char, factors = _fusion_sides(rs, level, lam, parts)
     lhs_dim = lhs_char.dimension()
-    rhs_dim = prod((f.dimension() for f in factors), start=demazure_character(rs, level, lam).dimension())
+    # D(level, lam) is V(lam) when lam is level-dominant, as on the isomorphism clause
+    lam_dim = (weyl_dimension(rs, lam) if rs.theta_pairing(lam) <= level
+               else demazure_character(rs, level, lam).dimension())
+    rhs_dim = prod((f.dimension() for f in factors), start=lam_dim)
     details = {"lhs_dim": str(lhs_dim), "rhs_dim": str(rhs_dim)}
     if not iso_clause:
         return claim.conclude(

@@ -468,8 +468,9 @@ class RecordingTerms(dict):
 def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
     # both routes through the library's chain against the same routes
     # through the tuple-key chain of conftest, byte for byte and in term
-    # order; every key the oracle chain writes and every key the library
-    # chain looks up (in both of its passes) is a weight of the module, so
+    # order, and a dimension known up front against the oracle's; every
+    # key the oracle chain writes and every key the library chain looks up
+    # (in each of its passes) is a weight of the module, so
     # its pairings with the simple coroots and with the highest coroot stay
     # within sum over positive roots beta of (top + delta*theta)(h_beta),
     # and every grade the oracle writes within 0..delta; the library's
@@ -484,8 +485,10 @@ def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
     touched, reads = set(), set()
     chain = affine._Chain
 
-    def oracle(rs, level, extremal):
-        return tuple_demazure_from(rs, level, extremal, touched)
+    def oracle(rs, level, extremal, dim=None):
+        char = tuple_demazure_from(rs, level, extremal, touched)
+        assert dim in (None, char.dimension())
+        return char
 
     for level, weight in cases:
         reads.clear()
@@ -511,26 +514,93 @@ def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
 @pytest.mark.parametrize("name", CHAIN_SWEEP)
 def test_width_zero_chain_is_the_collapse(monkeypatch, name):
     # the grade-free pass that sizes the digits holds each weight's
-    # multiplicity summed over grades: for the whole word that is the
+    # multiplicity summed over grades, wherever it runs: for the whole word,
+    # which runs it when no dimension is known up front, that is the
     # collapsed character, for the straightening word alone the collapsed
     # tuple-key chain of the same word
     rs = root_system(name)
-    counts, digit_bytes = [], affine._digit_bytes
+    counts, unpack, whole = [], affine._unpack, 0
 
-    def recording(terms):
-        counts.append(dict(terms))
-        return digit_bytes(terms)
+    def recording(rs, chain, grade_free, delta, dim=None):
+        if grade_free is not None:
+            counts.append(dict(grade_free))
+        return unpack(rs, chain, grade_free, delta, dim)
 
-    monkeypatch.setattr(affine, "_digit_bytes", recording)
+    monkeypatch.setattr(affine, "_unpack", recording)
     for level in (1, 2, 3):
         for weight in [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)] + [rs.kr_weight(1, level)]:
             counts.clear()
             full = demazure_character(rs, level, weight).collapse()
             graded_isotypic(rs, level, weight)
             part = tuple_demazure_from(rs, level, weight).collapse()
+            runs = [full] * (affine._dimension(rs, level, weight) is None) + [part]
+            whole += len(runs) - 1
             assert counts == [
-                {affine._pack(rs, w): m for (w, _), m in char.terms.items()} for char in (full, part)
+                {affine._pack(rs, w): m for (w, _), m in char.terms.items()} for char in runs
             ]
+    assert whole  # the level-1 fundamental weights always run the pass
+
+
+E6_LEVEL1 = [(1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (1, 1, 0, 0, 0, 0),
+             (0, 2, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 1)]
+
+
+@pytest.mark.parametrize("name,levels", [
+    *(pytest.param(name, (1, 2, 3), id=name) for name in ("A1", "A2", "A3", "A4", "D4", "B2", "B3", "C3", "G2")),
+    pytest.param("E6", (1,), id="E6"),
+])
+def test_dimension_is_the_grade_free_total(name, levels):
+    # the paper's factorization, with the Q-system on simply-laced types,
+    # gives the total of the module's own grade-free chain, on the 0/1 box
+    # and on each KR weight plus the box (a hand list on E6); a module
+    # whose own chain it would need, or whose lam0 lies past the level,
+    # gets None
+    rs = root_system(name)
+    known = unknown = 0
+    for level in levels:
+        if name == "E6":
+            weights = E6_LEVEL1
+        else:
+            box = dominant_box(rs, 1)
+            weights = set(box) | {rs.add(rs.kr_weight(a, level), w) for a in range(1, rs.rank + 1) for w in box}
+        for weight in sorted(weights):
+            dim = affine._dimension(rs, level, weight)
+            if dim is None:
+                unknown += 1
+            else:
+                known += 1
+                assert dim == affine._grade_free_dimension(rs, level, weight), (level, weight)
+    assert known and unknown
+    for a in range(1, rs.rank + 1):
+        assert affine._dimension(rs, 1, rs.fundamental_weight(a)) is None  # its own chain
+
+
+def test_dimension_hand_values():
+    B2, D4 = root_system("B2"), root_system("D4")
+    assert affine._dimension(B2, 1, (6, 6)) == 5**6 * 11**3  # 6 copies of V(omega_1), 3 of D(1, 2*omega_2)
+    assert affine._dimension(D4, 6, D4.kr_weight(2, 6)) == 146916  # Q^(2)_6
+    for weight in [(1, 1, 1), (3, 1, 1)]:  # lam0 = (1,1,1), and lam0(h_theta) = 3 > 2
+        assert affine._dimension(root_system("A3"), 2, weight) is None
+    assert affine._dimension(root_system("C3"), 5, (0, 10, 0)) is None  # a non-simply-laced KR module
+
+
+@pytest.mark.parametrize("name,top", [("A2", 4), ("A3", 3), ("D4", 3), ("E6", 2)])
+def test_q_system_gives_the_kr_dimensions(monkeypatch, name, top):
+    # Q^(a)_m from the level-1 KR dimensions equals the dimension of the KR
+    # module D(m, m*omega_a), built here with no dimension known up front;
+    # each node takes the seeds within m - 1 steps of it and no others
+    rs = root_system(name)
+    monkeypatch.setattr(affine, "_dimension", lambda rs, level, weight: None)
+    dims = [[kr_character(rs, m, a + 1).dimension() for a in range(rs.rank)] for m in range(top + 1)]
+    adjacent = [{b for b, c in enumerate(row) if c == -1} for row in rs.cartan]
+    for m in range(1, top + 1):
+        assert list(affine._q_system(rs, m, range(rs.rank), dims[1].__getitem__).values()) == dims[m]
+        for a in range(rs.rank):
+            seeds, near = [], {a}
+            for _ in range(m - 1):
+                near |= {b for c in near for b in adjacent[c]}
+            value = affine._q_system(rs, m, [a], lambda b: seeds.append(b) or dims[1][b])
+            assert value == {a: dims[m][a]} and sorted(seeds) == sorted(near)
 
 
 @pytest.mark.parametrize("size", [3, 16])

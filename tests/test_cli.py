@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -218,6 +219,28 @@ def test_misfiled_cache_entry_is_a_miss(capsys, isolated_cache, level, weight):
     assert (code, out, err) == (0, uncached, "")
     seal, *lines = misfiled.read_text(encoding="utf-8").splitlines(keepends=True)  # rewritten
     assert json.loads(seal)["entry"] == misfiled.name and "".join(lines) == uncached
+
+
+def test_store_holds_little_beside_its_text(tmp_path):
+    # the file is serialized in chunks of lines and hashed and written in
+    # slices: the traced peak of a store stays within 2.25 times the text it
+    # returns, the text and one copy of it while the chunks join, so no
+    # list of every line and no encoded copy of the whole file is alive
+    from demkit.cache import CacheKey, CharacterCache
+
+    rs = demkit.root_system("A2")
+    char, key = demkit.demazure_character(rs, 2, (10, 9)), CacheKey("A2", "demazure", 2, (10, 9))
+    cache = CharacterCache(str(tmp_path))
+    cache.store(key, char)  # the directory exists and the codec has run once
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = cache.store(key, char)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 200_000 and cache.load(key)[1] == text
+    assert peak <= 2.25 * len(text), (peak, len(text))
 
 
 # a warm hit prints the entry it has just checked, and serializes only a
@@ -572,16 +595,35 @@ def test_chain_fields_too_narrow_exit_5(capsys, monkeypatch, isolated_cache):
 
 
 def test_grade_digits_too_narrow_exit_5(capsys, monkeypatch, isolated_cache):
-    # A1 weight 20 at level 1 has a multiplicity of 5448 at one grade: with
-    # its grade digits forced to one byte that multiplicity carries, and the
-    # decode refuses it: no character on stdout, one error line, no cache
-    # entry
+    # A1 weight 20 at level 1 has a multiplicity of 5448 at one grade, and
+    # its dimension 2**20 is known up front: with its grade digits forced
+    # to one byte that multiplicity carries, the digits no longer sum to
+    # the dimension, and the decode refuses them: no character on stdout,
+    # one error line, no cache entry
     from demkit import affine
 
-    monkeypatch.setattr(affine, "_digit_bytes", lambda counts: 1)
+    assert affine._dimension(demkit.root_system("A1"), 1, (20,)) == 1 << 20
+    monkeypatch.setattr(affine, "_digit_bytes", lambda bound: 1)
     code, out, err = run(capsys, "char", "--system", "A1", "--level", "1", "--graded", "--weight", "20")
     assert code == 5 and out == ""
-    assert err.startswith("error: internal error: the grade polynomial of weight ") and err.count("\n") == 1
+    assert err.startswith("error: internal error: the graded Demazure chain's 8-bit digits sum to ")
+    assert err.count("\n") == 1
+    assert not isolated_cache.exists() or not os.listdir(isolated_cache)
+
+
+def test_a_wrong_dimension_exit_5(capsys, monkeypatch, isolated_cache):
+    # a build whose dimension is known up front checks the paper's
+    # dimension identity: one more than the true dimension, which needs
+    # no wider digits, makes the digits' sum disagree, and the request
+    # fails with one error line and no cache entry
+    from demkit import affine
+
+    real = affine._dimension
+    monkeypatch.setattr(affine, "_dimension", lambda rs, level, weight: real(rs, level, weight) + 1)
+    code, out, err = run(capsys, "char", "--system", "A2", "--level", "2", "--graded", "--weight", "3,1")
+    assert code == 5 and out == ""
+    assert err == ("error: internal error: the graded Demazure chain's 8-bit digits sum to 48, not to"
+                   " the module's dimension 49\n")
     assert not isolated_cache.exists() or not os.listdir(isolated_cache)
 
 
@@ -721,6 +763,19 @@ def test_each_command_imports_only_what_it_runs(argv):
         assert not {"demkit.affine", "demkit.finite", "demkit.charalg"} & loaded
     if argv[0] == "scan":
         assert "demkit.affine" not in loaded
+
+
+@pytest.mark.parametrize("argv,builder", [
+    (["char", "--system", "G2", "--level", "1", "--weight", "1,1", "--graded"], "demkit.affine"),
+    (["char", "--system", "A2", "--weight", "1,1", "--kind", "weyl"], "demkit.finite"),
+], ids=["demazure-graded", "weyl"])
+def test_a_cache_hit_loads_no_builder(tmp_path, argv, builder):
+    # a cold request imports its builder; the warm one reads the entry and
+    # loads only the cache and the character codec beside the root system
+    code = f"import demkit.cli\nassert demkit.cli.main({argv + ['--cache-dir', str(tmp_path)]!r}) == 0"
+    assert builder in loaded_by(code)
+    warm = {m for m in loaded_by(code) if m.split(".")[0] == "demkit"}
+    assert warm == {"demkit", "demkit.cli", "demkit.rootsystem", "demkit.cache", "demkit.charalg"}
 
 
 def test_finite_loads_no_affine():
