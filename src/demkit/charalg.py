@@ -141,14 +141,30 @@ class GradedCharacter:
     def is_w_invariant(self):
         """True iff every graded slice is symmetric under the Weyl group.
 
-        It suffices to test the simple reflections, which generate; s_i
-        fixes every weight with a zero i-th coordinate.
+        It suffices to test the simple reflections, which generate.  s_i
+        fixes every weight w with w(h_i) = 0 and maps the weights with
+        w(h_i) > 0 one to one onto those with w(h_i) < 0, since
+        s_i(w)(h_i) = -w(h_i).  So each node reads only its positive side,
+        building each mirror s_i(w) = w - w(h_i) alpha_i inline, and counts
+        its negative side.  When every positive-side term's mirror is a term
+        at the same grade with the same multiplicity, the mirrors are as
+        many distinct negative-side terms; the negative side then holds no
+        other term exactly when the two counts are equal.
         """
-        rs = self.system
-        for (w, g), m in self.terms.items():
-            for i, k in enumerate(w, 1):
-                if k and self.terms.get((rs.reflect(i, w), g), 0) != m:
-                    return False
+        terms = self.terms
+        get = terms.get
+        for i, col in enumerate(self.system.simple_root_coords):
+            upper = lower = 0
+            for (w, g), m in terms.items():
+                k = w[i]
+                if k > 0:
+                    upper += 1
+                    if get((tuple([c - k * a for c, a in zip(w, col)]), g)) != m:
+                        return False
+                elif k:
+                    lower += 1
+            if upper != lower:
+                return False
         return True
 
     # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ target is at most the corresponding multiplicity of the source.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, mul
 
 from .charalg import GradedCharacter
 
@@ -71,6 +71,12 @@ def dominant_multiplicities(rs, top, level, max_depth):
     """
     D = rs.pairing_scale
     top_norm = rs.weight_norm2(rs.add(top, rs.rho))
+    # per positive root alpha: D*(mu, alpha) = scale * mu(h_alpha), the
+    # coroot h_alpha and the string steps by +alpha and -alpha
+    rows = [
+        (D // root.d, root.coroot, ((1, root.coords), (-1, tuple(-c for c in root.coords))))
+        for root in rs.positive_roots
+    ]
     # depth + height is the affine height below the highest weight; walks
     # and string steps lower it, so each weight read is tabulated already
     candidates = sorted(
@@ -96,11 +102,9 @@ def dominant_multiplicities(rs, top, level, max_depth):
         # real roots alpha + m*delta: m = 0 takes positive alpha only, while
         # m >= 1 takes alpha of both signs.  Adding j copies raises the
         # weight by j*alpha in the finite part and lowers the depth by j*m.
-        for idx, root in enumerate(rs.positive_roots):
-            scale = D // root.d  # D*(mu, alpha) = scale * mu(h_alpha)
-            base = scale * rs.pairing(mu, idx)
-            up = root.coords
-            for sign, step in ((1, up), (-1, tuple(-c for c in up))) if depth else ((1, up),):
+        for scale, coroot, steps in rows:
+            base = scale * sum(map(mul, coroot, mu))  # scale * mu(h_alpha)
+            for sign, step in steps if depth else steps[:1]:
                 for m in range(sign < 0, depth + 1):
                     # D*(mu + j*beta, beta) for beta = sign*alpha + m*delta
                     pair = sign * base + D * level * m
@@ -170,7 +174,11 @@ def tensor_decompose(rs, char):
     tracked (Stembridge 2001).  Each round picks a maximal weight of the
     remaining support in one pass over it, in descending lexicographic order,
     moving to a weight whenever it dominates the one held; then it subtracts
-    the dominant multiplicities of that irreducible.
+    the dominant multiplicities of that irreducible.  A round only lowers or
+    removes weights of the support (a weight it would add is a negative
+    multiplicity, refused), so the support is sorted once: each round walks
+    that order past the weights already removed, and makes the same picks
+    and the same dominance tests as a fresh sort of what remains.
 
     Raises ValueError for inputs that are not characters (wrong grading,
     not Weyl-symmetric, or extraction driving a multiplicity negative).
@@ -180,11 +188,13 @@ def tensor_decompose(rs, char):
     if not char.is_w_invariant():
         raise ValueError("not a character: support is not Weyl-symmetric")
     remaining = {w: m for (w, _), m in char.terms.items() if rs.is_dominant(w)}
+    order = sorted(remaining, reverse=True)
     out = {}
     while remaining:
-        order = iter(sorted(remaining, reverse=True))
-        pick = next(order)
-        for w in order:
+        order = [w for w in order if w in remaining]
+        walk = iter(order)
+        pick = next(walk)
+        for w in walk:
             if rs.dominates(w, pick):
                 pick = w
         mult = remaining[pick]

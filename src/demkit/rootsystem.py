@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from math import gcd, lcm
+from operator import mul, sub
 
 __all__ = [
     "Root",
@@ -289,7 +290,7 @@ class RootSystem:
         return sum(t * c for t, c in zip(self.theta.coroot, weight))
 
     def is_dominant(self, weight):
-        return all(c >= 0 for c in weight)
+        return min(weight) >= 0
 
     def reflect(self, i, weight):
         """Simple reflection s_i (1-indexed) acting on a weight."""
@@ -352,16 +353,19 @@ class RootSystem:
         return self.sub(top, self.rho), -1 if len(word) % 2 else 1
 
     def weyl_orbit(self, weight):
-        """The full Weyl orbit of a weight, as a set of tuples."""
-        seen = {tuple(weight)}
-        stack = [tuple(weight)]
+        """The full Weyl orbit of a weight, as a set of tuples.  A node
+        where the pairing is zero fixes the weight and is skipped."""
+        weight = tuple(weight)
+        seen = {weight}
+        stack = [weight]
         while stack:
             v = stack.pop()
-            for i in range(1, self.rank + 1):
-                u = self.reflect(i, v)
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
+            for k, col in zip(v, self.simple_root_coords):
+                if k:
+                    u = tuple([c - k * a for c, a in zip(v, col)])
+                    if u not in seen:
+                        seen.add(u)
+                        stack.append(u)
         return seen
 
     # ------------------------------------------------------------------
@@ -380,10 +384,10 @@ class RootSystem:
     def dominance_gap(self, upper, lower):
         """Integer simple-root coordinates of upper - lower, or None if the
         difference is not in the root lattice."""
-        diff = [u - v for u, v in zip(upper, lower)]
+        diff = list(map(sub, upper, lower))
         out = []
         for row in self._scaled_inverse:
-            q, r = divmod(sum(a * x for a, x in zip(row, diff)), self.lattice_scale)
+            q, r = divmod(sum(map(mul, row, diff)), self.lattice_scale)
             if r:
                 return None
             out.append(q)
@@ -403,14 +407,15 @@ class RootSystem:
         weights below a dominant one are linked by positive-root steps
         (Stembridge, The partial order of dominant weights, Adv. Math. 1998).
         """
+        rows = [(root.coords, root.height) for root in self.positive_roots]
         below = {top: 0}
         stack = [top]
         while stack:
             v = stack.pop()
-            for root in self.positive_roots:
-                u = tuple(c - a for c, a in zip(v, root.coords))
-                if u not in below and all(c >= 0 for c in u):
-                    below[u] = below[v] + root.height
+            for coords, height in rows:
+                u = tuple(map(sub, v, coords))
+                if min(u) >= 0 and u not in below:
+                    below[u] = below[v] + height
                     stack.append(u)
         return below
 

@@ -632,16 +632,22 @@ def schur_scan(rs, height_bound):
     the coordinate box.  Returns the certificate list in enumeration order;
     refutations are collected, never raised.  Tuples outnumber the distinct
     unordered products of two irreducibles, so each product is decomposed
-    once per scan and shared by every certificate that names it."""
+    once per scan and shared by every certificate that names it.  Products
+    outnumber the box weights, and every box weight w is named, by the
+    tuple (w, 0, w, 0), so each box weight's irreducible character is
+    built once per scan, up front, and shared by every product."""
+    from .finite import tensor_decompose, weyl_character
+
     if height_bound < 0:
         raise ValueError("height bound must be non-negative")
+    chars = {w: weyl_character(rs, w) for w in _dominant_box(rs.rank, height_bound)}
     decomps = {}
 
     def decompose(a, b):
         """The product's decomposition and its payload, built once per scan."""
         key = (a, b) if a <= b else (b, a)
         if key not in decomps:
-            decomp = _product_decomposition(rs, *key)
+            decomp = tensor_decompose(rs, chars[key[0]] * chars[key[1]])
             decomps[key] = decomp, decomp_payload(decomp)
         return decomps[key]
 

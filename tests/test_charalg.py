@@ -143,6 +143,46 @@ def test_w_invariance():
     assert not spike.is_w_invariant()
 
 
+def _graded_invariant(rs):
+    """A Weyl-invariant character over three grades: V(rho), then twice
+    V(theta) one grade up, then V(2 rho) two grades up."""
+    zero = rs.zero_weight()
+    return summed(
+        weyl_character(rs, rs.rho),
+        scaled(weyl_character(rs, rs.theta.coords), 2) * monomial(rs, zero, 1),
+        weyl_character(rs, rs.scale(2, rs.rho)) * monomial(rs, zero, 2),
+    )
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_w_invariance_pairs_each_side_one_to_one(name):
+    """At node i the test reads only the terms with w(h_i) > 0 and counts
+    those with w(h_i) < 0; each way of breaking the pairing is refused."""
+    rs = root_system(name)
+    char = _graded_invariant(rs)
+    assert char.is_w_invariant()
+    far = 1 + max(max(map(abs, w)) for w, _ in char.terms)
+    fresh = 1 + max(g for _, g in char.terms)
+    for i in range(rs.rank):
+        # a term pairing negatively at node i and nowhere positively: no
+        # mirror lookup reads it, and its own mirror is outside the support
+        lone = rs.scale(-far, rs.fundamental_weight(i + 1))
+        assert {(lone, 0), (rs.reflect(i + 1, lone), 0)}.isdisjoint(char.terms)
+        extra = dict(char.terms)
+        extra[lone, 0] = 1
+        assert not GradedCharacter(rs, extra).is_w_invariant()
+        w, g = next(key for key in sorted(char.terms) if key[0][i] > 0)
+        mirror = rs.reflect(i + 1, w)
+        # the mirror moved to another grade
+        moved = dict(char.terms)
+        moved[mirror, fresh] = moved.pop((mirror, g))
+        assert not GradedCharacter(rs, moved).is_w_invariant()
+        # the mirror with another multiplicity
+        changed = dict(char.terms)
+        changed[mirror, g] += 1
+        assert not GradedCharacter(rs, changed).is_w_invariant()
+
+
 def test_serialization_round_trip():
     rs = root_system("B2")
     rng = seeded("serialize")

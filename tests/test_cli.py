@@ -919,12 +919,23 @@ def test_trace_target_resolves(name):
     assert callable(fn)
 
 
-def test_one_benchmark_pass_is_correct():
-    """One untimed pass of the char workload: every request, cold and warm
-    cache, against its pinned digest and exit code, through the CLI the
-    benchmark drives."""
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "char", "--seconds", "0"],
+def _assert_one_benchmark_pass(*args):
+    proc = subprocess.run([sys.executable, "perfbench/run.py", *args, "--seconds", "0"],
                           cwd=ROOT, capture_output=True, text=True, timeout=170)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stderr
+
+
+def test_one_benchmark_pass_is_correct():
+    """One untimed pass of the char workload: every request, cold and warm
+    cache, against its pinned digest and exit code, through the CLI the
+    benchmark drives."""
+    _assert_one_benchmark_pass("--workload", "char")
+
+
+def test_one_traced_scan_pass_is_correct():
+    """One traced pass of the scan workload: every pinned scan through the
+    benchmark's timing wrappers, so a kernel edit that leaves a function
+    the traced scan must call with zero calls fails here too."""
+    _assert_one_benchmark_pass("--workload", "scan", "--trace", "1")

@@ -492,6 +492,25 @@ def test_scan_builds_each_payload_once(monkeypatch):
     assert len(calls) == SCAN_PRODUCTS < 2 * len(certs)
 
 
+def test_scan_builds_each_irreducible_once(monkeypatch):
+    """A scan builds the irreducible character of each box weight once
+    (its tuples name every one) and shares it among the products; the
+    builder is looked up on ``finite`` when the scan runs, so a patched
+    one is the one called (``test_each_side_is_decomposed_once`` counts
+    the products)."""
+    built = []
+    real = demkit.finite.weyl_character
+
+    def counting(rs, weight):
+        built.append(weight)
+        return real(rs, weight)
+
+    monkeypatch.setattr(demkit.finite, "weyl_character", counting)
+    schur_scan(A2, 1)
+    named = {w for t in scan_tuples(A2, 1) for w in t}
+    assert sorted(built) == sorted(named) and 2 * len(named) < SCAN_PRODUCTS
+
+
 def test_scan_rejects_negative_bound():
     with pytest.raises(ValueError):
         schur_scan(A1, -1)
