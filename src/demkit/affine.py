@@ -395,12 +395,17 @@ def demazure_character(rs, level, weight):
     The result has all grades >= 0, its grade-0 slice is the irreducible
     character of ``weight``, and ``weight`` itself carries multiplicity 1.
     At level 0 only the zero weight is admissible (trivial module).  Where
-    ``_dimension`` knows the module's dimension, the chain runs once.
+    ``_dimension`` knows the module's dimension, the chain runs once.  A
+    walk past its step cap or a weight bound too wide for the key fields
+    is refused (``_word``) before that dimension is computed, which for
+    such a weight is a power too large to hold.
     """
     weight = _check_stable_input(rs, level, weight)
     if level == 0:
         return GradedCharacter.unit(rs)
-    return _demazure_from(rs, level, _lowest(rs, weight), _dimension(rs, level, weight))
+    extremal = _lowest(rs, weight)
+    _word(rs, level, extremal)
+    return _demazure_from(rs, level, extremal, _dimension(rs, level, weight))
 
 
 def graded_isotypic(rs, level, weight):

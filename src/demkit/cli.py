@@ -29,18 +29,23 @@ other ``verify`` claim adds ``theorems`` with ``affine``, ``finite`` and
 The package's own exports resolve lazily too, so ``char`` never compiles
 ``theorems`` and no command but ``char`` and ``cache`` loads ``cache``.
 
-The parser is built per command: :func:`build_parser` registers every
-command name but adds arguments only along the command path the request
-names, and builds every parser only when it names none (see there).
+The parser is one table, ``_COMMANDS``, read by :func:`_parse` without
+``argparse`` (whose import and first parsers cost a request more than its
+parse): each command path (``char``, ``verify stabilization``, ...) maps to
+its handler, help line and option specs.  A separate value that starts with
+``-`` is taken only when it is a negative integer, so ``--lambda -1,0`` is
+a usage error and ``--lambda=-1,0`` reaches the claim.  Help exits 0; a
+usage error prints a usage line and one ``demkit <path>: error: ...`` line
+on stderr and exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .rootsystem import parse_system, root_system
 
@@ -62,19 +67,37 @@ _VERDICT_EXIT = {
 }
 
 
+# Each converter turns a flag's text into its value or raises ValueError
+# with the message a usage error shows after "argument --flag: ".
+
+
 def _system_arg(value):
-    try:
-        parse_system(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    parse_system(value)
     return value
+
+
+def _int_arg(value):
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"invalid int value: {value!r}")
+
+
+def _choice(value, choices):
+    if value not in choices:
+        raise ValueError(f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
+    return value
+
+
+def _kind_arg(value):
+    return _choice(value, ("demazure", "weyl", "kr"))
 
 
 def _weight_arg(value):
     try:
         return tuple(int(c) for c in value.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed weight {value!r}; expected e.g. '1,0'")
+        raise ValueError(f"malformed weight {value!r}; expected e.g. '1,0'")
 
 
 def _parts_arg(value):
@@ -89,14 +112,13 @@ def _leveled_parts_arg(value):
     out = []
     for item in value.split(";"):
         if ":" not in item:
-            raise argparse.ArgumentTypeError(
-                f"malformed part {item!r}; expected 'level:coords' e.g. '1:2,0'"
-            )
+            raise ValueError(f"malformed part {item!r}; expected 'level:coords' e.g. '1:2,0'")
         lvl, coords = item.split(":", 1)
         try:
-            out.append((int(lvl), _weight_arg(coords)))
+            lvl = int(lvl)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"malformed part level in {item!r}")
+            raise ValueError(f"malformed part level in {item!r}")
+        out.append((lvl, _weight_arg(coords)))
     return out
 
 
@@ -273,174 +295,192 @@ def _cmd_cache(args):
 
 
 # ---------------------------------------------------------------------------
-# parser wiring: one function per command path adds that path's arguments
+# the parser: one table of command paths, read by ``_parse``
+
+_REQUIRED = ...  # the default of an option spec whose flag must be given
+
+# An option spec is (flag, dest, convert, default or _REQUIRED, help); a
+# switch has no converter and is False unless given.
+_SYSTEM = ("--system", "system", _system_arg, _REQUIRED, "simple type, e.g. A2 or G2")
+_LEVEL = ("--level", "level", _int_arg, _REQUIRED, "level of the Demazure module")
+_INDEX = ("--index", "index", _int_arg, _REQUIRED, "node index")
+_LAMBDA = ("--lambda", "lam", _weight_arg, _REQUIRED, "weight lambda, e.g. 1,0")
+_OUT = ("--out", "out", str, None, "write the output to this file")
+_NO_TIMING = ("--no-timing", "no_timing", None, False, "leave out the elapsed fields")
+_CACHE_DIR = ("--cache-dir", "cache_dir", str, None, "cache directory (else $DEMKIT_CACHE)")
 
 
-def _char_args(p):
-    p.add_argument("--system", required=True, type=_system_arg)
-    p.add_argument("--level", type=int)
-    p.add_argument("--weight", type=_weight_arg)
-    p.add_argument("--kind", choices=("demazure", "weyl", "kr"), default="demazure")
-    p.add_argument("--index", type=int, help="node index for --kind kr")
-    p.add_argument("--graded", action="store_true", help="keep the grading in the output")
-    p.add_argument("--pretty", action="store_true", help="human table instead of JSON lines")
-    p.add_argument("--out")
-    p.add_argument("--cache-dir")
-    p.add_argument("--no-cache", action="store_true")
-    p.set_defaults(func=_cmd_char)
+def _claim(text, *specs, unused=()):
+    """A ``verify`` path: the dests of ``specs`` name, in order, the
+    arguments its ``theorems.verify_*`` takes after the root system."""
+    return _cmd_verify, text, (_SYSTEM, *specs, *unused, _OUT, _NO_TIMING), {
+        "claim_args": tuple(spec[1] for spec in specs)}
 
 
-def _presentation_args(p):
-    p.add_argument("--system", required=True, type=_system_arg)
-    p.add_argument("--level", required=True, type=int)
-    p.add_argument("--weight", required=True, type=_weight_arg)
-    p.add_argument("--pretty", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_presentation)
-
-
-def _claim_args(p, *claim_args):
-    """Flags every claim shares; ``claim_args`` names the parsed arguments
-    passed, in order after the root system, to the claim's ``verify_*``."""
-    p.add_argument("--system", required=True, type=_system_arg)
-    if "level" in claim_args:
-        p.add_argument("--level", required=True, type=int)
-    p.add_argument("--out")
-    p.add_argument("--no-timing", action="store_true")
-    p.set_defaults(func=_cmd_verify, claim_args=claim_args)
-
-
-def _demprop_args(p):
-    _claim_args(p, "level", "parts", "lam")
-    p.add_argument("--parts", type=_parts_arg, default=[], help="semicolon-separated weights, e.g. '2' or '1,0;0,1'")
-    p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
-
-
-def _mapsdem_args(p):
-    _claim_args(p, "level", "parts", "lam")
-    p.add_argument("--parts", type=_leveled_parts_arg, default=[], help="semicolon-separated level:weight pairs, e.g. '1:2;1:2'")
-    p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
-
-
-def _krdecom_args(p):
-    _claim_args(p, "level", "s_vector", "lam")
-    p.add_argument("--s-vector", dest="s_vector", required=True, type=_weight_arg)
-    p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
-
-
-def _ev0_args(p):
-    _claim_args(p, "level", "lam")
-    p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
-
-
-def _twofold_args(p):
-    _claim_args(p, "index", "level", "lam", "mu1", "mu2")
-    p.add_argument("--index", required=True, type=int)
-    p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
-    p.add_argument("--mu1", required=True, type=_weight_arg)
-    p.add_argument("--mu2", required=True, type=_weight_arg)
-
-
-def _genschurpos_args(p):
-    _claim_args(p, "index", "power", "level", "source_level", "lam", "mu")
-    p.add_argument("--index", required=True, type=int)
-    p.add_argument("--power", required=True, type=int)
-    p.add_argument("--source-level", dest="source_level", required=True, type=int)
-    p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
-    p.add_argument("--mu", required=True, type=_weight_arg)
-
-
-def _stabilization_args(p):
-    _claim_args(p, "level", "lam", "max_grade", "n_max")
-    p.add_argument("--lambda", dest="lam", required=True, type=_weight_arg)
-    p.add_argument("--max-grade", dest="max_grade", required=True, type=int)
-    p.add_argument("--n-max", dest="n_max", required=True, type=int)
-    p.add_argument("--no-cache", action="store_true", help="accepted but unused: nothing is cached")
-
-
-def _scan_args(p):
-    p.add_argument("--system", required=True, type=_system_arg)
-    p.add_argument("--height-bound", dest="height_bound", required=True, type=int)
-    p.add_argument("--jobs", type=int, default=1, help="accepted (>= 1) but unused: the scan is serial")
-    p.add_argument("--out", help="directory for the certificate stream")
-    p.add_argument("--no-timing", action="store_true")
-    p.set_defaults(func=_cmd_scan)
-
-
-def _cache_args(p):
-    p.add_argument("--cache-dir")
-    p.set_defaults(func=_cmd_cache)
-
-
-# name -> (add_parser keywords, the path's arguments or a subcommand group);
-# a group is (its dest, its own table)
+# command path -> (handler, help line, option specs, fixed namespace entries)
 _COMMANDS = {
-    "char": ({"help": "compute a character"}, _char_args),
-    "presentation": ({"help": "defining relations of a Demazure module"}, _presentation_args),
-    "verify": ({"help": "run one verification, emit a certificate"}, ("verify_command", {
-        "demprop": ({}, _demprop_args),
-        "mapsdem": ({}, _mapsdem_args),
-        "krdecom": ({}, _krdecom_args),
-        "ev0": ({}, _ev0_args),
-        "twofold": ({}, _twofold_args),
-        "genschurpos": ({}, _genschurpos_args),
-        "stabilization": ({}, _stabilization_args),
-        "minuscule": ({}, _claim_args),
-    })),
-    "scan": ({"help": "exhaustive surjection scan"}, _scan_args),
-    "cache": ({"help": "manage the character cache"}, ("cache_command", {
-        name: ({}, _cache_args) for name in ("path", "stats", "clear")
-    })),
+    "char": (_cmd_char, "compute a character", (
+        _SYSTEM,
+        ("--level", "level", _int_arg, None, "level of the Demazure module"),
+        ("--weight", "weight", _weight_arg, None, "dominant weight, e.g. 1,0"),
+        ("--kind", "kind", _kind_arg, "demazure", "demazure (the default), weyl or kr"),
+        ("--index", "index", _int_arg, None, "node index for --kind kr"),
+        ("--graded", "graded", None, False, "keep the grading in the output"),
+        ("--pretty", "pretty", None, False, "human table instead of JSON lines"),
+        _OUT, _CACHE_DIR, ("--no-cache", "no_cache", None, False, "neither read nor write the cache"),
+    ), {}),
+    "presentation": (_cmd_presentation, "defining relations of a Demazure module", (
+        _SYSTEM, _LEVEL, ("--weight", "weight", _weight_arg, _REQUIRED, "dominant weight, e.g. 1,0"),
+        ("--pretty", "pretty", None, False, "human table instead of JSON"), _OUT,
+    ), {}),
+    "verify demprop": _claim(
+        "the Demazure module of level*(sum of parts) + lambda factors over the parts", _LEVEL,
+        ("--parts", "parts", _parts_arg, [], "semicolon-separated weights, e.g. '2' or '1,0;0,1'"),
+        _LAMBDA),
+    "verify mapsdem": _claim(
+        "the fusion of leveled parts maps onto a Demazure module", _LEVEL,
+        ("--parts", "parts", _leveled_parts_arg, [], "semicolon-separated level:weight pairs, e.g. 1:2;1:2"),
+        _LAMBDA),
+    "verify krdecom": _claim(
+        "Kirillov-Reshetikhin factorization of a Demazure module", _LEVEL,
+        ("--s-vector", "s_vector", _weight_arg, _REQUIRED, "copies of each node's KR module, e.g. 0,2,0"),
+        _LAMBDA),
+    "verify ev0": _claim("evaluation-module criterion: grade 0 alone iff level-dominant", _LEVEL, _LAMBDA),
+    "verify twofold": _claim(
+        "two-fold product surjection by multiplicity domination", _INDEX, _LEVEL, _LAMBDA,
+        ("--mu1", "mu1", _weight_arg, _REQUIRED, "first weight mu1"),
+        ("--mu2", "mu2", _weight_arg, _REQUIRED, "second weight mu2")),
+    "verify genschurpos": _claim(
+        "level-lowering surjection between node-module fusions", _INDEX,
+        ("--power", "power", _int_arg, _REQUIRED, "copies of the node module"), _LEVEL,
+        ("--source-level", "source_level", _int_arg, _REQUIRED, "level of the source module"),
+        _LAMBDA, ("--mu", "mu", _weight_arg, _REQUIRED, "weight mu")),
+    "verify stabilization": _claim(
+        "truncated Demazure characters stabilize to the affine character", _LEVEL, _LAMBDA,
+        ("--max-grade", "max_grade", _int_arg, _REQUIRED, "deepest grade compared"),
+        ("--n-max", "n_max", _int_arg, _REQUIRED, "largest multiple N of theta"),
+        unused=(("--no-cache", "no_cache", None, False, "accepted but unused: nothing is cached"),)),
+    "verify minuscule": _claim("minuscule-coweight nodes against the classical table"),
+    "scan": (_cmd_scan, "exhaustive surjection scan", (
+        _SYSTEM, ("--height-bound", "height_bound", _int_arg, _REQUIRED, "largest coordinate scanned"),
+        ("--jobs", "jobs", _int_arg, 1, "accepted (>= 1) but unused: the scan is serial"),
+        ("--out", "out", str, None, "directory for the certificate stream"), _NO_TIMING,
+    ), {}),
+    "cache path": (_cmd_cache, "print the cache directory", (_CACHE_DIR,), {}),
+    "cache stats": (_cmd_cache, "count the cache entries", (_CACHE_DIR,), {}),
+    "cache clear": (_cmd_cache, "remove every cache entry", (_CACHE_DIR,), {}),
 }
 
 
-def _command_path(argv):
-    """The command path that ``argv``'s leading words name exactly, such
-    as ``("char",)`` or ``("verify", "stabilization")``, or None."""
-    table = _COMMANDS
-    for depth, word in enumerate(argv):
-        if word not in table:
-            return None
-        wiring = table[word][1]
-        if callable(wiring):
-            return tuple(argv[:depth + 1])
-        table = wiring[1]
-    return None
+def _below(words):
+    """The command paths that begin with ``words``."""
+    return [path for path in _COMMANDS if path.split()[:len(words)] == words]
 
 
-def _add_commands(parser, dest, table, path):
-    """Register every name of ``table`` under ``parser``; only the names on
-    ``path`` (all of them when ``path`` is None) get their arguments."""
-    sub = parser.add_subparsers(dest=dest, required=True)
-    for name, (keywords, wiring) in table.items():
-        p = sub.add_parser(name, **keywords)
-        if path is None or path[0] == name:
-            if callable(wiring):
-                wiring(p)
-            else:
-                _add_commands(p, *wiring, path and path[1:])
+def _next_words(words):
+    return list(dict.fromkeys(path.split()[len(words)] for path in _below(words)))
 
 
-def build_parser(argv=None):
-    """The ``demkit`` parser.  Every command name is registered, but only
-    the command path that ``argv``'s leading words name exactly (``char``,
-    ``verify stabilization``, ``cache stats``, ...) gets its arguments.
-    With no ``argv``, or one that names no complete path (no words,
-    ``--help`` at the top or group level, an unknown command), every
-    parser gets them.  argparse prints help, usage and errors from the
-    deepest parser it reaches, which is built the same either way."""
-    parser = argparse.ArgumentParser(
-        prog="demkit",
-        description="Exact Demazure and Weyl characters, with verification certificates.",
-    )
-    _add_commands(parser, "command", _COMMANDS, None if argv is None else _command_path(argv))
-    return parser
+def _shown(spec):
+    return spec[0] if spec[2] is None else f"{spec[0]} {spec[1].upper()}"
+
+
+def _usage(words):
+    """The usage line of a command path, or of the words that begin one."""
+    key = " ".join(words)
+    if key in _COMMANDS:
+        specs = _COMMANDS[key][2]
+        shown = [_shown(spec) if spec[3] is _REQUIRED else f"[{_shown(spec)}]" for spec in specs]
+        return " ".join(["usage: demkit", key, "[-h]", *shown])
+    return " ".join(["usage: demkit", *words, f"{{{','.join(_next_words(words))}}}", "..."])
+
+
+def _fail(words, message):
+    sys.stderr.write(f"{_usage(words)}\n{' '.join(['demkit', *words])}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _help(words):
+    key = " ".join(words)
+    if key in _COMMANDS:
+        _, text, specs, _ = _COMMANDS[key]
+        head = f"{text}\n\noptions:"
+        rows = [("-h, --help", "show this help and exit")] + [(_shown(spec), spec[4]) for spec in specs]
+    else:
+        head = "Exact Demazure and Weyl characters, with verification certificates.\n\ncommands:"
+        rows = [(path, _COMMANDS[path][1]) for path in _below(words)]
+    width = 2 + max(len(name) for name, _ in rows)
+    sys.stdout.write(f"{_usage(words)}\n\n{head}\n")
+    sys.stdout.write("".join(f"  {name:{width}}{text}\n" for name, text in rows))
+    raise SystemExit(EXIT_OK)
+
+
+def _parse(argv):
+    """The namespace ``argv`` names: its command words (``command``, then
+    ``verify_command`` or ``cache_command``), ``func``, the path's fixed
+    entries and every option's value or default.  Help exits 0 and a usage
+    error exits 2."""
+    chosen = {}  # dest -> command word
+    while " ".join(chosen.values()) not in _COMMANDS:
+        words = list(chosen.values())
+        word = argv[len(words)] if len(argv) > len(words) else None
+        if word in ("-h", "--help"):
+            _help(words)
+        dest = f"{words[-1]}_command" if words else "command"
+        if word is None:
+            _fail(words, f"the following arguments are required: {dest}")
+        try:
+            chosen[dest] = _choice(word, _next_words(words))
+        except ValueError as exc:
+            _fail(words, f"argument {dest}: {exc}")
+    words = list(chosen.values())
+    handler, _, specs, fixed = _COMMANDS[" ".join(words)]
+    args = SimpleNamespace(**chosen, func=handler, **fixed)
+    flags = {"-h": None, "--help": None}
+    for spec in specs:
+        flags[spec[0]] = spec
+        setattr(args, spec[1], None if spec[3] is _REQUIRED else spec[3])
+    unknown = []
+    tokens = iter(argv[len(words):])
+    for token in tokens:
+        name, eq, text = token.partition("=") if token.startswith("--") else (token, "", "")
+        found = [name] if name in flags else [
+            flag for flag in flags if len(name) > 2 and name.startswith("--") and flag.startswith(name)]
+        if len(found) > 1:
+            _fail(words, f"ambiguous option: {name} could match {', '.join(found)}")
+        if not found:
+            unknown.append(token)
+            continue
+        flag, = found
+        if flags[flag] is None:
+            _help(words)
+        _, dest, convert, _, _ = flags[flag]
+        if convert is None:
+            if eq:
+                _fail(words, f"argument {flag}: ignored explicit argument {text!r}")
+            value = True
+        else:
+            if not eq:
+                text = next(tokens, None)  # taken if it starts with "-" only as a negative integer
+                if text is None or text.startswith("-") and not text[1:].isdecimal():
+                    _fail(words, f"argument {flag}: expected one argument")
+            try:
+                value = convert(text)
+            except ValueError as exc:
+                _fail(words, f"argument {flag}: {exc}")
+        setattr(args, dest, value)
+    missing = [spec[0] for spec in specs if spec[3] is _REQUIRED and getattr(args, spec[1]) is None]
+    if missing:
+        _fail(words, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _fail(words, f"unrecognized arguments: {' '.join(unknown)}")
+    return args
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except ValueError as exc:

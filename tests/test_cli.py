@@ -594,6 +594,26 @@ def test_chain_fields_too_narrow_exit_5(capsys, monkeypatch, isolated_cache):
     assert not isolated_cache.exists() or not os.listdir(isolated_cache)
 
 
+@pytest.mark.parametrize("weight,error", [
+    ("1000000000000", "chamber walk exceeded 1000000 steps"),
+    ("300000", "weight bound 15000000000 "),
+], ids=["walk", "fields"])
+def test_out_of_range_weight_is_refused_before_its_dimension(capsys, monkeypatch, weight, error):
+    # the dimension of A1 weight 10**12 at level 3 is a power with an
+    # exponent of 3*10**11, far too large to hold; the walk's step cap and
+    # the field bound refuse such a weight before any dimension is asked
+    # for (the double stands in for the dimension, so nothing is allocated
+    # even if it were)
+    from demkit import affine
+
+    calls = []
+    monkeypatch.setattr(affine, "_dimension", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "char", "--system", "A1", "--level", "3", "--weight", weight, "--no-cache")
+    assert code == 5 and out == ""
+    assert err.startswith(f"error: internal error: {error}") and err.count("\n") == 1
+    assert calls == []
+
+
 def test_grade_digits_too_narrow_exit_5(capsys, monkeypatch, isolated_cache):
     # A1 weight 20 at level 1 has a multiplicity of 5448 at one grade, and
     # its dimension 2**20 is known up front: with its grade digits forced
@@ -708,8 +728,9 @@ def test_io_errors_exit_6_before_the_work(capsys, monkeypatch, tmp_path, argv, m
 # ---------------------------------------------------------------------------
 # each command imports only what it runs
 
-# loaded for dataclasses and Fraction alone, at a cost every request paid
-SLOW_IMPORTS = {"dataclasses", "inspect", "fractions", "decimal"}
+# loaded for dataclasses, Fraction and argparse alone, at a cost every
+# request paid
+SLOW_IMPORTS = {"dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext", "locale"}
 
 COMMANDS = {
     "char": ["char", "--system", "A1", "--level", "1", "--weight", "2"],
@@ -730,6 +751,8 @@ COMMANDS = {
     "minuscule": ["verify", "minuscule", "--system", "A2"],
     "scan": ["scan", "--system", "A1", "--height-bound", "1"],
     "cache-stats": ["cache", "stats"],
+    "help": ["--help"],
+    "char-help": ["char", "--help"],
 }
 
 
@@ -751,7 +774,9 @@ def loaded_by(code):
 
 @pytest.mark.parametrize("argv", COMMANDS.values(), ids=list(COMMANDS))
 def test_each_command_imports_only_what_it_runs(argv):
-    loaded = loaded_by(f"import demkit.cli\nassert demkit.cli.main({argv!r}) == 0")
+    # help exits 0 through SystemExit, every other command returns 0
+    loaded = loaded_by(f"import demkit.cli\ntry:\n    code = demkit.cli.main({argv!r})\n"
+                       "except SystemExit as exc:\n    code = exc.code\nassert code == 0")
     assert "demkit.cli" in loaded and not SLOW_IMPORTS & loaded
     if argv[0] == "char":
         assert "demkit.theorems" not in loaded
