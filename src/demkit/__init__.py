@@ -17,7 +17,7 @@ _EXPORTS = {
         "AffineWeight", "Relation", "affine_irreducible_character_truncated",
         "demazure_character", "kr_character", "presentation", "straighten",
     ),
-    "finite": ("surjection_exists", "tensor_decompose", "weyl_character", "weyl_dimension"),
+    "finite": ("surjection_exists", "tensor_decompose", "weyl_character"),
     "theorems": (
         "Certificate", "expected_minuscule_nodes", "minuscule_nodes", "scan_summary",
         "schur_scan", "twofold_corollary_thresholds", "verify_twofold_corollary",

@@ -45,6 +45,7 @@ from itertools import compress
 from math import prod
 
 from .charalg import GradedCharacter
+from .rootsystem import WALK_STEP_CAP
 
 __all__ = [
     "AffineWeight",
@@ -76,11 +77,21 @@ def straighten(rs, aw):
     so the word is reduced and is the minimal coset representative; this is
     what makes it legal to feed straight into the Demazure operators.
 
-    Termination is guaranteed at positive level; the walk's step cap is a
-    defensive bound and tripping it is reported as an internal error.
+    Termination is guaranteed at positive level.  The walk takes one step
+    per positive real root alpha + n*delta that pairs negatively with the
+    weight: with p = finite(h_alpha) and c = d_alpha*level those are the n
+    >= 0 with p + n*c < 0 and, for -alpha, the n >= 1 with n*c < p.  A walk
+    of ``WALK_STEP_CAP`` steps or more is refused before its first step, as
+    an internal error.
     """
     if aw.level < 1:
         raise ValueError("straightening requires level >= 1; level 0 weights index the trivial module")
+    steps = 0
+    for idx, root in enumerate(rs.positive_roots):
+        p = rs.pairing(aw.finite, idx)
+        steps += -(-abs(p) // (root.d * aw.level)) - (p > 0)
+    if steps >= WALK_STEP_CAP:
+        raise RuntimeError(f"internal error: chamber walk exceeded {WALK_STEP_CAP} steps from {aw.finite}")
     finite, word, lift = rs._to_dominant(aw.finite, aw.level)
     return AffineWeight(finite, aw.level, aw.delta + lift), tuple(reversed(word))
 
@@ -269,10 +280,10 @@ def _grade_free_dimension(rs, level, weight):
     return sum(_run(rs, level, word, _Chain({_pack(rs, top.finite): 1}, 0)).terms.values())
 
 
-def _demazure_from(rs, level, extremal, dim=None):
+def _demazure_from(rs, level, extremal, weight=None):
     """Apply the Demazure operators of the word that straightens the affine
     weight ``(extremal, level, 0)``, starting from the dominant monomial;
-    ``dim`` is the exact dimension of the module, or None.
+    ``dim`` is ``_dimension`` of ``weight``, asked after ``_word``, or None.
 
     Bounds.  Every key the chain's operators read or write is a weight of
     the Demazure module V of the whole word.  Each chain weight w is a
@@ -315,6 +326,7 @@ def _demazure_from(rs, level, extremal, dim=None):
     an internal error.
     """
     top, word = _word(rs, level, extremal)
+    dim = None if weight is None else _dimension(rs, level, weight)
     key = _pack(rs, top.finite)
     counts = None if dim is not None else _run(rs, level, word, _Chain({key: 1}, 0)).terms
     width = 8 * _digit_bytes(dim if counts is None else max(counts.values()))
@@ -363,29 +375,30 @@ def _dimension(rs, level, weight):
     is V(lam0) fused with s_a copies of each node's KR module, so dim D =
     dim V(lam0) * product of (dim D(level, kr_weight(a, level)))^s_a.  A
     smaller s_a only raises lam0(h_theta), so no other split can apply when
-    the greedy one does not.  On a simply-laced type each KR dimension is
-    the Q-system's (``_q_system``), seeded by the level-1 grade-free
-    chains; on the others it is that factor's own grade-free chain.  V(lam0)
-    is D(level, lam0), whose grade-free chain runs the finite word alone.
-    A chain that would be the request's own gives None: the caller's
-    grade-free pass is that chain."""
+    the greedy one does not.  On a simply-laced type the KR dimensions come
+    from the Q-system (``_q_system``) seeded by dim D(1, omega_a).  One rule
+    sizes each factor, V(lam0) and seed D(lvl, w): when w(h_theta) <= lvl it
+    is V(w) (Fourier-Littelmann 2007), sized by Weyl's formula; otherwise its
+    grade-free chain, unless that is the request's own, which gives None:
+    the caller's grade-free pass is that chain."""
     steps = [d * level for d in rs.d_simple]
     lam0 = tuple(c % step for c, step in zip(weight, steps))
     if rs.theta_pairing(lam0) > level:
         return None
     powers = {a: c // step for a, (c, step) in enumerate(zip(weight, steps)) if c >= step}
 
-    def grade_free(lvl, w):
+    def size(lvl, w):
+        if rs.theta_pairing(w) <= lvl:
+            return rs.weyl_dimension(w)
         return None if (lvl, w) == (level, weight) else _grade_free_dimension(rs, lvl, w)
 
     if rs.pairing_scale == 1:  # simply laced
-        factors = _q_system(rs, level, powers, lambda a: grade_free(1, rs.fundamental_weight(a + 1)))
+        factors = _q_system(rs, level, powers, lambda a: size(1, rs.fundamental_weight(a + 1)))
     else:
-        factors = {a: grade_free(level, rs.kr_weight(a + 1, level)) for a in powers}
-    rest = grade_free(level, lam0) if any(lam0) else 1
-    if rest is None or None in factors.values():
+        factors = {a: size(level, rs.kr_weight(a + 1, level)) for a in powers}
+    if None in factors.values():
         return None
-    return prod((factors[a] ** s for a, s in powers.items()), start=rest)
+    return prod((factors[a] ** s for a, s in powers.items()), start=size(level, lam0))
 
 
 def demazure_character(rs, level, weight):
@@ -403,9 +416,7 @@ def demazure_character(rs, level, weight):
     weight = _check_stable_input(rs, level, weight)
     if level == 0:
         return GradedCharacter.unit(rs)
-    extremal = _lowest(rs, weight)
-    _word(rs, level, extremal)
-    return _demazure_from(rs, level, extremal, _dimension(rs, level, weight))
+    return _demazure_from(rs, level, _lowest(rs, weight), weight)
 
 
 def graded_isotypic(rs, level, weight):

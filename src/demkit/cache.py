@@ -111,7 +111,7 @@ class CharacterCache:
             if not text.startswith(GradedCharacter._header(key.system, key.expected_header_kind)):
                 return None  # printed as read, so only the key's header as to_jsonl spells it
             char = GradedCharacter.from_jsonl(text)
-        except ValueError:
+        except (ValueError, RecursionError):  # a seal nested past json's depth limit too
             return None
         return (char, text) if len(char.terms) == seal["terms"] else None
 

@@ -171,9 +171,7 @@ class GradedCharacter:
     # serialization: JSON lines, one term per line, multiplicities as
     # decimal strings so arbitrary precision survives every consumer
 
-    def to_jsonl(self, kind=None):
-        if kind is None:
-            kind = "plain" if self.is_plain else "graded"
+    def to_jsonl(self, kind):
         if kind not in ("plain", "graded"):
             raise ValueError(f"unknown serialization kind {kind!r}")
         if kind == "plain" and not self.is_plain:  # from_jsonl would refuse the file
@@ -216,7 +214,10 @@ class GradedCharacter:
         start = text.find("\n") + 1  # where the body begins
         if not start:
             raise ValueError("a character file is a header line, then one line per term")
-        header = json.loads(text[:start])
+        try:
+            header = json.loads(text[:start])
+        except RecursionError:  # nested past json's depth limit: a bad header
+            header = None
         if (
             type(header) is not dict
             or type(header.get("system")) is not str

@@ -32,7 +32,6 @@ __all__ = [
     "weyl_character",
     "dominant_multiplicities",
     "isotypic_character",
-    "weyl_dimension",
     "tensor_decompose",
     "surjection_exists",
     "min_condition_failure",
@@ -147,22 +146,6 @@ def isotypic_character(rs, components):
     return GradedCharacter(
         rs, {(w, g): m for (mu, g), m in dominant.items() for w in rs.weyl_orbit(mu)}
     )
-
-
-def weyl_dimension(rs, weight):
-    """Dimension of the irreducible module, by the product over positive
-    roots of (weight + rho, alpha) / (rho, alpha), read as coroot pairings
-    (weight + rho)(h_alpha) / rho(h_alpha); exact integers."""
-    weight = rs.check_dominant(weight)
-    shifted = rs.add(weight, rs.rho)
-    num = 1
-    den = 1
-    for idx in range(len(rs.positive_roots)):
-        num *= rs.pairing(shifted, idx)
-        den *= rs.pairing(rs.rho, idx)
-    if num % den:
-        raise RuntimeError(f"internal error: non-integral dimension for {weight}")
-    return num // den
 
 
 def tensor_decompose(rs, char):

@@ -430,6 +430,19 @@ class RootSystem:
             for row, w, d in zip(self._scaled_inverse, weight, self.d_simple)
         )
 
+    def weyl_dimension(self, weight):
+        """Dimension of the irreducible module of a dominant weight by
+        Weyl's formula, the product over positive roots alpha of (weight +
+        rho)(h_alpha) / rho(h_alpha); exact integers."""
+        shifted = self.add(self.check_dominant(weight), self.rho)
+        num = den = 1
+        for root in self.positive_roots:
+            num *= sum(map(mul, root.coroot, shifted))
+            den *= sum(root.coroot)
+        if num % den:
+            raise RuntimeError(f"internal error: non-integral dimension for {weight}")
+        return num // den
+
 
 _SHARED = {}  # (series, rank) -> the one instance of that type
 

@@ -216,7 +216,7 @@ def verify_demprop(rs, level, parts, lam):
     Hypotheses: every part lies in the d-divisible sublattice, and lam pairs
     with the highest coroot at most ``level``.
     """
-    from .finite import weyl_character, weyl_dimension
+    from .finite import weyl_character
 
     lam = rs.check_weight(lam)
     parts = [rs.check_weight(p) for p in parts]
@@ -232,7 +232,7 @@ def verify_demprop(rs, level, parts, lam):
     lhs, factors = _fusion_sides(rs, level, lam, [(level, p) for p in parts])
     rhs = reduce(mul, [*factors, weyl_character(rs, lam)])
     factor_dims = [factor.dimension() for factor in factors]
-    indep_rhs_dim = prod(factor_dims, start=weyl_dimension(rs, lam))
+    indep_rhs_dim = prod(factor_dims, start=rs.weyl_dimension(lam))
     details = {
         "lhs_dim": str(lhs.dimension()),
         "rhs_dim": str(rhs.dimension()),
@@ -255,7 +255,7 @@ def verify_mapsdem(rs, level, parts, lam):
     the d-divisible sublattice dominating the parts root-wise.
     """
     from .affine import demazure_character
-    from .finite import surjection_exists, tensor_decompose, weyl_character, weyl_dimension
+    from .finite import surjection_exists, tensor_decompose, weyl_character
 
     lam = rs.check_weight(lam)
     parts = [(int(p), rs.check_weight(w)) for p, w in parts]
@@ -294,7 +294,7 @@ def verify_mapsdem(rs, level, parts, lam):
     lhs_char, factors = _fusion_sides(rs, level, lam, parts)
     lhs_dim = lhs_char.dimension()
     # D(level, lam) is V(lam) when lam is level-dominant, as on the isomorphism clause
-    lam_dim = (weyl_dimension(rs, lam) if rs.theta_pairing(lam) <= level
+    lam_dim = (rs.weyl_dimension(lam) if rs.theta_pairing(lam) <= level
                else demazure_character(rs, level, lam).dimension())
     rhs_dim = prod((f.dimension() for f in factors), start=lam_dim)
     details = {"lhs_dim": str(lhs_dim), "rhs_dim": str(rhs_dim)}

@@ -101,6 +101,24 @@ def test_straighten_step_cap_is_an_internal_error(monkeypatch):
         straighten(A1, AffineWeight((-40,), 1, 0))
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "C3", "D4", "F4"])
+def test_walk_length_is_counted_before_the_walk(monkeypatch, name):
+    # straighten counts the walk's steps up front, one per positive real
+    # root that pairs negatively: a cap of exactly that many refuses the
+    # weight, with the chamber walk's own cap untouched, and one more lets
+    # the same walk through
+    rs = root_system(name)
+    rng = seeded(f"walk-length-{name}")
+    for _ in range(40):
+        aw = AffineWeight(tuple(rng.randint(-9, 9) for _ in range(rs.rank)), rng.randint(1, 4), 0)
+        length = len(rs._to_dominant(aw.finite, aw.level)[1])
+        monkeypatch.setattr(affine, "WALK_STEP_CAP", length + 1)
+        assert len(straighten(rs, aw)[1]) == length
+        monkeypatch.setattr(affine, "WALK_STEP_CAP", length)
+        with pytest.raises(RuntimeError, match=f"exceeded {length} steps from "):
+            straighten(rs, aw)
+
+
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "C3", "D4"])
 def test_straighten_replay_and_wall_crossings(name):
     rs = root_system(name)
@@ -350,7 +368,7 @@ def test_unpack_decodes_each_weight_once(name, level, weight):
     char = demazure_character(root_system(name), level, weight)
     weights = {w for w, _ in char.terms}
     assert len(char.terms) > len(weights)  # some weight carries several grades
-    back = GradedCharacter.from_jsonl(char.to_jsonl())
+    back = GradedCharacter.from_jsonl(char.to_jsonl(kind="graded"))
     assert back == char
     for ch in (char, back):
         assert len({id(w) for w, _ in ch.terms}) == len(weights)
@@ -434,7 +452,7 @@ def test_graded_isotypic_matches_the_full_word(name, level):
         full = demazure_character(rs, level, lam)
         components = graded_isotypic(rs, level, lam)
         assert all(m > 0 for m in components.values())
-        assert isotypic_character(rs, components).to_jsonl() == full.to_jsonl()
+        assert isotypic_character(rs, components).to_jsonl(kind="graded") == full.to_jsonl(kind="graded")
         summed = {}
         for (mu, _), m in components.items():
             summed[mu] = summed.get(mu, 0) + m
@@ -468,7 +486,7 @@ class RecordingTerms(dict):
 def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
     # both routes through the library's chain against the same routes
     # through the tuple-key chain of conftest, byte for byte and in term
-    # order, and a dimension known up front against the oracle's; every
+    # order, and each dimension known up front against the oracle's; every
     # key the oracle chain writes and every key the library chain looks up
     # (in each of its passes) is a weight of the module, so
     # its pairings with the simple coroots and with the highest coroot stay
@@ -482,12 +500,14 @@ def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
         for weight in [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)]
         + [rs.kr_weight(1, level), rs.kr_weight(rs.rank, level)]
     })
-    touched, reads = set(), set()
+    touched, reads, sized = set(), set(), []
     chain = affine._Chain
 
-    def oracle(rs, level, extremal, dim=None):
+    def oracle(rs, level, extremal, weight=None):
         char = tuple_demazure_from(rs, level, extremal, touched)
+        dim = None if weight is None else affine._dimension(rs, level, weight)
         assert dim in (None, char.dimension())
+        sized.append(dim is not None)
         return char
 
     for level, weight in cases:
@@ -509,15 +529,16 @@ def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
         for weights in ([w for w, _ in touched], looked_up):
             assert max(abs(c) for w in weights for c in (*w, rs.theta_pairing(w))) <= bound
         assert 0 <= min(g for _, g in touched) and max(g for _, g in touched) <= top.delta
+    assert any(sized)
 
 
 @pytest.mark.parametrize("name", CHAIN_SWEEP)
 def test_width_zero_chain_is_the_collapse(monkeypatch, name):
     # the grade-free pass that sizes the digits holds each weight's
     # multiplicity summed over grades, wherever it runs: for the whole word,
-    # which runs it when no dimension is known up front, that is the
-    # collapsed character, for the straightening word alone the collapsed
-    # tuple-key chain of the same word
+    # which runs it exactly when no dimension is known up front, that is
+    # the collapsed character, for the straightening word alone the
+    # collapsed tuple-key chain of the same word
     rs = root_system(name)
     counts, unpack, whole = [], affine._unpack, 0
 
@@ -538,11 +559,33 @@ def test_width_zero_chain_is_the_collapse(monkeypatch, name):
             assert counts == [
                 {affine._pack(rs, w): m for (w, _), m in char.terms.items()} for char in runs
             ]
-    assert whole  # the level-1 fundamental weights always run the pass
+    # every factor of type A is minuscule, and B2's fundamental and KR
+    # weights at node 1 pair with h_theta at most the level, so these sweeps
+    # size every build; elsewhere some factor runs its own chain
+    assert bool(whole) == (name[0] != "A" and name != "B2")
 
 
-E6_LEVEL1 = [(1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (1, 1, 0, 0, 0, 0),
-             (0, 2, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 1)]
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2"])
+def test_a_build_straightens_its_own_weight_once(monkeypatch, name):
+    # the walk whose refusals come before the module's dimension is the
+    # walk that builds it: a build straightens its own affine weight
+    # (w0*weight, level, 0) once, whether its dimension is known up front
+    # or not; a factor sized by a grade-free chain straightens only its own
+    rs = root_system(name)
+    seen, sized = Counter(), Counter()
+    real = affine.straighten
+    monkeypatch.setattr(affine, "straighten", lambda rs, aw: seen.update([aw]) or real(rs, aw))
+    for level in (1, 2):
+        for weight in [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)] + [rs.kr_weight(1, level), rs.rho]:
+            seen.clear()
+            demazure_character(rs, level, weight)
+            assert seen[AffineWeight(affine._lowest(rs, weight), level, 0)] == 1, (level, weight)
+            sized[affine._dimension(rs, level, weight) is not None] += 1
+    assert sized[True] and sized[False]
+
+
+E6_LEVEL1 = [(1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0),
+             (1, 1, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 1)]
 
 
 @pytest.mark.parametrize("name,levels", [
@@ -550,33 +593,42 @@ E6_LEVEL1 = [(1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (1, 1, 
     pytest.param("E6", (1,), id="E6"),
 ])
 def test_dimension_is_the_grade_free_total(name, levels):
-    # the paper's factorization, with the Q-system on simply-laced types,
-    # gives the total of the module's own grade-free chain, on the 0/1 box
-    # and on each KR weight plus the box (a hand list on E6); a module
-    # whose own chain it would need, or whose lam0 lies past the level,
-    # gets None
+    # the paper's factorization, with the Q-system on simply-laced types
+    # and Weyl's formula for each level-dominant factor, gives the total of
+    # the module's own grade-free chain, on the 0/1 box and on each KR
+    # weight plus the box (a hand list on E6); only a module whose lam0
+    # lies past the level, or that is its own factor and not level-dominant,
+    # gets None, and on type A, whose nodes are all minuscule, only the first
     rs = root_system(name)
-    known = unknown = 0
+    known = own = 0
     for level in levels:
         if name == "E6":
             weights = E6_LEVEL1
         else:
             box = dominant_box(rs, 1)
             weights = set(box) | {rs.add(rs.kr_weight(a, level), w) for a in range(1, rs.rank + 1) for w in box}
+        factors = {rs.kr_weight(a, level) for a in range(1, rs.rank + 1)}
         for weight in sorted(weights):
             dim = affine._dimension(rs, level, weight)
             if dim is None:
-                unknown += 1
+                lam0 = tuple(c % (d * level) for c, d in zip(weight, rs.d_simple))
+                if rs.theta_pairing(lam0) <= level:
+                    assert weight in factors and rs.theta_pairing(weight) > level, (level, weight)
+                    own += 1
             else:
                 known += 1
                 assert dim == affine._grade_free_dimension(rs, level, weight), (level, weight)
-    assert known and unknown
-    for a in range(1, rs.rank + 1):
-        assert affine._dimension(rs, 1, rs.fundamental_weight(a)) is None  # its own chain
+    assert known and bool(own) == (name[0] != "A")
+    for a in range(1, rs.rank + 1):  # the request's own chain, unless V(omega_a) is minuscule
+        omega = rs.fundamental_weight(a)
+        assert (affine._dimension(rs, 1, omega) is None) == (rs.theta_pairing(omega) > 1)
 
 
 def test_dimension_hand_values():
-    B2, D4 = root_system("B2"), root_system("D4")
+    B2, B3, D4 = root_system("B2"), root_system("B3"), root_system("D4")
+    assert affine._dimension(D4, 1, (0, 1, 0, 0)) is None  # the adjoint module is its own seed
+    assert affine._dimension(B3, 1, (1, 0, 0)) == 7  # V(omega_1), by Weyl's formula
+    assert affine._dimension(root_system("A4"), 3, (1, 0, 1, 6)) == 45 * 35**2  # V(omega_1 + omega_3), two Q^(4)_3
     assert affine._dimension(B2, 1, (6, 6)) == 5**6 * 11**3  # 6 copies of V(omega_1), 3 of D(1, 2*omega_2)
     assert affine._dimension(D4, 6, D4.kr_weight(2, 6)) == 146916  # Q^(2)_6
     for weight in [(1, 1, 1), (3, 1, 1)]:  # lam0 = (1,1,1), and lam0(h_theta) = 3 > 2

@@ -152,8 +152,9 @@ def test_cache_entry_carries_term_count_and_digest(capsys, isolated_cache):
     lambda path, text: _sealed(path, '{"system":"A1","kind":"plain"}\n{"w":[2],"g":0,"m":"1"}\n'),
     lambda path, text: _sealed(path, text, terms=5),  # one term more than the file holds
     lambda path, text: _sealed(path, " " + text),  # a header that parses but is not to_jsonl's
+    lambda path, text: b"[" * 100000 + b"\n" + text.encode("utf-8"),  # past json's recursion limit
 ], ids=["header-list", "no-digest", "weight-not-list", "record-list", "not-utf8",
-        "wrong-kind", "wrong-count", "header-spelling"])
+        "wrong-kind", "wrong-count", "header-spelling", "seal-too-deep"])
 def test_malformed_cache_entries_are_misses(capsys, isolated_cache, entry):
     path, _, lines = _cached_entry(capsys, isolated_cache, A1_GRADED)
     entry_bytes = path.read_bytes()
@@ -594,24 +595,30 @@ def test_chain_fields_too_narrow_exit_5(capsys, monkeypatch, isolated_cache):
     assert not isolated_cache.exists() or not os.listdir(isolated_cache)
 
 
-@pytest.mark.parametrize("weight,error", [
-    ("1000000000000", "chamber walk exceeded 1000000 steps"),
-    ("300000", "weight bound 15000000000 "),
+@pytest.mark.parametrize("weight,error,walks", [
+    ("1000000000000", "chamber walk exceeded 1000000 steps", False),
+    ("300000", "weight bound 15000000000 ", True),
 ], ids=["walk", "fields"])
-def test_out_of_range_weight_is_refused_before_its_dimension(capsys, monkeypatch, weight, error):
+def test_out_of_range_weight_is_refused_before_its_dimension(capsys, monkeypatch, weight, error, walks):
     # the dimension of A1 weight 10**12 at level 3 is a power with an
     # exponent of 3*10**11, far too large to hold; the walk's step cap and
     # the field bound refuse such a weight before any dimension is asked
     # for (the double stands in for the dimension, so nothing is allocated
-    # even if it were)
+    # even if it were); the walk of 333,333,333,334 steps is counted up
+    # front and refused before its first step, so the chamber walk never
+    # runs at a level
     from demkit import affine
+    from demkit.rootsystem import RootSystem
 
-    calls = []
+    calls, levels = [], []
+    real = RootSystem._to_dominant
     monkeypatch.setattr(affine, "_dimension", lambda *args: calls.append(args))
+    monkeypatch.setattr(RootSystem, "_to_dominant",
+                        lambda self, w, level=None: levels.append(level) or real(self, w, level))
     code, out, err = run(capsys, "char", "--system", "A1", "--level", "3", "--weight", weight, "--no-cache")
     assert code == 5 and out == ""
     assert err.startswith(f"error: internal error: {error}") and err.count("\n") == 1
-    assert calls == []
+    assert calls == [] and (3 in levels) == walks
 
 
 def test_grade_digits_too_narrow_exit_5(capsys, monkeypatch, isolated_cache):
@@ -644,6 +651,22 @@ def test_a_wrong_dimension_exit_5(capsys, monkeypatch, isolated_cache):
     assert code == 5 and out == ""
     assert err == ("error: internal error: the graded Demazure chain's 8-bit digits sum to 48, not to"
                    " the module's dimension 49\n")
+    assert not isolated_cache.exists() or not os.listdir(isolated_cache)
+
+
+def test_a_wrong_weyl_dimension_exit_5(capsys, monkeypatch, isolated_cache):
+    # a level-dominant factor is sized by Weyl's formula, which shares no
+    # code with the chain: one more than dim V(lam) for every lam makes
+    # A2's D(1, omega_1) = V(omega_1) dim 2 * 4 instead of 3, and the build
+    # refuses its digits
+    from demkit.rootsystem import RootSystem
+
+    real = RootSystem.weyl_dimension
+    monkeypatch.setattr(RootSystem, "weyl_dimension", lambda self, weight: real(self, weight) + 1)
+    code, out, err = run(capsys, "char", "--system", "A2", "--level", "1", "--graded", "--weight", "1,0")
+    assert code == 5 and out == ""
+    assert err == ("error: internal error: the graded Demazure chain's 8-bit digits sum to 3, not to"
+                   " the module's dimension 8\n")
     assert not isolated_cache.exists() or not os.listdir(isolated_cache)
 
 

@@ -10,7 +10,6 @@ from demkit.finite import (
     surjection_exists,
     tensor_decompose,
     weyl_character,
-    weyl_dimension,
 )
 from demkit.rootsystem import RootSystem, root_system
 from demkit.theorems import verify_demprop, verify_ev0
@@ -40,7 +39,7 @@ def test_weyl_memo_is_per_root_system():
 def test_trivial_module():
     ch = weyl_character(A2, (0, 0))
     assert ch == GradedCharacter.unit(A2)
-    assert weyl_dimension(A2, (0, 0)) == 1
+    assert A2.weyl_dimension((0, 0)) == 1
 
 
 def test_rank1_strings():
@@ -55,13 +54,13 @@ def test_a2_adjoint():
     ch = weyl_character(A2, (1, 1))
     assert ch.dimension() == 8
     assert ch.terms[(0, 0), 0] == 2
-    assert weyl_dimension(A2, (1, 1)) == 8
+    assert A2.weyl_dimension((1, 1)) == 8
 
 
 def test_g2_fundamental_dimensions():
     # frozen after two-oracle agreement: short-node 7, long-node 14
-    assert weyl_dimension(G2, (1, 0)) == 7
-    assert weyl_dimension(G2, (0, 1)) == 14
+    assert G2.weyl_dimension((1, 0)) == 7
+    assert G2.weyl_dimension((0, 1)) == 14
     assert weyl_character(G2, (1, 0)) == demazure_weyl_character(G2, (1, 0))
     assert weyl_character(G2, (0, 1)) == demazure_weyl_character(G2, (0, 1))
 
@@ -70,7 +69,7 @@ def test_rejects_non_dominant():
     with pytest.raises(ValueError):
         weyl_character(A2, (1, -1))
     with pytest.raises(ValueError):
-        weyl_dimension(A1, (-2,))
+        A1.weyl_dimension((-2,))
 
 
 @pytest.mark.parametrize("name", ["B2", "G2"])
@@ -81,7 +80,7 @@ def test_two_oracle_agreement_random(name):
         lam = random_dominant(rng, rs, 4)
         freud = weyl_character(rs, lam)
         assert freud == demazure_weyl_character(rs, lam)
-        assert freud.dimension() == weyl_dimension(rs, lam)
+        assert freud.dimension() == rs.weyl_dimension(lam)
 
 
 # classical dimensions of the fundamental modules, Bourbaki numbering
@@ -102,14 +101,14 @@ def test_two_oracle_agreement_at_fundamental_weights(name):
         lam = rs.fundamental_weight(i)
         freud = weyl_character(rs, lam)
         assert freud == demazure_weyl_character(rs, lam)
-        assert freud.dimension() == weyl_dimension(rs, lam) == dim
+        assert freud.dimension() == rs.weyl_dimension(lam) == dim
 
 
 def test_dimension_agreement_sweep():
     for name in ("A1", "A2", "B2"):
         rs = root_system(name)
         for lam in dominant_box(rs, 3):
-            assert weyl_character(rs, lam).dimension() == weyl_dimension(rs, lam)
+            assert weyl_character(rs, lam).dimension() == rs.weyl_dimension(lam)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from demkit.theorems import (
 from demkit.theorems import _char_difference_witness
 from demkit.affine import demazure_character
 from demkit.charalg import GradedCharacter
-from demkit.finite import min_condition_failure, weyl_dimension
+from demkit.finite import min_condition_failure
 from demkit.rootsystem import root_system
 
 A1 = root_system("A1")
