@@ -86,10 +86,8 @@ def straighten(rs, aw):
     """
     if aw.level < 1:
         raise ValueError("straightening requires level >= 1; level 0 weights index the trivial module")
-    steps = 0
-    for idx, root in enumerate(rs.positive_roots):
-        p = rs.pairing(aw.finite, idx)
-        steps += -(-abs(p) // (root.d * aw.level)) - (p > 0)
+    pairs = zip(rs.positive_roots, rs.pairings(aw.finite))
+    steps = sum(-(-abs(p) // (root.d * aw.level)) - (p > 0) for root, p in pairs)
     if steps >= WALK_STEP_CAP:
         raise RuntimeError(f"internal error: chamber walk exceeded {WALK_STEP_CAP} steps from {aw.finite}")
     finite, word, lift = rs._to_dominant(aw.finite, aw.level)
@@ -236,9 +234,9 @@ def demazure_operator(rs, i, chain, level):
 def _check_stable_input(rs, level, weight):
     """Validate a (level, dominant weight) pair; level 0 admits only the
     zero weight (trivial module)."""
-    weight = rs.check_dominant(weight)
     if level < 0:
         raise ValueError("level must be non-negative")
+    weight = rs.check_dominant(weight)
     if level == 0 and any(weight):
         raise ValueError("level 0 admits only the zero weight")
     return weight
@@ -258,7 +256,7 @@ def _word(rs, level, extremal):
     ``_demazure_from``)."""
     top, word = straighten(rs, AffineWeight(extremal, level, 0))
     nu = rs.add(top.finite, rs.scale(top.delta, rs.theta.coords))
-    bound = sum(rs.pairing(nu, b) for b in range(len(rs.positive_roots)))
+    bound = sum(rs.pairings(nu))
     if bound >= 1 << _BITS - 1:
         raise RuntimeError(
             f"internal error: weight bound {bound} of {top} overflows the {_BITS}-bit fields of the"
@@ -377,8 +375,8 @@ def _dimension(rs, level, weight):
     smaller s_a only raises lam0(h_theta), so no other split can apply when
     the greedy one does not.  On a simply-laced type the KR dimensions come
     from the Q-system (``_q_system``) seeded by dim D(1, omega_a).  One rule
-    sizes each factor, V(lam0) and seed D(lvl, w): when w(h_theta) <= lvl it
-    is V(w) (Fourier-Littelmann 2007), sized by Weyl's formula; otherwise its
+    sizes each seed or KR factor D(lvl, w): when w(h_theta) <= lvl it is V(w)
+    (Fourier-Littelmann 2007), sized by Weyl's formula; otherwise its
     grade-free chain, unless that is the request's own, which gives None:
     the caller's grade-free pass is that chain."""
     steps = [d * level for d in rs.d_simple]
@@ -398,7 +396,7 @@ def _dimension(rs, level, weight):
         factors = {a: size(level, rs.kr_weight(a + 1, level)) for a in powers}
     if None in factors.values():
         return None
-    return prod((factors[a] ** s for a, s in powers.items()), start=size(level, lam0))
+    return prod((factors[a] ** s for a, s in powers.items()), start=rs.weyl_dimension(lam0))
 
 
 def demazure_character(rs, level, weight):
@@ -495,8 +493,7 @@ def presentation(rs, level, weight):
     if level < 1:
         raise ValueError("presentation requires level >= 1")
     out = []
-    for idx, root in enumerate(rs.positive_roots):
-        p = rs.pairing(weight, idx)
+    for root, p in zip(rs.positive_roots, rs.pairings(weight)):
         if p == 0:
             s = m = 0
             nil = None

@@ -24,7 +24,7 @@ target is at most the corresponding multiplicity of the source.
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import add
 
 from .charalg import GradedCharacter
 
@@ -70,10 +70,10 @@ def dominant_multiplicities(rs, top, level, max_depth):
     """
     D = rs.pairing_scale
     top_norm = rs.weight_norm2(rs.add(top, rs.rho))
-    # per positive root alpha: D*(mu, alpha) = scale * mu(h_alpha), the
-    # coroot h_alpha and the string steps by +alpha and -alpha
+    # per positive root alpha: D*(mu, alpha) = scale * mu(h_alpha) and the
+    # string steps by +alpha and -alpha
     rows = [
-        (D // root.d, root.coroot, ((1, root.coords), (-1, tuple(-c for c in root.coords))))
+        (D // root.d, ((1, root.coords), (-1, tuple(-c for c in root.coords))))
         for root in rs.positive_roots
     ]
     # depth + height is the affine height below the highest weight; walks
@@ -101,8 +101,8 @@ def dominant_multiplicities(rs, top, level, max_depth):
         # real roots alpha + m*delta: m = 0 takes positive alpha only, while
         # m >= 1 takes alpha of both signs.  Adding j copies raises the
         # weight by j*alpha in the finite part and lowers the depth by j*m.
-        for scale, coroot, steps in rows:
-            base = scale * sum(map(mul, coroot, mu))  # scale * mu(h_alpha)
+        for (scale, steps), p in zip(rows, rs.pairings(mu)):
+            base = scale * p
             for sign, step in steps if depth else steps[:1]:
                 for m in range(sign < 0, depth + 1):
                     # D*(mu + j*beta, beta) for beta = sign*alpha + m*delta
@@ -214,9 +214,9 @@ def min_condition_failure(rs, lower, upper):
     """Index of the first positive root at which the smaller pairing of the
     two weights ``lower`` exceeds the smaller pairing of the two weights
     ``upper``, or None when the componentwise-minimum condition holds."""
-    (a, b), (c, d) = lower, upper
-    for idx in range(len(rs.positive_roots)):
-        if min(rs.pairing(a, idx), rs.pairing(b, idx)) > min(rs.pairing(c, idx), rs.pairing(d, idx)):
+    a, b, c, d = map(rs.pairings, (*lower, *upper))
+    for idx, (low, high) in enumerate(zip(map(min, a, b), map(min, c, d))):
+        if low > high:
             return idx
     return None
 

@@ -16,16 +16,16 @@ a given level, the straightening of affine weights.
 The bilinear form is normalised so that long roots have squared length 2;
 ``d`` always denotes the integer 2/(root, root), which is 1 for long roots
 and 2 or 3 for short ones.  The one root pairing is the coroot pairing
-``pairing(mu, idx)`` = mu(h_alpha) = 2(mu, alpha)/(alpha, alpha); the form
-itself follows as D*(mu, alpha) = (D // d)*mu(h_alpha), exact because d
-divides D = ``pairing_scale``, the lcm of the d-values.
+``pairings(mu)``, mu(h_alpha) = 2(mu, alpha)/(alpha, alpha) at each positive
+root alpha; the form follows as D*(mu, alpha) = (D // d)*mu(h_alpha), exact
+because d divides D = ``pairing_scale``, the lcm of the d-values.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul, sub
 
 __all__ = [
@@ -280,14 +280,13 @@ class RootSystem:
     def scale(self, k, a):
         return tuple(k * x for x in a)
 
-    def pairing(self, weight, root_index):
-        """weight(h_root) for the given positive-root index."""
-        root = self.positive_roots[root_index]
-        return sum(t * c for t, c in zip(root.coroot, weight))
+    def pairings(self, weight):
+        """weight(h_alpha) for every positive root alpha, in root order."""
+        return tuple(sum(map(mul, root.coroot, weight)) for root in self.positive_roots)
 
     def theta_pairing(self, weight):
         """weight(h_theta), the level-relevant pairing with the highest coroot."""
-        return sum(t * c for t, c in zip(self.theta.coroot, weight))
+        return sum(map(mul, self.theta.coroot, weight))
 
     def is_dominant(self, weight):
         return min(weight) >= 0
@@ -316,7 +315,7 @@ class RootSystem:
         theta = self.theta
         for _ in range(WALK_STEP_CAP):
             if level is not None:
-                k = level - sum(t * c for t, c in zip(theta.coroot, cur))
+                k = level - self.theta_pairing(cur)
                 if k < 0:
                     word.append(0)
                     lift -= k
@@ -434,11 +433,8 @@ class RootSystem:
         """Dimension of the irreducible module of a dominant weight by
         Weyl's formula, the product over positive roots alpha of (weight +
         rho)(h_alpha) / rho(h_alpha); exact integers."""
-        shifted = self.add(self.check_dominant(weight), self.rho)
-        num = den = 1
-        for root in self.positive_roots:
-            num *= sum(map(mul, root.coroot, shifted))
-            den *= sum(root.coroot)
+        num = prod(self.pairings(self.add(self.check_dominant(weight), self.rho)))
+        den = prod(self.pairings(self.rho))
         if num % den:
             raise RuntimeError(f"internal error: non-integral dimension for {weight}")
         return num // den

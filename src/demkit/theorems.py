@@ -283,9 +283,9 @@ def verify_mapsdem(rs, level, parts, lam):
     mu = tuple(c // level for c in total)
     if not rs.is_dominant(mu) or not rs.in_gamma(mu):
         return claim.violated(f"mu {list(mu)} not in the d-divisible sublattice")
-    for idx, root in enumerate(rs.positive_roots):
-        have = rs.pairing(mu, idx)
-        need = sum(rs.pairing(w, idx) for _, w in parts)
+    part_pairings = [rs.pairings(w) for _, w in parts]
+    for root, have, *each in zip(rs.positive_roots, rs.pairings(mu), *part_pairings):
+        need = sum(each)
         if have < need:
             return claim.violated(
                 {"failing_alpha": list(root.root_coords), "mu_pairing": have, "parts_pairing": need}
@@ -457,8 +457,8 @@ def verify_twofold(rs, node, level, lam, mu1, mu2):
     if idx is not None:
         return claim.violated({
             "failing_alpha": list(rs.positive_roots[idx].root_coords),
-            "min_mu": min(rs.pairing(mu1, idx), rs.pairing(mu2, idx)),
-            "min_source": min(rs.pairing(kr_weight, idx), rs.pairing(lam, idx)),
+            "min_mu": min(rs.pairings(mu1)[idx], rs.pairings(mu2)[idx]),
+            "min_source": min(rs.pairings(kr_weight)[idx], rs.pairings(lam)[idx]),
         })
     return claim.dominates(
         _product_decomposition(rs, kr_weight, lam), _product_decomposition(rs, mu1, mu2)
@@ -467,22 +467,21 @@ def verify_twofold(rs, node, level, lam, mu1, mu2):
 
 def twofold_corollary_thresholds(rs, j, level, m_level):
     """Whether the two-fold product with lam = d_j * m * omega_j is covered:
-    level >= d_j * theta_j * m, where theta_j is the coefficient of the
-    j-th simple coroot in the highest coroot.  The factor d_j * theta_j is
-    exactly lam(h_theta) / m, and on A-E7 it reproduces the paper's table
+    lam(h_theta) <= level.  Since lam(h_theta) = d_j * theta_j * m, where
+    theta_j is the coefficient of the j-th simple coroot in the highest
+    coroot, on A-E7 the factor d_j * theta_j reproduces the paper's table
     (1 at the minuscule-coweight nodes, up to 4 inside the E7 diagram)."""
-    if not 1 <= j <= rs.rank:
-        raise ValueError(f"node index {j} out of range 1..{rs.rank}")
+    lam = rs.kr_weight(j, m_level)  # a bad node is a ValueError
     if m_level < 1:
         raise ValueError("source level must be >= 1")
-    return level >= rs.d_simple[j - 1] * rs.theta.coroot[j - 1] * m_level
+    return rs.theta_pairing(lam) <= level
 
 
 def verify_twofold_corollary(rs, node, j, level, m_level, mu1, mu2):
     """The two-fold check specialised to lam = d_j * m_level * omega_j,
-    guarded by the thresholds; under those thresholds lam is automatically
-    level-dominant, which is asserted.  E8, F4 and G2 have no
-    minuscule-coweight node, so every input there is hypothesis-violated."""
+    guarded by the thresholds, which are exactly lam's level-dominance.
+    E8, F4 and G2 have no minuscule-coweight node, so every input there is
+    hypothesis-violated."""
     lam = rs.kr_weight(j, m_level)
     if not twofold_corollary_thresholds(rs, j, level, m_level):
         return _Claim(
@@ -491,8 +490,6 @@ def verify_twofold_corollary(rs, node, j, level, m_level, mu1, mu2):
              "mu1": list(mu1), "mu2": list(mu2)},
             "multiplicity-domination",
         ).violated(f"level {level} below the threshold for node {j} in type {rs.series}")
-    if rs.theta_pairing(lam) > level:
-        raise RuntimeError("internal error: thresholds must force level-dominance")
     cert = verify_twofold(rs, node, level, lam, mu1, mu2)
     cert.claim = "twofold-corollary"
     cert.inputs = dict(cert.inputs, j=j, m_level=m_level)
@@ -613,8 +610,7 @@ def scan_tuples(rs, height_bound):
     min(mu1(h), mu2(h)) at every positive coroot h, on pairing vectors
     computed once per box weight."""
     box = _dominant_box(rs.rank, height_bound)
-    roots = range(len(rs.positive_roots))
-    pairings = {w: [rs.pairing(w, i) for i in roots] for w in box}
+    pairings = {w: rs.pairings(w) for w in box}
     out = []
     for lam1 in box:
         for lam2 in box:

@@ -524,7 +524,7 @@ def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
             assert list(graded_isotypic(rs, level, weight).items()) == list(components.items())
         top, _ = straighten(rs, AffineWeight(weight, level, 0))
         nu = rs.add(top.finite, rs.scale(top.delta, rs.theta.coords))
-        bound = sum(rs.pairing(nu, b) for b in range(len(rs.positive_roots)))
+        bound = sum(rs.pairings(nu))
         looked_up = [unpack_weight(rs, key) for key in reads]
         for weights in ([w for w, _ in touched], looked_up):
             assert max(abs(c) for w in weights for c in (*w, rs.theta_pairing(w))) <= bound

@@ -514,6 +514,11 @@ def test_domain_errors_exit_3(capsys):
     for index in ("5", "0"):
         code, _, err = run(capsys, "char", "--system", "A1", "--kind", "kr", "--level", "1", "--index", index)
         assert code == 3 and err.startswith("error:") and err.count("\n") == 1
+    # a negative level is refused before the KR weight it makes non-dominant
+    code, _, err = run(
+        capsys, "char", "--system", "B2", "--kind", "kr", "--index", "2", "--level", "-2", "--no-cache"
+    )
+    assert code == 3 and err == "error: level must be non-negative\n"
     for jobs in ("0", "-3"):
         code, _, err = run(capsys, "scan", "--system", "A1", "--height-bound", "1", "--jobs", jobs)
         assert code == 3 and err == "error: jobs must be >= 1\n"
@@ -565,8 +570,9 @@ def test_unexpected_exceptions_exit_5(capsys, monkeypatch):
 
 
 def test_negative_weight_needs_the_equals_form(capsys):
-    # argparse reads a separate "-1,0" as an option; "--lambda=-1,0" reaches
-    # the claim, which refuses the non-dominant weight as a hypothesis
+    # a separate value starting with "-" is taken only as a negative integer,
+    # so "-1,0" is a usage error; "--lambda=-1,0" reaches the claim, which
+    # refuses the non-dominant weight as a hypothesis
     args = ("verify", "ev0", "--system", "A2", "--level", "1", "--no-timing")
     with pytest.raises(SystemExit) as exc:
         run(capsys, *args, "--lambda", "-1,0")
@@ -837,6 +843,20 @@ def test_importing_the_package_loads_only_what_is_used():
     assert not SLOW_IMPORTS & loaded
     # a module is loaded on first access as an attribute of the package too
     assert "demkit.charalg" in loaded_by("import demkit\ndemkit.charalg.GradedCharacter")
+
+
+def test_the_runtime_is_stdlib_only():
+    # exact answers need Python ints, so no numpy or any other third-party
+    # module; -S keeps site and what it preloads out of the picture
+    package = pathlib.Path(demkit.__file__).parent
+    modules = sorted(f"demkit.{path.stem}" for path in package.glob("*.py") if path.stem != "__init__")
+    probe = (
+        f"import sys\nsys.path.insert(0, {str(package.parent)!r})\nimport {', '.join(modules)}\n"
+        "print(' '.join({name.split('.')[0] for name in sys.modules} - set(sys.stdlib_module_names)))\n"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert len(modules) == 7 and set(out.stdout.split()) == {"demkit", "__main__"}, out.stdout
 
 
 def test_every_package_export_resolves():

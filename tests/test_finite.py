@@ -204,7 +204,7 @@ def test_min_condition_failure_names_the_first_failing_root():
     idx = min_condition_failure(A2, lower, upper)
     assert A2.positive_roots[idx].root_coords == (0, 1)
     for i in range(idx):
-        assert min(A2.pairing(w, i) for w in lower) <= min(A2.pairing(w, i) for w in upper)
+        assert min(A2.pairings(w)[i] for w in lower) <= min(A2.pairings(w)[i] for w in upper)
     assert min_condition_failure(A2, upper, lower) is None
 
 
