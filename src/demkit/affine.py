@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import struct
 from collections import namedtuple
-from itertools import compress
+from itertools import combinations_with_replacement, compress
 from math import prod
 
 from .charalg import GradedCharacter
@@ -118,7 +118,10 @@ def _unpack(rs, chain, counts, delta, dim=None):
     grade) order: the base-2**width digits of a weight's value are its
     multiplicities at grades 0..delta.  The weight fields of each key are
     decoded once, the decoded weights are sorted, and every grade of a
-    weight shares its one tuple.
+    weight shares its one tuple.  The decode consumes the chain: each
+    weight's value leaves ``chain.terms`` as its terms are made, so the
+    chain's ints are freed while the character grows, and the chain is
+    left empty.
 
     A value must be non-negative with no digit above grade ``delta``.
     Given ``counts`` (the width-0 chain), each weight's digits must sum to
@@ -142,10 +145,10 @@ def _unpack(rs, chain, counts, delta, dim=None):
         )
     keys = {fields.unpack(((key ^ flip) >> _BITS).to_bytes(fields.size, "little")): key
             for key in chain.terms}
-    terms = {}
+    terms, pop = {}, chain.terms.pop
     for w in sorted(keys):
-        key = keys[w]
-        p = chain.terms[key]
+        key = keys.pop(w)
+        p = pop(key)
         mults = digits(p.to_bytes(span, "little")) if 0 <= p < limit else None
         if mults is None or counts is not None and sum(mults) != counts.get(key):
             raise RuntimeError(
@@ -364,6 +367,33 @@ def _q_system(rs, level, nodes, seed):
     return {a: q[a][level] for a in nodes}
 
 
+def _kr_summands(rs, level, a):
+    """The highest weights of the irreducible summands of the KR module
+    D(level, ``kr_weight(a, level)``) on types A-D, each summand once, by
+    Chari's decompositions (Chari 2001; Kleber 1998; HKOTT 2002): the sums
+    of ``level`` units, repeats allowed, from the node's units below, where
+    omega_0 is the zero weight.
+      B_n, a < n, and D_n, a <= n - 2: omega_j for j = a, a - 2, ... >= 0;
+      B_n, a = n: 2*omega_n, and omega_j for j = n - 2, n - 4, ... >= 0;
+      C_n, a < n: 2*omega_j for j = a, a - 1, ..., 0.
+    Every other node's one unit is d_a*omega_a, its whole module V(level *
+    d_a*omega_a) (level-dominant, as omega_a(h_theta) = 1 there)."""
+    n, series = rs.rank, rs.series
+
+    def omega(j):
+        return rs.fundamental_weight(j) if j else rs.zero_weight()
+
+    if series == "C" and a < n:
+        units = [rs.scale(2, omega(j)) for j in range(a, -1, -1)]
+    elif series == "B" and a == n:
+        units = [rs.scale(2, omega(n)), *map(omega, range(n - 2, -1, -2))]
+    elif series == "B" or series == "D" and a <= n - 2:
+        units = list(map(omega, range(a, -1, -2)))
+    else:
+        units = [rs.kr_weight(a, 1)]
+    return [tuple(map(sum, zip(*parts))) for parts in combinations_with_replacement(units, level)]
+
+
 def _dimension(rs, level, weight):
     """The exact dimension of D(level, weight), for a dominant weight at
     level >= 1, or None; never a bound.
@@ -373,12 +403,13 @@ def _dimension(rs, level, weight):
     is V(lam0) fused with s_a copies of each node's KR module, so dim D =
     dim V(lam0) * product of (dim D(level, kr_weight(a, level)))^s_a.  A
     smaller s_a only raises lam0(h_theta), so no other split can apply when
-    the greedy one does not.  On a simply-laced type the KR dimensions come
-    from the Q-system (``_q_system``) seeded by dim D(1, omega_a).  One rule
-    sizes each seed or KR factor D(lvl, w): when w(h_theta) <= lvl it is V(w)
-    (Fourier-Littelmann 2007), sized by Weyl's formula; otherwise its
-    grade-free chain, unless that is the request's own, which gives None:
-    the caller's grade-free pass is that chain."""
+    the greedy one does not.  On types A-D each KR dimension is the sum of
+    Weyl's formula over Chari's summands (``_kr_summands``); on E6-E8 it
+    comes from the Q-system (``_q_system``) seeded by dim D(1, omega_a).
+    One rule sizes each E seed and each F4 or G2 KR factor D(lvl, w): when
+    w(h_theta) <= lvl it is V(w) (Fourier-Littelmann 2007), sized by Weyl's
+    formula; otherwise its grade-free chain, unless that is the request's
+    own, which gives None: the caller's grade-free pass is that chain."""
     steps = [d * level for d in rs.d_simple]
     lam0 = tuple(c % step for c, step in zip(weight, steps))
     if rs.theta_pairing(lam0) > level:
@@ -390,7 +421,9 @@ def _dimension(rs, level, weight):
             return rs.weyl_dimension(w)
         return None if (lvl, w) == (level, weight) else _grade_free_dimension(rs, lvl, w)
 
-    if rs.pairing_scale == 1:  # simply laced
+    if rs.series in "ABCD":
+        factors = {a: sum(map(rs.weyl_dimension, _kr_summands(rs, level, a + 1))) for a in powers}
+    elif rs.pairing_scale == 1:  # E6-E8
         factors = _q_system(rs, level, powers, lambda a: size(1, rs.fundamental_weight(a + 1)))
     else:
         factors = {a: size(level, rs.kr_weight(a + 1, level)) for a in powers}

@@ -3,24 +3,25 @@
 One character per file.  An entry is a seal line, then the character file
 exactly as :meth:`GradedCharacter.to_jsonl` writes it in the key's kind,
 which is what a cold ``char`` prints.  The seal holds the entry's own file
-name, the term count and the SHA-256 of all that follows the seal, e.g.
+name, the term count and the SHA-256 of all that follows the seal, in one
+exact line, e.g.
 ``{"entry":"v3_demazure_A2_l1_w1_1.jsonl","terms":8,"sha256":"…"}``.
-``load`` checks the name, the count's type (``8.0`` is no count) and the
-digest, then the header line against the key's system and kind, then
-parses the file once and compares the count; any other entry, one copied
-to another key's file name included, is a miss.  Keys are injective over
-distinct mathematical objects, and file names carry a format version (3
-since the seal); bumping it orphans every prior entry.  ``stats`` counts
-only current-version ``demazure`` and ``weyl`` entries; ``clear`` removes
-entry files of every version and kind, and no other file.  Writes are
-atomic (write to a temp file in the same directory, then rename), so
-concurrent readers never observe a torn file and concurrent writers of the
-same key simply race to identical content.
+``load`` matches the seal against that line's one pattern and checks the
+name and the digest, then the header line against the key's system and
+kind, then parses the file once and compares the count; any other entry,
+one copied to another key's file name or with a respaced seal included, is
+a miss.  Keys are injective over distinct mathematical objects, and file
+names carry a format version (3 since the seal); bumping it orphans every
+prior entry.  ``stats`` counts only current-version ``demazure`` and
+``weyl`` entries; ``clear`` removes entry files of every version and kind,
+and no other file.  Writes are atomic (write to a temp file in the same
+directory, then rename), so concurrent readers never observe a torn file
+and concurrent writers of the same key simply race to identical content.
+Neither direction loads ``json``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import tempfile
@@ -43,6 +44,8 @@ FORMAT_VERSION = 3
 ENV_VAR = "DEMKIT_CACHE"
 _SLICE = 1 << 16  # characters encoded, hashed and written at a time
 _ENTRY_NAME = re.compile(r"v\d+_[a-z-]+_.+\.jsonl")  # v<version>_<kind>_<key>.jsonl
+_SEAL = '{"entry":"%s","terms":%d,"sha256":"%s"}\n'
+_SEAL_LINE = re.compile(rb'\{"entry":"([^"\\]*)","terms":(0|[1-9][0-9]*),"sha256":"([0-9a-f]{64})"\}\n')
 
 
 def _encoded(text):
@@ -97,23 +100,20 @@ class CharacterCache:
                 data = fh.read()
         except FileNotFoundError:  # no entry, or no cache directory yet
             return None
-        start = data.find(b"\n") + 1  # where the character file begins
+        seal = _SEAL_LINE.match(data)
+        if not seal:
+            return None
+        body = memoryview(data)[seal.end():]  # the character file
+        if seal[1] != key.filename().encode() or seal[3] != sha256(body).hexdigest().encode():
+            return None
         try:
-            seal = json.loads(data[:start])
-            if (
-                type(seal) is not dict
-                or seal.get("entry") != key.filename()
-                or type(seal.get("terms")) is not int  # not 2.0, not true
-                or seal.get("sha256") != sha256(memoryview(data)[start:]).hexdigest()
-            ):
-                return None
-            text = str(memoryview(data)[start:], "utf-8")
+            text = str(body, "utf-8")
             if not text.startswith(GradedCharacter._header(key.system, key.expected_header_kind)):
                 return None  # printed as read, so only the key's header as to_jsonl spells it
             char = GradedCharacter.from_jsonl(text)
-        except (ValueError, RecursionError):  # a seal nested past json's depth limit too
+        except ValueError:
             return None
-        return (char, text) if len(char.terms) == seal["terms"] else None
+        return (char, text) if len(char.terms) == int(seal[2]) else None
 
     def store(self, key, char):
         """Write ``char`` under ``key``; returns its ``to_jsonl`` text in
@@ -124,11 +124,11 @@ class CharacterCache:
         digest = sha256()
         for data in _encoded(text):
             digest.update(data)
-        seal = {"entry": key.filename(), "terms": len(char.terms), "sha256": digest.hexdigest()}
+        seal = _SEAL % (key.filename(), len(char.terms), digest.hexdigest())
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(json.dumps(seal, separators=(",", ":")).encode("utf-8") + b"\n")
+                fh.write(seal.encode("utf-8"))
                 fh.writelines(_encoded(text))
             os.replace(tmp, self._path(key))
         except BaseException:

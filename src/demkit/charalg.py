@@ -11,18 +11,19 @@ constructor is the one place that drops zero multiplicities.
 Characters serialize as JSON lines (:meth:`GradedCharacter.to_jsonl`): a
 ``{"system":…,"kind":…}`` header, then one ``{"w":[…],"g":…,"m":"…"}``
 line per term in sorted (weight, grade) order, multiplicities as decimal
-strings.  The term lines are formatted by hand, byte-identical to
-``json.dumps`` with compact separators, each weight's prefix once, and
-every line ends in ``\n``.  The Demazure chain emits sorted terms.
+strings.  Every line is formatted by hand, byte-identical to ``json.dumps``
+with compact separators, each weight's prefix once, and every line ends in
+``\n``.  The Demazure chain emits sorted terms.
 :meth:`GradedCharacter.from_jsonl` is the exact inverse: it matches the
-term lines against one pattern per rank, streams them into the result
-with each run of one weight's lines sharing one tuple, and raises
-``ValueError`` on any other spelling.
+header against one pattern and the term lines against one pattern per
+rank, requires the terms strictly increasing in (weight, grade), streams
+them into the result with each run of one weight's lines sharing one
+tuple, and raises ``ValueError`` on any other spelling.  Neither direction
+loads ``json``.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from operator import add
 
@@ -30,6 +31,7 @@ __all__ = ["GradedCharacter"]
 
 _CHUNK_LINES = 1024  # to_jsonl joins this many lines at a time, never every line string at once
 _INT = "(?:0|-?[1-9][0-9]*)"  # an int as str() spells it: no sign on 0, no leading zeros
+_HEADER = re.compile(r'\{"system":"([A-G][0-9]+)","kind":"(plain|graded)"\}\n')
 
 
 def _record_pattern(rank):
@@ -192,56 +194,55 @@ class GradedCharacter:
     @staticmethod
     def _header(system, kind):
         """The first line of every ``kind`` character file of the system named ``system``."""
-        return json.dumps({"system": system, "kind": kind}, separators=(",", ":")) + "\n"
+        return '{"system":"%s","kind":"%s"}\n' % (system, kind)
 
     @classmethod
     def from_jsonl(cls, text):
-        """Parse :meth:`to_jsonl` output: the exact inverse of it.  The
-        header is read as JSON; every record must be spelled exactly as
-        ``to_jsonl`` spells it, one per ``\\n``-terminated line.  Raises
-        ``ValueError`` for anything else: a bad header, a record with
-        other spacing, key order or keys, a weight that is not ``rank``
+        """Parse :meth:`to_jsonl` output: the exact inverse of it.  Every
+        line must be spelled exactly as ``to_jsonl`` spells it, one per
+        ``\\n``-terminated line, and the header must name the system as
+        its ``name`` does.  Raises ``ValueError`` for anything else: a bad
+        header (``"A02"`` for ``"A2"`` included), a record with other
+        spacing, key order or keys, a weight that is not ``rank``
         canonical ints, a grade that is not a canonical int, a
         multiplicity that is zero or not a canonical decimal string, a
-        blank line, a line not ending in ``\\n``, or a repeated term.
+        blank line, a line not ending in ``\\n``, or records that are not
+        strictly increasing in (weight, grade), a repeated term included.
 
         The records stream into the character's own dict, one match at a
         time, so the parse holds no list of records beside ``text`` and
         the result.  Consecutive records of one weight (every grade of it,
-        as the file is sorted) share one weight tuple."""
+        as the file is sorted) share one weight tuple; the weight is
+        compared once per change of weight, the grade once per record."""
         from .rootsystem import root_system
 
-        start = text.find("\n") + 1  # where the body begins
-        if not start:
-            raise ValueError("a character file is a header line, then one line per term")
-        try:
-            header = json.loads(text[:start])
-        except RecursionError:  # nested past json's depth limit: a bad header
-            header = None
-        if (
-            type(header) is not dict
-            or type(header.get("system")) is not str
-            or header.get("kind") not in ("plain", "graded")
-        ):
-            raise ValueError(f"bad character header {text[:start]!r}")
-        rs = root_system(header["system"])
+        header = _HEADER.match(text)
+        rs = header and root_system(header[1])
+        if not header or rs.name != header[1]:
+            raise ValueError("bad character header %r" % text.partition("\n")[0])
+        start = header.end()  # where the body begins
         record = _record_pattern(rs.rank)
-        terms, count, last = {}, 0, None
-        for count, match in enumerate(record.finditer(text, start), 1):
-            coords, g, m = match.groups()
+        terms, last, w = {}, None, ()
+        for coords, g, m in map(re.Match.groups, record.finditer(text, start)):
+            g = int(g)
             if coords != last:
-                last, w = coords, tuple(map(int, coords.split(",")))
-            terms[w, int(g)] = int(m)
-        # each match is one whole line, so one per line means all of them
-        if count != text.count("\n", start) or not text.endswith("\n"):
+                v = tuple(map(int, coords.split(",")))
+                if v <= w:  # () precedes every weight
+                    raise ValueError(f"character record {len(terms) + 1} is out of (weight, grade) order")
+                last, w = coords, v
+            elif g <= g_last:
+                raise ValueError(f"character record {len(terms) + 1} is out of (weight, grade) order")
+            g_last = g
+            terms[w, g] = int(m)
+        # in strict order each match is one more term, and each match is one
+        # whole line, so one term per line means all of them
+        if len(terms) != text.count("\n", start) or not text.endswith("\n"):
             for number, line in enumerate(text[start:].split("\n"), 2):
                 if not record.fullmatch(line + "\n"):
                     raise ValueError(f"bad character record on line {number}: {line!r}")
             raise ValueError("a character file must end in a newline")
-        if len(terms) != count:
-            raise ValueError("repeated term in character file")
         char = cls._adopt(rs, terms)  # the pattern admits no zero multiplicity
-        if header["kind"] == "plain" and not char.is_plain:
+        if header[2] == "plain" and not char.is_plain:
             raise ValueError("character file declared plain but carries nonzero grades")
         return char
 

@@ -28,6 +28,9 @@ other ``verify`` claim adds ``theorems`` with ``affine``, ``finite`` and
 ``charalg``, and ``cache`` adds ``cache`` and ``charalg``.
 The package's own exports resolve lazily too, so ``char`` never compiles
 ``theorems`` and no command but ``char`` and ``cache`` loads ``cache``.
+``json`` is imported by ``_json_line`` for ``presentation``, ``scan`` and
+``cache``, and with ``theorems`` for ``verify``; ``char`` writes and reads
+its files and cache seals by exact patterns, so it never loads ``json``.
 
 The parser is one table, ``_COMMANDS``, read by :func:`_parse` without
 ``argparse`` (whose import and first parsers cost a request more than its
@@ -42,7 +45,6 @@ on stderr and exits 2.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -71,16 +73,23 @@ _VERDICT_EXIT = {
 # with the message a usage error shows after "argument --flag: ".
 
 
+def _is_int(text):
+    """Whether ``text`` spells an integer as a flag value must: ASCII digits
+    after an optional minus, none of the other spellings int() reads
+    ("1_0", " 1", "+1", "\u0661")."""
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
+
+
 def _system_arg(value):
     parse_system(value)
     return value
 
 
 def _int_arg(value):
-    try:
-        return int(value)
-    except ValueError:
+    if not _is_int(value):
         raise ValueError(f"invalid int value: {value!r}")
+    return int(value)
 
 
 def _choice(value, choices):
@@ -94,10 +103,10 @@ def _kind_arg(value):
 
 
 def _weight_arg(value):
-    try:
-        return tuple(int(c) for c in value.split(","))
-    except ValueError:
+    coords = value.split(",")
+    if not all(map(_is_int, coords)):
         raise ValueError(f"malformed weight {value!r}; expected e.g. '1,0'")
+    return tuple(map(int, coords))
 
 
 def _parts_arg(value):
@@ -114,11 +123,9 @@ def _leveled_parts_arg(value):
         if ":" not in item:
             raise ValueError(f"malformed part {item!r}; expected 'level:coords' e.g. '1:2,0'")
         lvl, coords = item.split(":", 1)
-        try:
-            lvl = int(lvl)
-        except ValueError:
+        if not _is_int(lvl):
             raise ValueError(f"malformed part level in {item!r}")
-        out.append((lvl, _weight_arg(coords)))
+        out.append((int(lvl), _weight_arg(coords)))
     return out
 
 
@@ -129,6 +136,13 @@ def _emit(text, out_path):
     with open(out_path, "w", encoding="utf-8") if out_path else contextlib.nullcontext(sys.stdout) as fh:
         for start in range(0, len(text), _EMIT_SLICE):
             fh.write(text[start:start + _EMIT_SLICE])
+
+
+def _json_line(doc):
+    """``doc`` as one compact JSON line with sorted keys; ``char`` never calls it."""
+    import json
+
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _format_graded_dim(graded):
@@ -234,7 +248,7 @@ def _cmd_presentation(args):
             "weight": list(args.weight),
             "relations": [rel.to_dict() for rel in relations],
         }
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        text = _json_line(doc)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -271,7 +285,7 @@ def _cmd_scan(args):
     text = "".join(c.to_json(include_timing=not args.no_timing) + "\n" for c in certs)
     _emit(text, args.out and os.path.join(args.out, f"scan_{rs.name}_h{args.height_bound}.jsonl"))
     summary = theorems.scan_summary(certs)
-    sys.stdout.write(json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(_json_line(summary))
     return EXIT_OK if summary["refuted"] == 0 else EXIT_REFUTED
 
 
@@ -287,10 +301,10 @@ def _cmd_cache(args):
     if args.cache_command == "path":
         sys.stdout.write(directory + "\n")
     elif args.cache_command == "stats":
-        sys.stdout.write(json.dumps(cache.stats(), sort_keys=True, separators=(",", ":")) + "\n")
+        sys.stdout.write(_json_line(cache.stats()))
     else:  # clear
         cache.clear()
-        sys.stdout.write(json.dumps({"cleared": True}, sort_keys=True, separators=(",", ":")) + "\n")
+        sys.stdout.write(_json_line({"cleared": True}))
     return EXIT_OK
 
 
@@ -462,7 +476,7 @@ def _parse(argv):
         else:
             if not eq:
                 text = next(tokens, None)  # taken if it starts with "-" only as a negative integer
-                if text is None or text.startswith("-") and not text[1:].isdecimal():
+                if text is None or text.startswith("-") and not _is_int(text):
                     _fail(words, f"argument {flag}: expected one argument")
             try:
                 value = convert(text)

@@ -34,7 +34,6 @@ __all__ = [
     "isotypic_character",
     "tensor_decompose",
     "surjection_exists",
-    "min_condition_failure",
 ]
 
 
@@ -208,15 +207,3 @@ def surjection_exists(source, target):
         if target[w] > source.get(w, 0):
             return False, w
     return True, None
-
-
-def min_condition_failure(rs, lower, upper):
-    """Index of the first positive root at which the smaller pairing of the
-    two weights ``lower`` exceeds the smaller pairing of the two weights
-    ``upper``, or None when the componentwise-minimum condition holds."""
-    a, b, c, d = map(rs.pairings, (*lower, *upper))
-    for idx, (low, high) in enumerate(zip(map(min, a, b), map(min, c, d))):
-        if low > high:
-            return idx
-    return None
-

@@ -25,7 +25,7 @@ import json
 from functools import reduce
 from itertools import product
 from math import prod
-from operator import le, mul
+from operator import gt, mul
 from time import perf_counter
 
 __all__ = [
@@ -420,6 +420,16 @@ def verify_minuscule(rs):
 # surjections between products of irreducibles
 
 
+def min_condition_failure(low, high):
+    """Index of the first positive root h at which ``low`` exceeds
+    ``high``, or None when the componentwise-minimum condition
+    min(lam1(h), lam2(h)) <= min(mu1(h), mu2(h)) holds at every one; each
+    side is the componentwise minimum of its two pairing vectors
+    (``RootSystem.pairings``)."""
+    fails = list(map(gt, low, high))
+    return fails.index(True) if True in fails else None
+
+
 def verify_twofold(rs, node, level, lam, mu1, mu2):
     """Check multiplicity domination for the two-fold product surjection:
     the product of the node module's irreducible character with the
@@ -431,8 +441,6 @@ def verify_twofold(rs, node, level, lam, mu1, mu2):
     the exact criterion for a surjection of modules over the finite-type
     algebra, a necessary condition for the graded current-algebra one.
     """
-    from .finite import min_condition_failure
-
     lam = rs.check_weight(lam)
     mu1 = rs.check_weight(mu1)
     mu2 = rs.check_weight(mu2)
@@ -453,12 +461,13 @@ def verify_twofold(rs, node, level, lam, mu1, mu2):
     kr_weight = rs.kr_weight(node, level)
     if rs.add(kr_weight, lam) != rs.add(mu1, mu2):
         return claim.violated("weights do not balance")
-    idx = min_condition_failure(rs, (mu1, mu2), (kr_weight, lam))
+    low, high = (list(map(min, *map(rs.pairings, pair))) for pair in ((mu1, mu2), (kr_weight, lam)))
+    idx = min_condition_failure(low, high)
     if idx is not None:
         return claim.violated({
             "failing_alpha": list(rs.positive_roots[idx].root_coords),
-            "min_mu": min(rs.pairings(mu1)[idx], rs.pairings(mu2)[idx]),
-            "min_source": min(rs.pairings(kr_weight)[idx], rs.pairings(lam)[idx]),
+            "min_mu": low[idx],
+            "min_source": high[idx],
         })
     return claim.dominates(
         _product_decomposition(rs, kr_weight, lam), _product_decomposition(rs, mu1, mu2)
@@ -606,9 +615,9 @@ def scan_tuples(rs, height_bound):
     """All (lam1, lam2, mu1, mu2) with equal sums and coordinates bounded by
     ``height_bound`` that satisfy the minimum conditions, in enumeration
     order.  The box is dominant and mu2 balances the sums by construction,
-    so only the minimum conditions are checked: min(lam1(h), lam2(h)) <=
-    min(mu1(h), mu2(h)) at every positive coroot h, on pairing vectors
-    computed once per box weight."""
+    so only the minimum conditions are checked (``min_condition_failure``
+    of (lam1, lam2) below (mu1, mu2)), on pairing vectors computed once
+    per box weight."""
     box = _dominant_box(rs.rank, height_bound)
     pairings = {w: rs.pairings(w) for w in box}
     out = []
@@ -618,7 +627,9 @@ def scan_tuples(rs, height_bound):
             lower = list(map(min, pairings[lam1], pairings[lam2]))
             for mu1 in box:
                 mu2 = rs.sub(total, mu1)
-                if mu2 in pairings and all(map(le, lower, map(min, pairings[mu1], pairings[mu2]))):
+                if mu2 not in pairings:
+                    continue
+                if min_condition_failure(lower, map(min, pairings[mu1], pairings[mu2])) is None:
                     out.append((lam1, lam2, mu1, mu2))
     return out
 

@@ -97,6 +97,17 @@ def seeded(name):
     return random.Random(f"demkit-{name}")
 
 
+def single_edits(text, extra):
+    """Every deletion, substitution and insertion of one item in ``text``
+    (a str, or bytes), the items drawn from ``text`` itself and ``extra``."""
+    alphabet = sorted({text[i:i + 1] for i in range(len(text))} | {extra[i:i + 1] for i in range(len(extra))})
+    for i in range(len(text)):
+        yield text[:i] + text[i + 1:]
+        yield from (text[:i] + c + text[i + 1:] for c in alphabet if c != text[i:i + 1])
+    for i in range(len(text) + 1):
+        yield from (text[:i] + c + text[i:] for c in alphabet)
+
+
 def monomial(rs, weight, grade=0):
     """The character e^weight at one grade."""
     return GradedCharacter(rs, {(rs.check_weight(weight), grade): 1})

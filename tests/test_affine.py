@@ -361,6 +361,24 @@ def test_unpack_refuses_what_does_not_decode():
             affine._unpack(A2, affine._Chain(chain, 8), counts, 1)
 
 
+@pytest.mark.parametrize("name,level,weight", [("A2", 2, (2, 1)), ("C3", 2, (0, 2, 0)), ("G2", 1, (0, 1))])
+def test_unpack_consumes_its_chain(monkeypatch, name, level, weight):
+    # the decode pops every weight's value from the chain it is given, so
+    # the chain is empty once the character is made, on a build sized up
+    # front and on one sized by its grade-free pass alike
+    rs, unpack, seen = root_system(name), affine._unpack, []
+
+    def recording(rs, chain, counts, delta, dim=None):
+        seen.append((chain.terms, len(chain.terms), counts))
+        return unpack(rs, chain, counts, delta, dim)
+
+    monkeypatch.setattr(affine, "_unpack", recording)
+    char = demazure_character(rs, level, weight)
+    (terms, held, counts), = seen
+    assert terms == {} and held == len({w for w, _ in char.terms})
+    assert (counts is None) == (affine._dimension(rs, level, weight) is not None) == (name != "G2")
+
+
 @pytest.mark.parametrize("name,level,weight", [("A1", 2, (3,)), ("A2", 2, (2, 1)), ("G2", 1, (1, 1))])
 def test_unpack_decodes_each_weight_once(name, level, weight):
     """Every grade of a weight shares one weight tuple, also after a round
@@ -559,10 +577,9 @@ def test_width_zero_chain_is_the_collapse(monkeypatch, name):
             assert counts == [
                 {affine._pack(rs, w): m for (w, _), m in char.terms.items()} for char in runs
             ]
-    # every factor of type A is minuscule, and B2's fundamental and KR
-    # weights at node 1 pair with h_theta at most the level, so these sweeps
-    # size every build; elsewhere some factor runs its own chain
-    assert bool(whole) == (name[0] != "A" and name != "B2")
+    # Chari's rule sizes every KR factor of types A-D, so these sweeps size
+    # every build there; on E, F and G some seed or factor runs its own chain
+    assert bool(whole) == (name[0] in "EFG")
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2"])
@@ -593,12 +610,12 @@ E6_LEVEL1 = [(1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (0, 1, 
     pytest.param("E6", (1,), id="E6"),
 ])
 def test_dimension_is_the_grade_free_total(name, levels):
-    # the paper's factorization, with the Q-system on simply-laced types
-    # and Weyl's formula for each level-dominant factor, gives the total of
-    # the module's own grade-free chain, on the 0/1 box and on each KR
-    # weight plus the box (a hand list on E6); only a module whose lam0
-    # lies past the level, or that is its own factor and not level-dominant,
-    # gets None, and on type A, whose nodes are all minuscule, only the first
+    # the paper's factorization, with Chari's rule on types A-D, the
+    # Q-system on E6 and Weyl's formula for each level-dominant factor,
+    # gives the total of the module's own grade-free chain, on the 0/1 box
+    # and on each KR weight plus the box (a hand list on E6); only a module
+    # whose lam0 lies past the level, or that is its own factor and not
+    # level-dominant, gets None, and on types A-D only the first
     rs = root_system(name)
     known = own = 0
     for level in levels:
@@ -618,22 +635,49 @@ def test_dimension_is_the_grade_free_total(name, levels):
             else:
                 known += 1
                 assert dim == affine._grade_free_dimension(rs, level, weight), (level, weight)
-    assert known and bool(own) == (name[0] != "A")
-    for a in range(1, rs.rank + 1):  # the request's own chain, unless V(omega_a) is minuscule
+    assert known and bool(own) == (name[0] in "EFG")
+    for a in range(1, rs.rank + 1):  # on E-G the request's own chain, unless V(omega_a) is minuscule
         omega = rs.fundamental_weight(a)
-        assert (affine._dimension(rs, 1, omega) is None) == (rs.theta_pairing(omega) > 1)
+        assert (affine._dimension(rs, 1, omega) is None) == (rs.theta_pairing(omega) > 1 and name[0] in "EFG")
+
+
+def test_chari_rule_gives_each_kr_module():
+    # on 89 KR modules, B2-B5 and C2-C5 at every node and level <= 3 (<= 2
+    # above node 2 from rank 4 on), D4-D6 at nodes a <= n - 2 and level <= 2
+    # (1 above node 2 from rank 5 on), Chari's summands are the module's
+    # isotypic components, each of multiplicity 1, and their Weyl dimensions
+    # sum to the total of its grade-free chain; so dropping the zero-weight
+    # unit or the factor 2 on C_n is caught
+    cases = [(f"{series}{n}", a, level) for series in "BC" for n in (2, 3, 4, 5) for a in range(1, n + 1)
+             for level in range(1, 3 if n >= 4 and a > 2 else 4)]
+    cases += [(f"D{n}", a, level) for n in (4, 5, 6) for a in range(1, n - 1)
+              for level in range(1, 2 if n >= 5 and a > 2 else 3)]
+    assert len(cases) == 74 + 15
+    for name, a, level in cases:
+        rs = root_system(name)
+        weight = rs.kr_weight(a, level)
+        components = Counter()
+        for (mu, _), m in graded_isotypic(rs, level, weight).items():
+            components[mu] += m
+        summands = affine._kr_summands(rs, level, a)
+        assert components == Counter(summands) and len(set(summands)) == len(summands), (name, a, level)
+        assert sum(map(rs.weyl_dimension, summands)) == affine._grade_free_dimension(rs, level, weight)
+        assert affine._dimension(rs, level, weight) == sum(map(rs.weyl_dimension, summands))
 
 
 def test_dimension_hand_values():
     B2, B3, D4 = root_system("B2"), root_system("B3"), root_system("D4")
-    assert affine._dimension(D4, 1, (0, 1, 0, 0)) is None  # the adjoint module is its own seed
+    assert affine._dimension(D4, 1, (0, 1, 0, 0)) == 28 + 1  # Chari: V(omega_2) + V(0)
+    assert affine._dimension(root_system("E6"), 1, (0, 1, 0, 0, 0, 0)) is None  # its own seed
     assert affine._dimension(B3, 1, (1, 0, 0)) == 7  # V(omega_1), by Weyl's formula
-    assert affine._dimension(root_system("A4"), 3, (1, 0, 1, 6)) == 45 * 35**2  # V(omega_1 + omega_3), two Q^(4)_3
+    assert affine._dimension(root_system("A4"), 3, (1, 0, 1, 6)) == 45 * 35**2  # V(omega_1 + omega_3), V(3*omega_4)^2
     assert affine._dimension(B2, 1, (6, 6)) == 5**6 * 11**3  # 6 copies of V(omega_1), 3 of D(1, 2*omega_2)
-    assert affine._dimension(D4, 6, D4.kr_weight(2, 6)) == 146916  # Q^(2)_6
+    assert affine._dimension(D4, 6, D4.kr_weight(2, 6)) == 146916  # Chari: sum over k <= 6 of dim V(k*omega_2)
     for weight in [(1, 1, 1), (3, 1, 1)]:  # lam0 = (1,1,1), and lam0(h_theta) = 3 > 2
         assert affine._dimension(root_system("A3"), 2, weight) is None
-    assert affine._dimension(root_system("C3"), 5, (0, 10, 0)) is None  # a non-simply-laced KR module
+    assert affine._dimension(B3, 8, B3.kr_weight(2, 8)) == 197835  # the char benchmark's KR builds
+    assert affine._dimension(root_system("C3"), 5, (0, 10, 0)) == 774592
+    assert affine._dimension(root_system("G2"), 2, (0, 2)) is None  # a KR module past the level, its own
 
 
 @pytest.mark.parametrize("name,top", [("A2", 4), ("A3", 3), ("D4", 3), ("E6", 2)])

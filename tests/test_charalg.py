@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import monomial, random_dominant, scaled, seeded, summed
+from conftest import monomial, random_dominant, scaled, seeded, single_edits, summed
 from demkit.charalg import GradedCharacter
 from demkit.finite import weyl_character
 from demkit.rootsystem import root_system
@@ -213,7 +213,7 @@ def test_serialization_headers():
     assert graded.to_jsonl(kind="graded").splitlines()[0] == '{"system":"A1","kind":"graded"}'
     with pytest.raises(ValueError):
         GradedCharacter.from_jsonl("")
-    with pytest.raises(ValueError, match="bad character header"):  # past json's depth limit
+    with pytest.raises(ValueError, match="bad character header"):  # nested 100,000 deep
         GradedCharacter.from_jsonl("[" * 100000 + "\n")
     with pytest.raises(ValueError):
         GradedCharacter.from_jsonl('{"system":"A1","kind":"nope"}\n')
@@ -296,10 +296,38 @@ def test_from_jsonl_holds_little_beside_its_result():
 @pytest.mark.parametrize("header", [
     pytest.param("[1]", id="not-an-object"),
     pytest.param('{"system":["A1"],"kind":"graded"}', id="system-not-a-string"),
+    # each of these reads as A1 through json and root_system, but to_jsonl
+    # spells only one header for A1
+    pytest.param('{"system": "A1","kind":"graded"}', id="space-after-colon"),
+    pytest.param('{"system":"A01","kind":"graded"}', id="leading-zero-rank"),
+    pytest.param('{"system":" A1","kind":"graded"}', id="padded-label"),
+    pytest.param('{"kind":"graded","system":"A1"}', id="reordered-keys"),
+    pytest.param('{"system":"A1","kind":"graded","x":0}', id="extra-key"),
+    pytest.param('{"system":"\\u0041\\u0031","kind":"graded"}', id="escaped-label"),
 ])
 def test_from_jsonl_rejects_malformed_headers(header):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bad character header"):
         GradedCharacter.from_jsonl(header + '\n{"w":[0],"g":0,"m":"1"}\n')
+
+
+@pytest.mark.parametrize("name,level,weight", [("A2", 1, (1, 1)), ("B2", 1, (1, 1)), ("A1", 2, (3,))])
+def test_every_single_edit_round_trips_or_is_refused(name, level, weight):
+    # every one-character deletion, substitution or insertion in a whole
+    # character file either parses to a character that writes the edited
+    # file back byte for byte, or raises ValueError: no edit parses to
+    # another spelling, as records out of (weight, grade) order once did
+    from demkit.affine import demazure_character
+
+    text = demazure_character(root_system(name), level, weight).to_jsonl(kind="graded")
+    parsed = 0
+    for edited in single_edits(text, " \r+_.x\u0663"):
+        try:
+            char = GradedCharacter.from_jsonl(edited)
+        except ValueError:
+            continue
+        parsed += 1
+        assert char.to_jsonl(kind="graded") == edited, edited
+    assert parsed  # some multiplicities, weights and grades edit into other valid files
 
 
 @pytest.mark.parametrize("record", [
@@ -324,6 +352,11 @@ def test_from_jsonl_rejects_malformed_headers(header):
     pytest.param('{"w":[0],"g":0,"m":"-0"}', id="mult-negative-zero"),
     pytest.param('{"w":[0],"g":0,"m":"1"},{"w":[2],"g":0,"m":"1"}', id="two-on-one-line"),
     pytest.param('{"w":[0],"g":0,"m":"1"}\n{"w":[0],"g":0,"m":"2"}', id="repeated-term"),
+    pytest.param('{"w":[2],"g":0,"m":"1"}\n{"w":[0],"g":0,"m":"1"}', id="weights-out-of-order"),
+    pytest.param('{"w":[0],"g":0,"m":"1"}\n{"w":[-2],"g":0,"m":"1"}', id="negative-weight-last"),
+    pytest.param('{"w":[0],"g":1,"m":"1"}\n{"w":[0],"g":0,"m":"1"}', id="grades-out-of-order"),
+    pytest.param('{"w":[0],"g":0,"m":"1"}\n{"w":[2],"g":0,"m":"1"}\n{"w":[0],"g":1,"m":"1"}',
+                 id="weight-revisited"),
     # spellings json.loads accepts but to_jsonl never writes
     pytest.param('{"w": [0],"g":0,"m":"1"}', id="space-after-colon"),
     pytest.param('{"g":0,"w":[0],"m":"1"}', id="reordered-keys"),

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import importlib
+import io
 import json
 import os
 import pathlib
@@ -13,6 +14,7 @@ import tracemalloc
 import pytest
 
 import demkit
+from conftest import single_edits
 from demkit.cli import main
 
 pytestmark = pytest.mark.usefixtures("isolated_cache")
@@ -152,9 +154,11 @@ def test_cache_entry_carries_term_count_and_digest(capsys, isolated_cache):
     lambda path, text: _sealed(path, '{"system":"A1","kind":"plain"}\n{"w":[2],"g":0,"m":"1"}\n'),
     lambda path, text: _sealed(path, text, terms=5),  # one term more than the file holds
     lambda path, text: _sealed(path, " " + text),  # a header that parses but is not to_jsonl's
-    lambda path, text: b"[" * 100000 + b"\n" + text.encode("utf-8"),  # past json's recursion limit
+    lambda path, text: b"[" * 100000 + b"\n" + text.encode("utf-8"),  # a seal nested 100,000 deep
+    lambda path, text: _sealed(path, text).replace(b'":', b'": ', 1),  # a seal JSON reads alike
+    lambda path, text: _sealed(path, text).replace(b"\n", b" \n", 1),
 ], ids=["header-list", "no-digest", "weight-not-list", "record-list", "not-utf8",
-        "wrong-kind", "wrong-count", "header-spelling", "seal-too-deep"])
+        "wrong-kind", "wrong-count", "header-spelling", "seal-too-deep", "seal-spacing", "seal-trailing-space"])
 def test_malformed_cache_entries_are_misses(capsys, isolated_cache, entry):
     path, _, lines = _cached_entry(capsys, isolated_cache, A1_GRADED)
     entry_bytes = path.read_bytes()
@@ -164,6 +168,29 @@ def test_malformed_cache_entries_are_misses(capsys, isolated_cache, entry):
     _, uncached, _ = run(capsys, *A1_GRADED, "--no-cache")
     assert out == uncached
     assert path.read_bytes() == entry_bytes  # rewritten
+
+
+def test_every_single_edit_of_an_entry_is_a_miss(monkeypatch, tmp_path):
+    # every one-byte deletion, substitution or insertion anywhere in a
+    # 373-byte entry is a miss, whitespace in the seal included: the seal
+    # is one exact line, and its name, count and digest bind the rest; the
+    # read is replaced by the edited bytes, so no file is rewritten per edit
+    from demkit import cache as cache_module
+    from demkit.cache import CacheKey, CharacterCache
+
+    key, cache = CacheKey("A2", "demazure", 1, (1, 1)), CharacterCache(str(tmp_path))
+    char = demkit.demazure_character(demkit.root_system("A2"), 1, (1, 1))
+    text = cache.store(key, char)
+    entry = (tmp_path / key.filename()).read_bytes()
+    assert len(entry) == 373 and cache.load(key) == (char, text)
+    read = [entry]
+    monkeypatch.setattr(cache_module, "open", lambda path, mode: io.BytesIO(read[0]), raising=False)
+    assert cache.load(key) == (char, text)
+    edits = list(single_edits(entry, b" \t\r+_.x"))
+    for edited in edits:
+        read[0] = edited
+        assert cache.load(key) is None, edited
+    assert len(edits) > 30000
 
 
 @pytest.mark.parametrize("count", [1.0, True], ids=["float", "bool"])
@@ -804,11 +831,17 @@ def loaded_by(code):
 @pytest.mark.parametrize("argv", COMMANDS.values(), ids=list(COMMANDS))
 def test_each_command_imports_only_what_it_runs(argv):
     # help exits 0 through SystemExit, every other command returns 0
-    loaded = loaded_by(f"import demkit.cli\ntry:\n    code = demkit.cli.main({argv!r})\n"
-                       "except SystemExit as exc:\n    code = exc.code\nassert code == 0")
+    code = (f"import demkit.cli\ntry:\n    code = demkit.cli.main({argv!r})\n"
+            "except SystemExit as exc:\n    code = exc.code\nassert code == 0")
+    loaded = loaded_by(code)
     assert "demkit.cli" in loaded and not SLOW_IMPORTS & loaded
     if argv[0] == "char":
-        assert "demkit.theorems" not in loaded
+        # the cold request writes its file and seal by hand, and the warm
+        # one, run next on the same cache, reads them by exact patterns
+        assert "demkit.theorems" not in loaded and "json" not in loaded
+        if "--help" not in argv:
+            warm = loaded_by(code)
+            assert "demkit.cli" in warm and not {"demkit.affine", "demkit.finite", "json"} & warm
     if argv[0] in ("verify", "scan", "presentation"):
         assert "demkit.cache" not in loaded
     # the claims import their builders when they run: the minuscule claim

@@ -308,3 +308,26 @@ def test_command_words_and_flag_rules():
     assert outcome([*ev0, "--lambda=-1,0"])[3]["lam"] == (-1, 0)
     assert outcome(["char", "--system", "A1", "--weight", "-1"])[3]["weight"] == (-1,)
     assert outcome(["scan", "--system", "A1", "--height-bound", "1", "--jobs", "-3"])[3]["jobs"] == -3
+
+
+def test_an_integer_is_ascii_digits_after_an_optional_minus():
+    # int() reads the first five as integers; a flag value's integer is
+    # ASCII digits after an optional minus, and none of these
+    char = ["--system", "A1", "--level", "1", "--weight", "1"]
+    demprop = ["--system", "A2", "--level", "1", "--lambda", "0,0"]
+    mapsdem = ["--system", "A1", "--level", "1", "--lambda", "0"]
+    for bad in ("1_0", " 1", "1 ", "+1", "\u0661", "1.0", ""):
+        assert_usage_error(["char"], [*char, "--level", bad], f"argument --level: invalid int value: {bad!r}")
+        assert_usage_error(["char"], [*char, f"--weight={bad}"], f"argument --weight: malformed weight {bad!r}")
+        assert_usage_error(["char"], [*char, "--weight", f"1,{bad}"], "argument --weight: malformed weight")
+        assert_usage_error(["verify", "demprop"], [*demprop, "--parts", f"1,0;{bad},1"],
+                           "argument --parts: malformed weight")
+        assert_usage_error(["verify", "mapsdem"], [*mapsdem, "--parts", f"1:2;{bad}:2"],
+                           "argument --parts: malformed part level")
+    assert_usage_error(["scan"], ["--system", "A1", "--height-bound", "1_0"],
+                       "argument --height-bound: invalid int value: '1_0'")
+    # a separate value is taken as a negative integer only in that spelling
+    assert_usage_error(["char"], [*char, "--level", "-\u0661"], "argument --level: expected one argument")
+    parsed = outcome(["char", *char[:2], "--level", "007", "--weight=-0,-12"])[3]
+    assert (parsed["level"], parsed["weight"]) == (7, (0, -12))
+    assert outcome(["verify", "mapsdem", *mapsdem, "--parts=-1:2;10:0"])[3]["parts"] == [(-1, (2,)), (10, (0,))]

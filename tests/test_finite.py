@@ -6,7 +6,6 @@ from conftest import (
 )
 from demkit.charalg import GradedCharacter
 from demkit.finite import (
-    min_condition_failure,
     surjection_exists,
     tensor_decompose,
     weyl_character,
@@ -192,22 +191,6 @@ def test_rank1_surjection_pair():
     assert not ok and witness == (0,)
 
 
-def test_conjecture_condition_examples():
-    assert min_condition_failure(A1, ((1,), (2,)), ((1,), (2,))) is None
-    assert min_condition_failure(A1, ((1,), (1,)), ((2,), (0,))) == 0
-    assert min_condition_failure(A1, ((2,), (0,)), ((1,), (1,))) is None
-
-
-def test_min_condition_failure_names_the_first_failing_root():
-    lower, upper = ((1, 1), (0, 1)), ((1, 0), (0, 2))
-    # alpha_1 passes (0 <= 0); alpha_2 fails: min(1, 1) = 1 > min(0, 2) = 0
-    idx = min_condition_failure(A2, lower, upper)
-    assert A2.positive_roots[idx].root_coords == (0, 1)
-    for i in range(idx):
-        assert min(A2.pairings(w)[i] for w in lower) <= min(A2.pairings(w)[i] for w in upper)
-    assert min_condition_failure(A2, upper, lower) is None
-
-
 def test_conditions_imply_domination_in_a_small_sweep():
     # direction sanity on B2: every condition-satisfying tuple dominates
     box = dominant_box(B2, 1)
@@ -218,7 +201,8 @@ def test_conditions_imply_domination_in_a_small_sweep():
                 mu2 = B2.sub(total, mu1)
                 if any(c < 0 or c > 1 for c in mu2):
                     continue
-                if min_condition_failure(B2, (lam1, lam2), (mu1, mu2)) is not None:
+                pairs = map(B2.pairings, (lam1, lam2, mu1, mu2))
+                if any(min(a, b) > min(c, d) for a, b, c, d in zip(*pairs)):  # the minimum conditions
                     continue
                 source = weyl_character(B2, mu1) * weyl_character(B2, mu2)
                 target = weyl_character(B2, lam1) * weyl_character(B2, lam2)

@@ -10,6 +10,7 @@ from conftest import dominant_box, seeded, top_aligned_truncation
 from demkit.theorems import (
     Certificate,
     expected_minuscule_nodes,
+    min_condition_failure,
     minuscule_nodes,
     scan_summary,
     scan_tuples,
@@ -26,7 +27,6 @@ from demkit.theorems import (
 from demkit.theorems import _char_difference_witness
 from demkit.affine import demazure_character
 from demkit.charalg import GradedCharacter
-from demkit.finite import min_condition_failure
 from demkit.rootsystem import root_system
 
 A1 = root_system("A1")
@@ -448,15 +448,36 @@ def test_import_leaves_the_process_pool_unloaded():
         assert out.stderr == "[]", run
 
 
+def _minima(rs, *weights):
+    """The componentwise minimum of the weights' pairing vectors."""
+    return list(map(min, *map(rs.pairings, weights)))
+
+
+def test_conjecture_condition_examples():
+    assert min_condition_failure(_minima(A1, (1,), (2,)), _minima(A1, (1,), (2,))) is None
+    assert min_condition_failure(_minima(A1, (1,), (1,)), _minima(A1, (2,), (0,))) == 0
+    assert min_condition_failure(_minima(A1, (2,), (0,)), _minima(A1, (1,), (1,))) is None
+
+
+def test_min_condition_failure_names_the_first_failing_root():
+    lower, upper = ((1, 1), (0, 1)), ((1, 0), (0, 2))
+    # alpha_1 passes (0 <= 0); alpha_2 fails: min(1, 1) = 1 > min(0, 2) = 0
+    idx = min_condition_failure(_minima(A2, *lower), _minima(A2, *upper))
+    assert A2.positive_roots[idx].root_coords == (0, 1)
+    for i in range(idx):
+        assert min(A2.pairings(w)[i] for w in lower) <= min(A2.pairings(w)[i] for w in upper)
+    assert min_condition_failure(_minima(A2, *upper), _minima(A2, *lower)) is None
+
+
 def _scan_tuples_by_min_condition(rs, height_bound):
-    """``scan_tuples`` by the claim-level route: ``min_condition_failure``
-    on each balanced tuple of the box."""
+    """``scan_tuples`` spelled out: every balanced tuple of the box with
+    min(lam1(h), lam2(h)) <= min(mu1(h), mu2(h)) at each positive coroot h."""
     box = dominant_box(rs, height_bound)
     out = []
     for lam1, lam2, mu1 in itertools.product(box, repeat=3):
         mu2 = tuple(a + b - c for a, b, c in zip(lam1, lam2, mu1))
         if all(0 <= c <= height_bound for c in mu2):
-            if min_condition_failure(rs, (lam1, lam2), (mu1, mu2)) is None:
+            if all(min(a, b) <= min(c, d) for a, b, c, d in zip(*map(rs.pairings, (lam1, lam2, mu1, mu2)))):
                 out.append((lam1, lam2, mu1, mu2))
     return out
 
