@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import importlib
 import io
@@ -9,12 +10,14 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
 
 import demkit
 from conftest import single_edits
+from demkit import cli
 from demkit.cli import main
 
 pytestmark = pytest.mark.usefixtures("isolated_cache")
@@ -992,6 +995,128 @@ def test_output_matches_pinned_digest(capsys, key, extra, want):
     code, out, _ = run(capsys, *key.split(), *extra)
     assert code == want["exit"]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want["sha256"]
+
+
+def _cyclic_garbage(argv):
+    """The exit code of one request through ``main`` run with the cyclic
+    collector off, as ``main_entry`` runs it, and the count of unreachable
+    objects the collector then finds: ``main_entry`` freezes the heap before
+    exit rather than collecting it, which is safe only while that count is 0."""
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("key,extra,want", _replayed_requests())
+def test_pinned_request_leaves_no_cyclic_garbage(capsys, key, extra, want):
+    assert _cyclic_garbage([*key.split(), *extra]) == (want["exit"], 0)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("presentation", "--system", "B2", "--level", "1", "--weight", "1,1"), 0),
+    (("cache", "stats"), 0),
+    (("char", "--system", "A1", "--level", "x"), 2),
+    (("char", "--system", "A1", "--level", "1"), 3),
+    (("char", "--system", "A1", "--level", "1", "--weight", "2", "--out", "{file}/out"), 6),
+], ids=["presentation", "cache-stats", "usage-error", "domain-error", "io-error"])
+def test_request_leaves_no_cyclic_garbage(capsys, tmp_path, argv, code):
+    regular = tmp_path / "regular"
+    regular.write_text("not a directory\n")
+    assert _cyclic_garbage([a.format(file=regular) for a in argv]) == (code, 0)
+
+
+def test_warm_char_hit_leaves_no_cyclic_garbage(capsys, isolated_cache):
+    assert _cyclic_garbage(A1_GRADED) == (0, 0)  # the cold request stores the entry
+    assert len(os.listdir(isolated_cache)) == 1
+    assert _cyclic_garbage(A1_GRADED) == (0, 0)
+
+
+def test_cyclic_garbage_check_sees_a_leaked_cycle(capsys, monkeypatch):
+    def leaking(args):
+        cycle = []
+        cycle.append(cycle)
+        return cli.EXIT_OK
+
+    monkeypatch.setitem(cli._COMMANDS, "cache path", (leaking, *cli._COMMANDS["cache path"][1:]))
+    assert _cyclic_garbage(["cache", "path"]) == (0, 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "stabilization", "--system", "B2", "--level", "1", "--lambda", "0,0", "--max-grade", "3",
+     "--n-max", "4", "--no-timing", "--no-cache"),
+    ("char", "--system", "B2", "--level", "1", "--weight", "0,2", "--graded"),
+], ids=["verify", "char"])
+def test_fresh_process_request_leaves_no_cyclic_garbage(tmp_path, argv):
+    """As above, in a fresh interpreter, where the request's first imports
+    of the package run with the collector off too."""
+    probe = ("import contextlib, gc, io, sys\n"
+             "gc.collect()\ngc.disable()\nfrom demkit.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n    code = main(sys.argv[1:])\n"
+             "print(code, gc.collect())\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(demkit.__file__).parents[1]),
+               DEMKIT_CACHE=str(tmp_path / "cache"))
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.stdout, proc.stderr) == ("0 0\n", "")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(capsys, enabled):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(capsys, *A1_GRADED)[0] == 0
+        with pytest.raises(SystemExit):
+            main(["char", "--system", "A1", "--level", "x"])
+        assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("argv,code,err_lines", [
+    (("char", "--help"), 0, 0),
+    (("char", "--system", "A1", "--level", "x"), 2, 2),
+    (("char", "--system", "A1", "--level", "1"), 3, 1),
+], ids=["help", "usage-error", "domain-error"])
+def test_process_entry_exits_as_main_does(capsys, tmp_path, argv, code, err_lines):
+    """``python -m demkit.cli`` runs ``main_entry``, which turns the
+    collector off and freezes the heap before exit: its exit code and both
+    streams are those of ``main`` in process."""
+    try:
+        want = main(list(argv))
+    except SystemExit as exc:
+        want = exc.code
+    out, err = capsys.readouterr()
+    assert want == code and err.count("\n") == err_lines
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(demkit.__file__).parents[1]),
+               DEMKIT_CACHE=str(tmp_path / "cache"))
+    proc = subprocess.run([sys.executable, "-m", "demkit.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+@pytest.mark.parametrize("attempt", [
+    lambda path: demkit.root_system("A160"),
+    lambda path: demkit.GradedCharacter.from_jsonl(path.read_text(encoding="utf-8")),
+    lambda path: main(["char", "--system", "A160", "--level", "1", "--weight", "1"]),
+], ids=["root_system", "from_jsonl", "char"])
+def test_huge_rank_is_refused_up_front(capsys, tmp_path, attempt):
+    path = tmp_path / "huge.jsonl"
+    path.write_text('{"system":"A160","kind":"graded"}\n{"w":[1],"g":0,"m":"1"}\n', encoding="utf-8")
+    start = time.perf_counter()
+    with pytest.raises((ValueError, SystemExit)) as exc:
+        attempt(path)
+    assert time.perf_counter() - start < 1.0
+    if exc.type is SystemExit:
+        assert exc.value.code == 2
+        assert "argument --system: invalid simple type (A,160)" in capsys.readouterr().err
+    else:
+        assert str(exc.value).startswith("invalid simple type (A,160): series A requires rank in [1,32]")
 
 
 def _trace_targets():

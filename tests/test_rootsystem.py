@@ -1,6 +1,7 @@
 import ast
 import itertools
 import pathlib
+import time
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -11,7 +12,7 @@ from conftest import (
     apply_word, cartan_inverse_oracle, dominant_box, longest_word, random_dominant,
     root_coords_oracle, root_oracle, roots_by_orbit, seeded,
 )
-from demkit.rootsystem import RootSystem, parse_system, root_system
+from demkit.rootsystem import MAX_RANK, RootSystem, parse_system, root_system
 
 # classical positive-root counts, as fixtures only
 ROOT_COUNTS = {
@@ -67,8 +68,10 @@ def test_parse_system():
         parse_system("A")
     with pytest.raises(ValueError):
         parse_system("2A")
-    # well spelled, but no simple type has that rank
-    for label in ("D3", "E9", "A0", "B1", "G3"):
+    # a classical series goes up to rank MAX_RANK and no further
+    assert parse_system(f"D{MAX_RANK}") == ("D", MAX_RANK)
+    # well spelled, but no simple type has that rank, or it is above the cap
+    for label in ("D3", "E9", "A0", "B1", "G3", f"A{MAX_RANK + 1}", f"C{MAX_RANK + 1}"):
         with pytest.raises(ValueError, match=r"^invalid simple type"):
             parse_system(label)
         with pytest.raises(ValueError, match=r"^invalid simple type"):
@@ -458,3 +461,11 @@ def test_dual_coxeter_numbers():
     assert root_system("A2").dual_coxeter == 3
     assert root_system("G2").dual_coxeter == 4
     assert root_system("E8").dual_coxeter == 30
+
+
+@pytest.mark.parametrize("series", "ABCD")
+def test_largest_rank_builds_quickly(series):
+    # the cap keeps every root system a request can name cheap to build
+    start = time.perf_counter()
+    RootSystem(series, MAX_RANK)
+    assert time.perf_counter() - start < 1.0
