@@ -13,9 +13,9 @@ chain with one entry per weight: the key is the weight packed into a single
 int (``_pack``), so that a string step is one integer addition, and the
 value is the weight's grade polynomial evaluated at a power of two, so that
 one addition moves every grade of the weight at once.  The digits are
-sized from the module's dimension: where the paper's factorization gives
-it up front (``_dimension``), the chain runs once, and elsewhere it runs
-twice, first without grades.  Its values are read back digit by digit,
+sized from the module's dimension where the paper's factorization gives
+it up front (``_dimension``), else from a first pass without grades, so
+each chain runs once or twice.  Its values are read back digit by digit,
 weights in sorted order, so the character's terms come out in canonical
 order (``_demazure_from`` proves the result exact).  An operator fixes
 every s_i-symmetric part of its input, so it copies the input and walks
@@ -113,7 +113,7 @@ def _digit_bytes(bound):
     return size
 
 
-def _unpack(rs, chain, counts, delta, dim=None):
+def _unpack(rs, chain, delta):
     """The ``GradedCharacter`` of a chain, its terms in canonical (weight,
     grade) order: the base-2**width digits of a weight's value are its
     multiplicities at grades 0..delta.  The weight fields of each key are
@@ -121,13 +121,8 @@ def _unpack(rs, chain, counts, delta, dim=None):
     weight shares its one tuple.  The decode consumes the chain: each
     weight's value leaves ``chain.terms`` as its terms are made, so the
     chain's ints are freed while the character grows, and the chain is
-    left empty.
-
-    A value must be non-negative with no digit above grade ``delta``.
-    Given ``counts`` (the width-0 chain), each weight's digits must sum to
-    its count and both chains must hold the same weights; without, the
-    digits of all weights must sum to ``dim``.  Anything else is an
-    internal error (see ``_demazure_from``)."""
+    left empty.  A value must be non-negative with no digit above grade
+    ``delta``; anything else is an internal error."""
     fields = struct.Struct(f"<{rs.rank}{_FIELD}")
     flip = _pack(rs, rs.zero_weight())  # leaves each field in two's complement
     size = chain.width // 8
@@ -138,30 +133,19 @@ def _unpack(rs, chain, counts, delta, dim=None):
         def digits(raw):
             return [int.from_bytes(raw[j:j + size], "little") for j in range(0, span, size)]
     limit, grades = 1 << 8 * span, range(delta + 1)
-    if counts is not None and len(chain.terms) != len(counts):
-        raise RuntimeError(
-            f"internal error: the graded Demazure chain holds {len(chain.terms)} weights, its"
-            f" grade-free pass {len(counts)}"
-        )
     keys = {fields.unpack(((key ^ flip) >> _BITS).to_bytes(fields.size, "little")): key
             for key in chain.terms}
     terms, pop = {}, chain.terms.pop
     for w in sorted(keys):
-        key = keys.pop(w)
-        p = pop(key)
-        mults = digits(p.to_bytes(span, "little")) if 0 <= p < limit else None
-        if mults is None or counts is not None and sum(mults) != counts.get(key):
+        p = pop(keys.pop(w))
+        if not 0 <= p < limit:
             raise RuntimeError(
                 f"internal error: the grade polynomial of weight {w} does not decode in"
                 f" {chain.width}-bit digits at grades 0..{delta}"
             )
+        mults = digits(p.to_bytes(span, "little"))
         for g in compress(grades, mults):
             terms[w, g] = mults[g]
-    if counts is None and sum(terms.values()) != dim:
-        raise RuntimeError(
-            f"internal error: the graded Demazure chain's {chain.width}-bit digits sum to"
-            f" {sum(terms.values())}, not to the module's dimension {dim}"
-        )
     return GradedCharacter._adopt(rs, terms)  # fresh, and compress kept no zero
 
 
@@ -275,16 +259,19 @@ def _run(rs, level, word, chain):
     return chain
 
 
-def _grade_free_dimension(rs, level, weight):
-    """dim D(level, weight) as the total of its width-0 chain."""
-    top, word = _word(rs, level, _lowest(rs, weight))
-    return sum(_run(rs, level, word, _Chain({_pack(rs, top.finite): 1}, 0)).terms.values())
+def _sizes(rs, level, top, word, dim):
+    """``(bound, total)`` for the chain of ``word`` from ``top``: ``dim`` twice,
+    or its grade-free pass's largest weight multiplicity and their sum."""
+    if dim is not None:
+        return dim, dim
+    counts = _run(rs, level, word, _Chain({_pack(rs, top.finite): 1}, 0)).terms.values()
+    return max(counts), sum(counts)
 
 
-def _demazure_from(rs, level, extremal, weight=None):
-    """Apply the Demazure operators of the word that straightens the affine
-    weight ``(extremal, level, 0)``, starting from the dominant monomial;
-    ``dim`` is ``_dimension`` of ``weight``, asked after ``_word``, or None.
+def _demazure_from(rs, level, top, word, bound):
+    """Apply the Demazure operators of ``word``, the word that straightens
+    an affine weight to ``top`` (see ``_word``), to the monomial of
+    ``top``, with digits wider than ``bound``, and decode the chain.
 
     Bounds.  Every key the chain's operators read or write is a weight of
     the Demazure module V of the whole word.  Each chain weight w is a
@@ -306,33 +293,22 @@ def _demazure_from(rs, level, extremal, weight=None):
     node-0 string of k steps ends k grades lower, at a weight of V, so at a
     grade >= 0.  The operator checks that the integer division is exact too
     (an internal error otherwise), so every value is exactly P(2**width),
-    whatever its digits look like on the way.  The coefficients c(g) are
-    dimensions of graded pieces of V, so each is at most dim V, and with
-    ``dim`` the chain runs once with 2**width > dim: then the
-    base-2**width digits of P(2**width) are the c(g).  ``_unpack`` checks
-    that every value is non-negative with no digit above grade delta and
-    that the digits of all weights sum to ``dim``.  A coefficient too wide
-    for its digit would carry, and each carry lowers the digit sum by
-    2**width - 1 >= dim, so a wrong ``dim`` is caught unless the true
-    dimension exceeds it by a multiple of 2**width - 1, more than doubling
-    it; each such build therefore checks the paper's dimension identity
-    that gave ``dim`` (see ``_dimension``).
-
-    Without ``dim``, a first pass sizes the digits.  D_0 commutes with
-    forgetting the grade, so the same chain at width 0 gives m(w) = P(1),
-    the dimension of the w weight space, which bounds every c(g) of w.  The
-    chain then runs again with 2**width above every m(w), and ``_unpack``
-    also checks that each weight's digits sum to its m(w) and that both
-    chains hold the same weights; the decode gives the right character or
-    an internal error.
+    whatever its digits look like on the way.  Each c(g) is a graded weight
+    multiplicity of the word's module, which lies in the stable module D of
+    the weight, so it is at most dim D; where ``_dimension`` knows dim D,
+    the chain runs once with 2**width > dim D.  Elsewhere a first pass sizes
+    the digits (``_sizes``): D_0 commutes with forgetting the grade, so the
+    chain at width 0 gives m(w) = P(1), which bounds every c(g) of w.  Then
+    the base-2**width digits of P(2**width) are the c(g).  ``_unpack``
+    refuses a value below 0 or a digit above grade delta, and each builder
+    checks a total from ``_sizes``.  A carry lowers the digit sum by
+    2**width - 1 >= bound, so a wrong dim D is caught unless the true one
+    exceeds it by a multiple of 2**width - 1, more than doubling it: each
+    sized ``demazure_character`` checks the paper's dimension identity.
     """
-    top, word = _word(rs, level, extremal)
-    dim = None if weight is None else _dimension(rs, level, weight)
-    key = _pack(rs, top.finite)
-    counts = None if dim is not None else _run(rs, level, word, _Chain({key: 1}, 0)).terms
-    width = 8 * _digit_bytes(dim if counts is None else max(counts.values()))
-    chain = _run(rs, level, word, _Chain({key: 1 << width * top.delta}, width))
-    return _unpack(rs, chain, counts, top.delta, dim)
+    width = 8 * _digit_bytes(bound)
+    chain = _run(rs, level, word, _Chain({_pack(rs, top.finite): 1 << width * top.delta}, width))
+    return _unpack(rs, chain, top.delta)
 
 
 def _q_system(rs, level, nodes, seed):
@@ -408,8 +384,9 @@ def _dimension(rs, level, weight):
     comes from the Q-system (``_q_system``) seeded by dim D(1, omega_a).
     One rule sizes each E seed and each F4 or G2 KR factor D(lvl, w): when
     w(h_theta) <= lvl it is V(w) (Fourier-Littelmann 2007), sized by Weyl's
-    formula; otherwise its grade-free chain, unless that is the request's
-    own, which gives None: the caller's grade-free pass is that chain."""
+    formula; otherwise its grade-free chain (``_sizes``), unless that is
+    the request's own, which gives None: each builder then sizes its own
+    chain by its grade-free pass."""
     steps = [d * level for d in rs.d_simple]
     lam0 = tuple(c % step for c, step in zip(weight, steps))
     if rs.theta_pairing(lam0) > level:
@@ -419,7 +396,9 @@ def _dimension(rs, level, weight):
     def size(lvl, w):
         if rs.theta_pairing(w) <= lvl:
             return rs.weyl_dimension(w)
-        return None if (lvl, w) == (level, weight) else _grade_free_dimension(rs, lvl, w)
+        if (lvl, w) == (level, weight):
+            return None
+        return _sizes(rs, lvl, *_word(rs, lvl, _lowest(rs, w)), None)[1]
 
     if rs.series in "ABCD":
         factors = {a: sum(map(rs.weyl_dimension, _kr_summands(rs, level, a + 1))) for a in powers}
@@ -447,7 +426,16 @@ def demazure_character(rs, level, weight):
     weight = _check_stable_input(rs, level, weight)
     if level == 0:
         return GradedCharacter.unit(rs)
-    return _demazure_from(rs, level, _lowest(rs, weight), weight)
+    top, word = _word(rs, level, _lowest(rs, weight))
+    bound, total = _sizes(rs, level, top, word, _dimension(rs, level, weight))
+    char = _demazure_from(rs, level, top, word, bound)
+    got = sum(char.terms.values())
+    if got != total:
+        raise RuntimeError(
+            f"internal error: the graded Demazure chain's {8 * _digit_bytes(bound)}-bit digits sum to"
+            f" {got}, not to the module's dimension {total}"
+        )
+    return char
 
 
 def graded_isotypic(rs, level, weight):
@@ -461,25 +449,36 @@ def graded_isotypic(rs, level, weight):
     are applied.  D_w0 then sends each monomial e^mu to the Weyl character
     sign(v)*chi(v.mu) when mu + rho is regular and to 0 otherwise (the
     Demazure character formula with Bott's rule).  A negative multiplicity
-    would contradict the stability and is an internal error.
+    would contradict the stability and is an internal error.  Where
+    ``_dimension`` knows dim D, the chain runs once and the sum over lam of
+    m_lam * dim V(lam) must be dim D: Bott's rule and Weyl's formula meet
+    the paper's factorization, which share no code with the chain.  Else
+    its digits must sum to its grade-free pass's total.
     """
     weight = _check_stable_input(rs, level, weight)
     if level == 0:
         return {(weight, 0): 1}
-    out = {}
-    bott = {}  # one weight recurs at many grades
-    for (mu, g), m in _demazure_from(rs, level, weight).terms.items():
-        if mu not in bott:
-            bott[mu] = rs.dot_straighten(mu)
-        hit = bott[mu]
+    top, word = _word(rs, level, weight)
+    dim = _dimension(rs, level, weight)
+    bound, total = _sizes(rs, level, top, word, dim)
+    char = _demazure_from(rs, level, top, word, bound)
+    out, last = {}, None
+    for (mu, g), m in char.terms.items():  # a weight's grades are adjacent and share its tuple
+        if mu is not last:
+            last, hit = mu, rs.dot_straighten(mu)
         if hit is not None:
-            key = (hit[0], g)
-            out[key] = out.get(key, 0) + hit[1] * m
+            out[hit[0], g] = out.get((hit[0], g), 0) + hit[1] * m
+    summed = {}
     for (lam, g), m in out.items():
         if m < 0 or g < 0:
             raise RuntimeError(
                 f"internal error: multiplicity {m} of {lam} at grade {g} in the module of {weight}"
             )
+        summed[lam] = summed.get(lam, 0) + m
+    got = sum(char.terms.values()) if dim is None else sum(
+        m * rs.weyl_dimension(lam) for lam, m in summed.items())
+    if got != total:  # the digits against the grade-free pass, or Bott's rule against dim D
+        raise RuntimeError(f"internal error: the level-{level} module of {weight} totals {got}, not {total}")
     return {key: out[key] for key in sorted(out) if out[key]}
 
 

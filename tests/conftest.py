@@ -9,8 +9,10 @@ at a time apart from the chamber walk, rank-1 tensor products
 come from the classical highest-weight ladder, small products are
 convolved by hand, irreducible characters are rebuilt by divided-difference
 operators along the longest word, tensor products of irreducibles are
-decomposed by the Brauer-Klimyk formula over that character, and
-stabilization windows are cut from the full-word Demazure character.
+decomposed by the Brauer-Klimyk formula over that character,
+stabilization windows are cut from the full-word Demazure character, and
+truncated irreducible affine characters are held to the Weyl-Kac formula
+by walking affine Weyl orbits one node at a time.
 The divided-difference operators here keep each term as a
 ``(weight tuple, grade)`` key: the oracle of the library's packed-integer
 Demazure chain.
@@ -219,15 +221,19 @@ def tuple_demazure_operator(rs, i, char, level, touched=None):
     return GradedCharacter(rs, out)
 
 
-def tuple_demazure_from(rs, level, extremal, touched=None):
-    """The Demazure chain of the affine weight ``(extremal, level, 0)`` on
-    tuple keys: the monomial of its straightened top, then one tuple
-    operator per letter of the straightening word."""
-    top, word = straighten(rs, AffineWeight(extremal, level, 0))
+def tuple_chain(rs, level, top, word, touched=None):
+    """The Demazure chain of ``word`` on tuple keys: the monomial of the
+    affine weight ``top``, then one tuple operator per letter."""
     char = monomial(rs, top.finite, top.delta)
     for letter in word:
         char = tuple_demazure_operator(rs, letter, char, level, touched)
     return char
+
+
+def tuple_demazure_from(rs, level, extremal, touched=None):
+    """The tuple-key Demazure chain of the affine weight ``(extremal,
+    level, 0)``: the straightening word applied to its straightened top."""
+    return tuple_chain(rs, level, *straighten(rs, AffineWeight(extremal, level, 0)), touched)
 
 
 def demazure_weyl_character(rs, weight):
@@ -271,3 +277,53 @@ def top_aligned_truncation(char, max_depth):
         char.system,
         {(w, anchor - g): m for (w, g), m in char.terms.items() if anchor - g <= max_depth},
     )
+
+
+def affine_orbit_sum(rs, level, weight, max_depth):
+    """The alternating orbit sum of the Weyl-Kac formula (Kac, Infinite-
+    dimensional Lie algebras, 10.4): sum over the affine Weyl group of
+    sign(w) e^(w(L + rho^) - rho^) for L = level*Lambda_0 + weight, as
+    ``{(finite weight, depth): sign}`` down to ``max_depth``.
+
+    The walk starts at the regular dominant weight v = L + rho^, of level
+    level + h^vee, and reflects at every node where the pairing p is
+    positive: a finite node reflects the finite part, node 0 (pairing
+    level + h^vee - mu(h_theta)) adds p*theta to it and p to the depth.
+    Each step lengthens w by one, so breadth-first layers are lengths and
+    carry the sign; v is regular, so each weight is met at one w.  Depth
+    never falls along the walk, so pruning past ``max_depth`` is exact."""
+    top_level = level + rs.dual_coxeter
+    start = (tuple(map(add, weight, rs.rho)), 0)
+    signs, layer, sign = {start: 1}, [start], 1
+    while layer:
+        sign, nxt = -sign, []
+        for mu, depth in layer:
+            p = top_level - rs.theta_pairing(mu)
+            steps = [(tuple(c + p * t for c, t in zip(mu, rs.theta.coords)), depth + p)] if p > 0 else []
+            steps += [(rs.reflect(i + 1, mu), depth) for i, c in enumerate(mu) if c > 0]
+            for key in steps:
+                if key[1] <= max_depth and key not in signs:
+                    signs[key] = sign
+                    nxt.append(key)
+        layer = nxt
+    return {(tuple(c - r for c, r in zip(mu, rs.rho)), depth): s for (mu, depth), s in signs.items()}
+
+
+def weyl_kac_defect(rs, level, weight, char, max_depth):
+    """The terms, down to ``max_depth``, by which ``char`` times the
+    denominator sum (the orbit sum of L = 0) misses the numerator sum of L
+    = level*Lambda_0 + weight: empty exactly when ``char`` is the
+    irreducible character of L down to that depth.  Depths add under the
+    product and no term of either sum lies above depth 0, so truncating
+    both sides is exact; the product is convolved by hand, one depth of
+    the denominator at a time."""
+    out = affine_orbit_sum(rs, level, weight, max_depth)
+    by_depth = {}
+    for (nu, e), s in affine_orbit_sum(rs, 0, rs.zero_weight(), max_depth).items():
+        by_depth.setdefault(e, []).append((nu, s))
+    for (mu, d), m in char.terms.items():
+        for e in range(max_depth - d + 1):
+            for nu, s in by_depth.get(e, ()):
+                key = (tuple(map(add, mu, nu)), d + e)
+                out[key] = out.get(key, 0) - s * m
+    return {key: v for key, v in out.items() if v}

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import struct
 from collections import Counter
 
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import (
     affine_apply_word, affine_pairing, affine_reflect, demazure_weyl_character, dominant_box,
-    is_affine_dominant, monomial, root_coords_oracle, seeded, tuple_demazure_from,
+    is_affine_dominant, monomial, root_coords_oracle, seeded, tuple_chain, tuple_demazure_from, weyl_kac_defect,
     tuple_demazure_operator,
 )
 from demkit import affine, rootsystem
@@ -331,7 +332,7 @@ def test_packed_terms_round_trip():
     delta = 9
     for size in (1, 2, 4, 8, 3, 16):
         width = 8 * size
-        terms, chain, counts = {}, {}, {}
+        terms, chain = {}, {}
         for _ in range(200):
             w = tuple(rng.randint(-50, 50) for _ in range(3))
             key = affine._pack(rs, w)
@@ -341,24 +342,51 @@ def test_packed_terms_round_trip():
             mults = [rng.choice((1, (1 << width) - 1, rng.randint(1, (1 << width) - 1))) for _ in grades]
             terms.update(((w, g), m) for g, m in zip(grades, mults))
             chain[key] = sum(m << width * g for g, m in zip(grades, mults))
-            counts[key] = sum(mults)
-        out = affine._unpack(rs, affine._Chain(chain, width), counts, delta)
+        out = affine._unpack(rs, affine._Chain(chain, width), delta)
         assert list(out.terms.items()) == sorted(terms.items())
 
 
 def test_unpack_refuses_what_does_not_decode():
-    # one-byte digits at grades 0..1: a negative value, a digit above
-    # grade 1, digits that do not sum to the grade-free count, and a weight
-    # that only the grade-free pass holds are internal errors
+    # one-byte digits at grades 0..1: a negative value and a digit above
+    # grade 1 are internal errors, also beside a weight that decodes; the
+    # decode checks no sum, which is each builder's (see
+    # test_each_builder_checks_its_total)
     key, other = affine._pack(A2, (1, 0)), affine._pack(A2, (0, 1))
     value = 3 + (2 << 8)
-    assert affine._unpack(A2, affine._Chain({key: value}, 8), {key: 5}, 1).terms == {
-        ((1, 0), 0): 3, ((1, 0), 1): 2,
+    assert affine._unpack(A2, affine._Chain({key: value, other: 1}, 8), 1).terms == {
+        ((0, 1), 0): 1, ((1, 0), 0): 3, ((1, 0), 1): 2,
     }
-    for chain, counts in [({key: -value}, {key: -5}), ({key: value + (1 << 16)}, {key: 6}),
-                          ({key: value}, {key: 4}), ({key: value}, {key: 5, other: 1})]:
-        with pytest.raises(RuntimeError, match="^internal error: "):
-            affine._unpack(A2, affine._Chain(chain, 8), counts, 1)
+    for bad in (-value, value + (1 << 16), -1):
+        with pytest.raises(RuntimeError, match=r"^internal error: the grade polynomial of weight \(1, 0\) "):
+            affine._unpack(A2, affine._Chain({key: bad, other: 1}, 8), 1)
+
+
+def test_each_builder_checks_its_total(monkeypatch):
+    # A3 (3,3,3) at level 2 has no dimension up front; with one-byte digits
+    # its multiplicities carry and the digits of the whole word fall short
+    # of its grade-free total, the module's dimension
+    A3 = root_system("A3")
+    with monkeypatch.context() as patch:
+        patch.setattr(affine, "_digit_bytes", lambda bound: 1)
+        with pytest.raises(RuntimeError, match="^internal error: the graded Demazure chain's 8-bit digits sum"
+                           " to 102770, not to the module's dimension 140000$"):
+            demazure_character(A3, 2, (3, 3, 3))
+    # one more copy of the top monomial in the D_u chain: its digits exceed
+    # the grade-free total where no dimension is known, and Bott's rule
+    # gives dim D + dim V(top) where the paper's factorization gives dim D
+    real = affine._demazure_from
+
+    def one_more(rs, level, top, word, bound):
+        char = real(rs, level, top, word, bound)
+        key = (top.finite, top.delta)
+        return GradedCharacter(rs, {**char.terms, key: char.terms[key] + 1})
+
+    monkeypatch.setattr(affine, "_demazure_from", one_more)
+    for rs, level, weight, error in [(A3, 2, (1, 1, 1), "totals 3, not 2"), (B2, 1, (1, 1), "totals 24, not 20")]:
+        assert (affine._dimension(rs, level, weight) is None) == (rs is A3)
+        with pytest.raises(RuntimeError, match=rf"^internal error: the level-{level} module of "
+                           rf"{re.escape(str(weight))} {error}$"):
+            graded_isotypic(rs, level, weight)
 
 
 @pytest.mark.parametrize("name,level,weight", [("A2", 2, (2, 1)), ("C3", 2, (0, 2, 0)), ("G2", 1, (0, 1))])
@@ -368,15 +396,15 @@ def test_unpack_consumes_its_chain(monkeypatch, name, level, weight):
     # front and on one sized by its grade-free pass alike
     rs, unpack, seen = root_system(name), affine._unpack, []
 
-    def recording(rs, chain, counts, delta, dim=None):
-        seen.append((chain.terms, len(chain.terms), counts))
-        return unpack(rs, chain, counts, delta, dim)
+    def recording(rs, chain, delta):
+        seen.append((chain.terms, len(chain.terms)))
+        return unpack(rs, chain, delta)
 
     monkeypatch.setattr(affine, "_unpack", recording)
     char = demazure_character(rs, level, weight)
-    (terms, held, counts), = seen
+    (terms, held), = seen
     assert terms == {} and held == len({w for w, _ in char.terms})
-    assert (counts is None) == (affine._dimension(rs, level, weight) is not None) == (name != "G2")
+    assert (affine._dimension(rs, level, weight) is not None) == (name != "G2")
 
 
 @pytest.mark.parametrize("name,level,weight", [("A1", 2, (3,)), ("A2", 2, (2, 1)), ("G2", 1, (1, 1))])
@@ -504,9 +532,10 @@ class RecordingTerms(dict):
 def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
     # both routes through the library's chain against the same routes
     # through the tuple-key chain of conftest, byte for byte and in term
-    # order, and each dimension known up front against the oracle's; every
-    # key the oracle chain writes and every key the library chain looks up
-    # (in each of its passes) is a weight of the module, so
+    # order, each dimension known up front against the chain's, and every
+    # multiplicity of either route's chain within the bound that sizes its
+    # digits; every key the oracle chain writes and every key the library
+    # chain looks up (in each of its passes) is a weight of the module, so
     # its pairings with the simple coroots and with the highest coroot stay
     # within sum over positive roots beta of (top + delta*theta)(h_beta),
     # and every grade the oracle writes within 0..delta; the library's
@@ -521,11 +550,9 @@ def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
     touched, reads, sized = set(), set(), []
     chain = affine._Chain
 
-    def oracle(rs, level, extremal, weight=None):
-        char = tuple_demazure_from(rs, level, extremal, touched)
-        dim = None if weight is None else affine._dimension(rs, level, weight)
-        assert dim in (None, char.dimension())
-        sized.append(dim is not None)
+    def oracle(rs, level, top, word, bound):
+        char = tuple_chain(rs, level, top, word, touched)
+        assert max(char.terms.values()) <= bound
         return char
 
     for level, weight in cases:
@@ -535,6 +562,9 @@ def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
             full = demazure_character(rs, level, weight)
             components = graded_isotypic(rs, level, weight)
         assert list(full.terms) == sorted(full.terms)
+        dim = affine._dimension(rs, level, weight)
+        assert dim in (None, full.dimension())
+        sized.append(dim is not None)
         touched.clear()
         with monkeypatch.context() as patch:
             patch.setattr(affine, "_demazure_from", oracle)
@@ -553,33 +583,52 @@ def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
 @pytest.mark.parametrize("name", CHAIN_SWEEP)
 def test_width_zero_chain_is_the_collapse(monkeypatch, name):
     # the grade-free pass that sizes the digits holds each weight's
-    # multiplicity summed over grades, wherever it runs: for the whole word,
-    # which runs it exactly when no dimension is known up front, that is
-    # the collapsed character, for the straightening word alone the
-    # collapsed tuple-key chain of the same word
+    # multiplicity summed over grades: for the whole word that is the
+    # collapsed character, for the straightening word alone the collapsed
+    # tuple-key chain of the same word; each builder runs it on its own
+    # chain exactly when no dimension is known up front (a pass that sizes
+    # a factor inside ``_dimension`` runs another module's word)
     rs = root_system(name)
-    counts, unpack, whole = [], affine._unpack, 0
+    runs, run, unsized = [], affine._run, 0
 
-    def recording(rs, chain, grade_free, delta, dim=None):
-        if grade_free is not None:
-            counts.append(dict(grade_free))
-        return unpack(rs, chain, grade_free, delta, dim)
+    def recording(rs, level, word, chain):
+        out = run(rs, level, word, chain)
+        if not chain.width:
+            runs.append((level, word, dict(out.terms)))
+        return out
 
-    monkeypatch.setattr(affine, "_unpack", recording)
+    monkeypatch.setattr(affine, "_run", recording)
     for level in (1, 2, 3):
         for weight in [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)] + [rs.kr_weight(1, level)]:
-            counts.clear()
+            known = affine._dimension(rs, level, weight) is not None
+            runs.clear()
             full = demazure_character(rs, level, weight).collapse()
             graded_isotypic(rs, level, weight)
             part = tuple_demazure_from(rs, level, weight).collapse()
-            runs = [full] * (affine._dimension(rs, level, weight) is None) + [part]
-            whole += len(runs) - 1
-            assert counts == [
-                {affine._pack(rs, w): m for (w, _), m in char.terms.items()} for char in runs
+            words = {affine._word(rs, level, affine._lowest(rs, weight))[1], affine._word(rs, level, weight)[1]}
+            own = [terms for lvl, word, terms in runs if (lvl, word) in {(level, w) for w in words}]
+            assert own == [] if known else own == [
+                {affine._pack(rs, w): m for (w, _), m in char.terms.items()} for char in (full, part)
             ]
+            unsized += not known
     # Chari's rule sizes every KR factor of types A-D, so these sweeps size
     # every build there; on E, F and G some seed or factor runs its own chain
-    assert bool(whole) == (name[0] in "EFG")
+    assert bool(unsized) == (name[0] in "EFG")
+
+
+def test_sized_graded_isotypic_applies_its_word_once(monkeypatch):
+    # a module whose dimension is known up front runs one D_u chain: one
+    # operator per letter of the straightening word, and no grade-free pass
+    calls, real = [], affine.demazure_operator
+    monkeypatch.setattr(affine, "demazure_operator",
+                        lambda rs, i, chain, level: calls.append(i) or real(rs, i, chain, level))
+    for name, level, weight in [("A2", 2, (3, 1)), ("B2", 1, (6, 6)), ("C3", 3, (0, 6, 1)),
+                                ("D4", 2, (2, 2, 0, 1))]:
+        rs = root_system(name)
+        assert affine._dimension(rs, level, weight) is not None
+        calls.clear()
+        graded_isotypic(rs, level, weight)
+        assert calls == list(straighten(rs, AffineWeight(weight, level, 0))[1]), (name, weight)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2"])
@@ -599,6 +648,12 @@ def test_a_build_straightens_its_own_weight_once(monkeypatch, name):
             assert seen[AffineWeight(affine._lowest(rs, weight), level, 0)] == 1, (level, weight)
             sized[affine._dimension(rs, level, weight) is not None] += 1
     assert sized[True] and sized[False]
+
+
+def grade_free_total(rs, level, weight):
+    """dim D(level, weight) as ``_sizes``' total of the module's own
+    grade-free pass."""
+    return affine._sizes(rs, level, *affine._word(rs, level, affine._lowest(rs, weight)), None)[1]
 
 
 E6_LEVEL1 = [(1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0),
@@ -634,7 +689,7 @@ def test_dimension_is_the_grade_free_total(name, levels):
                     own += 1
             else:
                 known += 1
-                assert dim == affine._grade_free_dimension(rs, level, weight), (level, weight)
+                assert dim == grade_free_total(rs, level, weight), (level, weight)
     assert known and bool(own) == (name[0] in "EFG")
     for a in range(1, rs.rank + 1):  # on E-G the request's own chain, unless V(omega_a) is minuscule
         omega = rs.fundamental_weight(a)
@@ -661,7 +716,7 @@ def test_chari_rule_gives_each_kr_module():
             components[mu] += m
         summands = affine._kr_summands(rs, level, a)
         assert components == Counter(summands) and len(set(summands)) == len(summands), (name, a, level)
-        assert sum(map(rs.weyl_dimension, summands)) == affine._grade_free_dimension(rs, level, weight)
+        assert sum(map(rs.weyl_dimension, summands)) == grade_free_total(rs, level, weight)
         assert affine._dimension(rs, level, weight) == sum(map(rs.weyl_dimension, summands))
 
 
@@ -948,3 +1003,36 @@ def test_truncated_basic_module_is_frenkel_kac(name, partitions):
             if half is not None and half <= d:
                 assert ch.terms.get((gamma, d)) == partitions[d - int(half)], (gamma, d)
     assert ch.is_w_invariant()
+
+
+# Weyl-Kac: the truncated character times the denominator sum is the
+# numerator sum; a second route for every level-dominant lam below, one
+# that shares no step with the multiplicity recursion or the orbit
+# expansion (system, levels 1..top, depth, modules)
+WEYL_KAC = [("A1", 4, 6, 14), ("A2", 3, 4, 19), ("B2", 3, 4, 19), ("G2", 2, 3, 6), ("A3", 2, 3, 14),
+            ("B3", 2, 2, 10), ("C3", 2, 2, 14), ("A4", 1, 2, 5), ("D4", 1, 2, 4), ("F4", 1, 2, 2)]
+
+
+@pytest.mark.parametrize("name,top,depth,modules", WEYL_KAC, ids=[t[0] for t in WEYL_KAC])
+def test_truncated_character_is_weyl_kac(name, top, depth, modules):
+    rs = root_system(name)
+    checked = 0
+    for level in range(1, top + 1):
+        for lam in dominant_box(rs, level):
+            if rs.theta_pairing(lam) <= level:
+                ch = affine_irreducible_character_truncated(rs, level, lam, depth)
+                assert weyl_kac_defect(rs, level, lam, ch, depth) == {}, (level, lam)
+                checked += 1
+    assert checked == modules
+
+
+def test_weyl_kac_sees_one_wrong_multiplicity():
+    # raising any one multiplicity of B2's L(2*Lambda_0 + omega_1) down to
+    # depth 2 by one breaks the identity at that term, and at no shallower
+    # depth: the defect is minus that monomial times the denominator sum
+    ch = affine_irreducible_character_truncated(B2, 2, (1, 0), 2)
+    assert {d for _, d in ch.terms} == {0, 1, 2}
+    for key, m in ch.terms.items():
+        wrong = GradedCharacter(B2, {**ch.terms, key: m + 1})
+        defect = weyl_kac_defect(B2, 2, (1, 0), wrong, 2)
+        assert defect[key] == -1 and min(d for _, d in defect) == key[1], key

@@ -706,6 +706,48 @@ def test_a_wrong_weyl_dimension_exit_5(capsys, monkeypatch, isolated_cache):
     assert not isolated_cache.exists() or not os.listdir(isolated_cache)
 
 
+# the benchmark's stabilization and genschurpos requests: each reads its
+# modules from graded_isotypic, whose dimension is known up front
+SIZED_VERIFY = [
+    ("verify", "stabilization", "--system", "B2", "--level", "1", "--lambda", "0,0", "--max-grade", "3",
+     "--n-max", "4", "--no-timing", "--no-cache"),
+    ("verify", "genschurpos", "--system", "C3", "--level", "3", "--source-level", "2", "--index", "3",
+     "--power", "1", "--lambda", "0,1,0", "--mu", "0,1,1", "--no-timing"),
+]
+
+
+@pytest.mark.parametrize("argv", SIZED_VERIFY, ids=["stabilization", "genschurpos"])
+def test_a_wrong_dimension_fails_a_verify_claim_exit_5(capsys, monkeypatch, argv):
+    # graded_isotypic holds Bott's rule and Weyl's formula to the paper's
+    # factorization: one more than the true dimension fails the claim with
+    # one error line and no certificate, where the true one verifies it
+    from demkit import affine
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["verdict"] == "verified"
+    real = affine._dimension
+    monkeypatch.setattr(affine, "_dimension", lambda rs, level, weight: real(rs, level, weight) + 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 5 and out == ""
+    assert err.startswith("error: internal error: the level-") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", SIZED_VERIFY, ids=["stabilization", "genschurpos"])
+def test_a_verify_claim_refuses_a_walk_before_its_dimension(capsys, monkeypatch, argv):
+    # graded_isotypic runs _word's refusals before it asks for the
+    # module's dimension, as demazure_character does: with a step cap of 1
+    # the first module's walk is refused and no dimension is computed
+    from demkit import affine
+
+    calls = []
+    monkeypatch.setattr(affine, "_dimension", lambda *args: calls.append(args))
+    monkeypatch.setattr(affine, "WALK_STEP_CAP", 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 5 and out == ""
+    assert err.startswith("error: internal error: chamber walk exceeded 1 steps") and err.count("\n") == 1
+    assert calls == []
+
+
 def test_presentation_pretty(capsys):
     code, out, _ = run(capsys, "presentation", "--system", "A1", "--level", "2", "--weight", "3", "--pretty")
     assert code == 0
