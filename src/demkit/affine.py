@@ -51,6 +51,7 @@ __all__ = [
     "AffineWeight",
     "Relation",
     "straighten",
+    "demazure_operator",
     "demazure_character",
     "graded_isotypic",
     "kr_character",

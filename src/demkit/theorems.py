@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from functools import reduce
-from itertools import product
+from itertools import chain, product
 from math import prod
 from operator import gt, mul
 from time import perf_counter
@@ -44,6 +44,8 @@ __all__ = [
     "verify_genschurpos",
     "verify_stabilization",
     "verify_minuscule",
+    "min_condition_failure",
+    "scan_tuples",
     "schur_scan",
     "scan_summary",
 ]
@@ -137,15 +139,13 @@ class _Claim:
             lambda: _char_difference_witness(lhs, rhs), details,
         )
 
-    def dominates(self, source, target, payloads=None):
-        """Multiplicity domination of the isotypic decomposition ``target``
-        by ``source``; the same decompositions fill the payload, unless
-        ``payloads`` gives the two payloads already built, as a scan that
-        shares them among its certificates does."""
+    def dominates(self, source, target):
+        """Multiplicity domination of one isotypic decomposition by another;
+        ``source`` and ``target`` are each a (decomposition, payload) pair."""
         from .finite import surjection_exists
 
+        (source, lhs), (target, rhs) = source, target
         ok, wit = surjection_exists(source, target)
-        lhs, rhs = payloads or (decomp_payload(source), decomp_payload(target))
         return self.conclude(ok, lhs, rhs, lambda: list(wit))
 
 
@@ -173,11 +173,22 @@ def _part_failure(rs, weights):
     return None
 
 
-def _product_decomposition(rs, a, b):
-    """Isotypic decomposition of the product of two irreducibles."""
+def _product_decompositions(rs, pairs):
+    """The isotypic decomposition of the product V(a) x V(b) for each pair
+    (a, b), with its payload, in the order of ``pairs``.  Each irreducible
+    character is built once and each distinct unordered product is
+    decomposed once; pairs naming the same product share one entry.  The
+    builders are looked up on ``finite`` when this runs."""
     from .finite import tensor_decompose, weyl_character
 
-    return tensor_decompose(rs, weyl_character(rs, a) * weyl_character(rs, b))
+    keys = [(a, b) if a <= b else (b, a) for a, b in pairs]
+    chars = {w: weyl_character(rs, w) for w in dict.fromkeys(chain.from_iterable(keys))}
+    table = {}
+    for a, b in keys:
+        if (a, b) not in table:
+            decomp = tensor_decompose(rs, chars[a] * chars[b])
+            table[a, b] = decomp, decomp_payload(decomp)
+    return [table[key] for key in keys]
 
 
 def _demazure_decomposition(rs, level, weight):
@@ -469,9 +480,7 @@ def verify_twofold(rs, node, level, lam, mu1, mu2):
             "min_mu": low[idx],
             "min_source": high[idx],
         })
-    return claim.dominates(
-        _product_decomposition(rs, kr_weight, lam), _product_decomposition(rs, mu1, mu2)
-    )
+    return claim.dominates(*_product_decompositions(rs, [(kr_weight, lam), (mu1, mu2)]))
 
 
 def twofold_corollary_thresholds(rs, j, level, m_level):
@@ -536,9 +545,8 @@ def verify_genschurpos(rs, node, power, level, m_level, lam, mu):
     if rs.theta_pairing(lam) > level:
         raise RuntimeError("internal error: lambda must be level-dominant when the hypotheses hold")
     # the two modules share their weight and differ in level
-    source = _demazure_decomposition(rs, m_level, weight)
-    target = _demazure_decomposition(rs, level, weight)
-    return claim.dominates(source, target)
+    source, target = (_demazure_decomposition(rs, lv, weight) for lv in (m_level, level))
+    return claim.dominates((source, decomp_payload(source)), (target, decomp_payload(target)))
 
 
 # ---------------------------------------------------------------------------
@@ -607,18 +615,14 @@ def verify_stabilization(rs, level, lam, max_grade, n_max):
 # exhaustive surjection scan
 
 
-def _dominant_box(rank, bound):
-    return [tuple(c) for c in product(range(bound + 1), repeat=rank)]
-
-
 def scan_tuples(rs, height_bound):
     """All (lam1, lam2, mu1, mu2) with equal sums and coordinates bounded by
     ``height_bound`` that satisfy the minimum conditions, in enumeration
-    order.  The box is dominant and mu2 balances the sums by construction,
-    so only the minimum conditions are checked (``min_condition_failure``
-    of (lam1, lam2) below (mu1, mu2)), on pairing vectors computed once
-    per box weight."""
-    box = _dominant_box(rs.rank, height_bound)
+    order: lam1, lam2 and mu1 run over the dominant box in lexicographic
+    order, and mu2 balances the sums.  So only the minimum conditions are
+    checked (``min_condition_failure`` of (lam1, lam2) below (mu1, mu2)),
+    on pairing vectors computed once per box weight."""
+    box = list(product(range(height_bound + 1), repeat=rs.rank))
     pairings = {w: rs.pairings(w) for w in box}
     out = []
     for lam1 in box:
@@ -636,37 +640,25 @@ def scan_tuples(rs, height_bound):
 
 def schur_scan(rs, height_bound):
     """Run the surjection check over every hypothesis-satisfying tuple in
-    the coordinate box.  Returns the certificate list in enumeration order;
-    refutations are collected, never raised.  Tuples outnumber the distinct
-    unordered products of two irreducibles, so each product is decomposed
-    once per scan and shared by every certificate that names it.  Products
-    outnumber the box weights, and every box weight w is named, by the
-    tuple (w, 0, w, 0), so each box weight's irreducible character is
-    built once per scan, up front, and shared by every product."""
-    from .finite import tensor_decompose, weyl_character
-
+    the coordinate box (``scan_tuples``).  Returns the certificate list in
+    enumeration order; refutations are collected, never raised.  Tuples
+    outnumber the distinct unordered products of two irreducibles, so the
+    scan reads one product table (``_product_decompositions``), built
+    before the first certificate: each product is decomposed once and its
+    payload shared by every certificate that names it.  A certificate's
+    ``elapsed_ms`` covers its own domination check only."""
     if height_bound < 0:
         raise ValueError("height bound must be non-negative")
-    chars = {w: weyl_character(rs, w) for w in _dominant_box(rs.rank, height_bound)}
-    decomps = {}
-
-    def decompose(a, b):
-        """The product's decomposition and its payload, built once per scan."""
-        key = (a, b) if a <= b else (b, a)
-        if key not in decomps:
-            decomp = tensor_decompose(rs, chars[key[0]] * chars[key[1]])
-            decomps[key] = decomp, decomp_payload(decomp)
-        return decomps[key]
-
+    tuples = scan_tuples(rs, height_bound)
+    sides = _product_decompositions(rs, [pair for t in tuples for pair in (t[2:], t[:2])])
     certs = []
-    for lam1, lam2, mu1, mu2 in scan_tuples(rs, height_bound):
+    for (lam1, lam2, mu1, mu2), source, target in zip(tuples, sides[::2], sides[1::2]):
         claim = _Claim(
             "schur-surjection", rs,
             {"lambda1": list(lam1), "lambda2": list(lam2), "mu1": list(mu1), "mu2": list(mu2)},
             "multiplicity-domination",
         )
-        (source, lhs), (target, rhs) = decompose(mu1, mu2), decompose(lam1, lam2)
-        certs.append(claim.dominates(source, target, (lhs, rhs)))
+        certs.append(claim.dominates(source, target))
     return certs
 
 

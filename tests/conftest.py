@@ -10,9 +10,11 @@ come from the classical highest-weight ladder, small products are
 convolved by hand, irreducible characters are rebuilt by divided-difference
 operators along the longest word, tensor products of irreducibles are
 decomposed by the Brauer-Klimyk formula over that character,
-stabilization windows are cut from the full-word Demazure character, and
+stabilization windows are cut from the full-word Demazure character,
 truncated irreducible affine characters are held to the Weyl-Kac formula
-by walking affine Weyl orbits one node at a time.
+by walking affine Weyl orbits one node at a time, and the graded isotypic
+decompositions of simply-laced fusion products of KR modules are summed
+by the fermionic formula from rigged-configuration data alone.
 The divided-difference operators here keep each term as a
 ``(weight tuple, grade)`` key: the oracle of the library's packed-integer
 Demazure chain.
@@ -20,7 +22,9 @@ Demazure chain.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul
 
 from demkit.affine import AffineWeight, straighten
@@ -327,3 +331,75 @@ def weyl_kac_defect(rs, level, weight, char, max_depth):
                 key = (tuple(map(add, mu, nu)), d + e)
                 out[key] = out.get(key, 0) - s * m
     return {key: v for key, v in out.items() if v}
+
+
+def partitions(n, largest=None):
+    """Every partition of n into parts at most ``largest``, as a tuple of
+    parts, largest first."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part, *rest)
+
+
+@lru_cache(maxsize=None)
+def q_binomial(n, k):
+    """Coefficients of the Gaussian binomial [n choose k]_q, lowest power
+    first, by [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+    if k == 0 or k == n:
+        return (1,)
+    out = [0] * (k * (n - k) + 1)
+    for e, c in enumerate(q_binomial(n - 1, k - 1)):
+        out[e] += c
+    for e, c in enumerate(q_binomial(n - 1, k)):
+        out[e + k] += c
+    return tuple(out)
+
+
+def fermionic_isotypic(rs, level, s):
+    """Graded isotypic decomposition of D(level, level * sum_a s_a omega_a)
+    on a simply-laced type, the fusion product of the KR modules
+    (W^(a)_level)^(s_a), by the M-sum of Hatayama-Kuniba-Okado-Takagi-
+    Yamada (Remarks on fermionic formula, 1999), as ``{(lam, grade):
+    multiplicity}`` in the grading of ``graded_isotypic``.
+
+    For each dominant lam, with top - lam = sum_a beta_a alpha_a, the sum
+    runs over the configurations m, one partition of each beta_a, with
+    m_i^(a) parts of size i.  With Q_i^(b) = sum_j min(i, j) m_j^(b), the
+    vacancy p_i^(a) = s_a min(i, level) - sum_b C_ab Q_i^(b) must be >= 0
+    for every i up to max(level, the largest part), past which it is
+    constant.  A configuration adds q^c(m) prod_(a,i) [p_i^(a) + m_i^(a)
+    choose m_i^(a)]_q, with charge c(m) = 1/2 sum C_ab min(i, j) m_i^(a)
+    m_j^(b) - sum s_a min(i, level) m_i^(a); grade g is the coefficient
+    of q^-g.  The beta come from the Fraction solve, not the library's
+    lattice core."""
+    n, cartan = rs.rank, rs.cartan
+    top = tuple(level * c for c in s)
+    out = Counter()
+    # beta_a is at most top's a-th root coordinate, since C^-1 is non-negative
+    for beta in itertools.product(*(range(int(c) + 1) for c in root_coords_oracle(rs, top))):
+        lam = tuple(t - sum(b * row[i] for b, row in zip(beta, cartan)) for i, t in enumerate(top))
+        if min(lam) < 0:
+            continue
+        for parts in itertools.product(*map(partitions, beta)):
+            sizes = range(1, max((level, *itertools.chain(*parts))) + 1)
+            columns = [[sum(min(i, j) for j in part) for i in sizes] for part in parts]
+            pull = [[sum(map(mul, cartan[a], col)) for col in zip(*columns)] for a in range(n)]
+            vacancy = [[s[a] * min(i, level) - pull[a][i - 1] for i in sizes] for a in range(n)]
+            if min(map(min, vacancy)) < 0:
+                continue
+            twice_charge, poly = 0, {0: 1}
+            for a, part in enumerate(parts):
+                for i, k in Counter(part).items():
+                    twice_charge += k * (pull[a][i - 1] - 2 * s[a] * min(i, level))
+                    binomial, prev, poly = q_binomial(vacancy[a][i - 1] + k, k), poly, Counter()
+                    for e, c in prev.items():
+                        for f, d in enumerate(binomial):
+                            poly[e + f] += c * d
+            assert twice_charge % 2 == 0, (lam, parts)
+            for e, c in poly.items():
+                out[lam, -(twice_charge // 2 + e)] += c
+    return dict(out)

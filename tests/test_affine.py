@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from conftest import (
-    affine_apply_word, affine_pairing, affine_reflect, demazure_weyl_character, dominant_box,
+    affine_apply_word, affine_pairing, affine_reflect, demazure_weyl_character, dominant_box, fermionic_isotypic,
     is_affine_dominant, monomial, root_coords_oracle, seeded, tuple_chain, tuple_demazure_from, weyl_kac_defect,
     tuple_demazure_operator,
 )
@@ -503,6 +503,67 @@ def test_graded_isotypic_matches_the_full_word(name, level):
         for (mu, _), m in components.items():
             summed[mu] = summed.get(mu, 0) + m
         assert summed == tensor_decompose(rs, full.collapse())
+
+
+# the fermionic formula: for simply-laced g, D(level, level * sum_a s_a
+# omega_a) is the fusion product of the KR modules (W^(a)_level)^(s_a)
+# (Fourier-Littelmann 2007), whose graded multiplicities are the M-sum of
+# conftest (X = M: Di Francesco-Kedem 2008, Naoi 2012); the M-sum shares
+# no step with Demazure operators or Bott's rule, so it checks every grade
+# above 0 from outside the chain (system, level, s)
+FERMIONIC = (
+    [("A1", level, (s,)) for level in (1, 2, 3) for s in range(1, 5)]
+    + [("A2", level, s) for level in (1, 2) for s in itertools.product(range(3), repeat=2) if any(s)]
+    + [(name, level, s) for name, rank, levels in [("A3", 3, (1, 2)), ("A4", 4, (1,)), ("D4", 4, (1,))]
+       for level in levels for s in itertools.product(range(2), repeat=rank) if any(s)]
+    + [("E6", 1, tuple(int(i == a) for i in range(6))) for a in range(6)]
+    + [("A1", 1, (17,)), ("A1", 2, (11,)), ("A1", 2, (8,)), ("A1", 3, (7,)), ("A2", 1, (4, 4)),
+       ("A2", 2, (3, 2)), ("A2", 3, (2, 1)), ("A3", 1, (2, 1, 2)), ("A3", 3, (1, 1, 1)),
+       ("A4", 2, (1, 1, 1, 1)), ("D4", 1, (0, 2, 0, 0)), ("D4", 1, (1, 1, 1, 1)), ("D4", 2, (0, 1, 0, 0)),
+       ("A5", 1, (1, 0, 1, 0, 1)), ("D5", 1, (1, 0, 0, 0, 1))]
+)
+
+
+def test_graded_isotypic_is_the_fermionic_sum(monkeypatch):
+    widths, real = [], affine._digit_bytes
+    monkeypatch.setattr(affine, "_digit_bytes", lambda bound: widths.append(real(bound)) or widths[-1])
+    components = above_zero = 0
+    wide = []  # the modules whose chain has 32-bit digits
+    for name, level, s in FERMIONIC:
+        rs = root_system(name)
+        got = graded_isotypic(rs, level, tuple(level * c for c in s))
+        assert fermionic_isotypic(rs, level, s) == got, (name, level, s)
+        components += len(got)
+        above_zero += sum(g > 0 for _, g in got)
+        if widths.pop() == 4:
+            wide.append((name, level, s))
+    assert (len(FERMIONIC), components, above_zero) == (93, 1992, 1899)
+    # three modules need 32-bit digits: dimensions 2**17, 3**11 and 562,500
+    assert wide == [("A1", 1, (17,)), ("A1", 2, (11,)), ("A4", 2, (1, 1, 1, 1))]
+
+
+def test_the_fermionic_sum_sees_a_unit_moved_to_the_next_grade(monkeypatch):
+    # one unit of a component's multiplicity moved up one grade in the D_u
+    # chain keeps the digit sum and Bott's total, so graded_isotypic's own
+    # checks pass; the M-sum tells the grades apart
+    rs, level, s, weight = A2, 2, (1, 1), (2, 2)
+    right = graded_isotypic(rs, level, weight)
+    real, moved = affine._demazure_from, []
+
+    def move_one(rs, level, top, word, bound):
+        terms = dict(real(rs, level, top, word, bound).terms)
+        mu, g = key = next(key for key in terms if key[1] > 0 and key in right)
+        terms[key] -= 1
+        terms[mu, g + 1] = terms.get((mu, g + 1), 0) + 1
+        moved.append(key)
+        return GradedCharacter(rs, {k: m for k, m in terms.items() if m})
+
+    monkeypatch.setattr(affine, "_demazure_from", move_one)
+    wrong = graded_isotypic(rs, level, weight)
+    (mu, g), = moved
+    diff = {k: wrong.get(k, 0) - right.get(k, 0) for k in wrong.keys() | right.keys()}
+    assert {k: d for k, d in diff.items() if d} == {(mu, g): -1, (mu, g + 1): 1}
+    assert fermionic_isotypic(rs, level, s) == right != wrong
 
 
 # every type of rank <= 5 with E6, F4 and G2, at levels 1-3: the

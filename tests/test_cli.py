@@ -2,6 +2,7 @@ import ast
 import gc
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -945,6 +946,18 @@ def test_every_package_export_resolves():
         demkit.no_such_name
 
 
+@pytest.mark.parametrize("modname", ["affine", "cache", "charalg", "finite", "rootsystem", "theorems"])
+def test_every_module_lists_its_public_names(modname):
+    """A module's ``__all__`` names only what exists, and every public
+    function or class the module defines is in it."""
+    module = importlib.import_module(f"demkit.{modname}")
+    assert all(hasattr(module, name) for name in module.__all__)
+    defined = {name for name, value in vars(module).items()
+               if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
+               and value.__module__ == module.__name__}
+    assert defined - set(module.__all__) == set()
+
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -1207,3 +1220,27 @@ def test_one_traced_scan_pass_is_correct():
     benchmark's timing wrappers, so a kernel edit that leaves a function
     the traced scan must call with zero calls fails here too."""
     _assert_one_benchmark_pass("--workload", "scan", "--trace", "1")
+
+
+def _console_script():
+    """The (module, function) of the ``demkit`` console script that
+    pyproject.toml declares, read by pattern: Python 3.10 has no tomllib."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, flags=re.M | re.S).group(1)
+    return re.search(r'^demkit\s*=\s*"([\w.]+):(\w+)"$', section, flags=re.M).groups()
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("verify", "minuscule", "--system", "D4", "--no-timing")],
+                         ids=["help", "verify"])
+def test_console_script_runs_as_the_module_does(tmp_path, argv):
+    """The installed ``demkit`` script imports its declared target and
+    exits with what it returns; run that way, it prints and exits as
+    ``python -m demkit.cli`` does."""
+    module, function = _console_script()
+    script = f"import sys\nfrom {module} import {function}\nsys.argv[0] = 'demkit'\nsys.exit({function}())\n"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(demkit.__file__).parents[1]),
+               DEMKIT_CACHE=str(tmp_path / "cache"))
+    runs = [subprocess.run([sys.executable, *head, *argv], env=env, capture_output=True, text=True, timeout=60)
+            for head in (["-c", script], ["-m", "demkit.cli"])]
+    assert [(proc.returncode, proc.stdout) for proc in runs] == [(0, runs[1].stdout)] * 2
+    assert runs[1].stdout.startswith("usage: demkit" if argv == ("--help",) else '{"claim":"minuscule"')

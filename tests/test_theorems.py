@@ -532,6 +532,26 @@ def test_scan_builds_each_irreducible_once(monkeypatch):
     assert sorted(built) == sorted(named) and 2 * len(named) < SCAN_PRODUCTS
 
 
+@pytest.mark.parametrize("name,height_bound,cases", [("A2", 2, 96), ("B2", 2, 48), ("A3", 1, 63)])
+def test_scan_agrees_with_twofold(name, height_bound, cases):
+    """Where a scan tuple's source pair, in either order, is the node
+    module's weight kr_weight(node, level) of a minuscule-coweight node and
+    a level-dominant lam, the scan certificate and ``verify_twofold`` on
+    the same weights decide the same domination from the same two
+    products: verdict, lhs and rhs agree (the three benchmark boxes)."""
+    rs = root_system(name)
+    sources = {rs.kr_weight(node, level): (node, level)
+               for node in minuscule_nodes(rs) for level in range(1, height_bound + 1)}
+    checked = 0
+    for cert, (lam1, lam2, mu1, mu2) in zip(schur_scan(rs, height_bound), scan_tuples(rs, height_bound)):
+        for kr, lam in dict.fromkeys([(mu1, mu2), (mu2, mu1)]):
+            if kr in sources and rs.theta_pairing(lam) <= sources[kr][1]:
+                twofold = verify_twofold(rs, *sources[kr], lam, lam1, lam2)
+                assert (twofold.verdict, twofold.lhs, twofold.rhs) == (cert.verdict, cert.lhs, cert.rhs)
+                checked += 1
+    assert checked == cases
+
+
 def test_scan_rejects_negative_bound():
     with pytest.raises(ValueError):
         schur_scan(A1, -1)
