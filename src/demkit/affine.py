@@ -13,13 +13,15 @@ chain with one entry per weight: the key is the weight packed into a single
 int (``_pack``), so that a string step is one integer addition, and the
 value is the weight's grade polynomial evaluated at a power of two, so that
 one addition moves every grade of the weight at once.  The digits are
-sized from the module's dimension where the paper's factorization gives
-it up front (``_dimension``), else from a first pass without grades, so
-each chain runs once or twice.  Its values are read back digit by digit,
-weights in sorted order, so the character's terms come out in canonical
-order (``_demazure_from`` proves the result exact).  An operator fixes
-every s_i-symmetric part of its input, so it copies the input and walks
-only the asymmetric part of each string (``demazure_operator``).
+sized from the module's dimension: the paper's factorization where it
+gives it up front (``_dimension``); else ``demazure_character`` takes it
+from the second route, and ``graded_isotypic`` runs its word once
+without grades first, the one chain that runs twice.  A chain's values
+are read back digit by digit, weights in sorted order, so the
+character's terms come out in canonical order (``_demazure_from`` proves
+the result exact).  An operator fixes every s_i-symmetric part of its
+input, so it copies the input and walks only the asymmetric part of each
+string (``demazure_operator``).
 
 Conventions.  An affine weight is ``(finite, level, delta)``: a finite weight
 in fundamental coordinates, the coefficient of the level-defining fundamental
@@ -260,15 +262,6 @@ def _run(rs, level, word, chain):
     return chain
 
 
-def _sizes(rs, level, top, word, dim):
-    """``(bound, total)`` for the chain of ``word`` from ``top``: ``dim`` twice,
-    or its grade-free pass's largest weight multiplicity and their sum."""
-    if dim is not None:
-        return dim, dim
-    counts = _run(rs, level, word, _Chain({_pack(rs, top.finite): 1}, 0)).terms.values()
-    return max(counts), sum(counts)
-
-
 def _demazure_from(rs, level, top, word, bound):
     """Apply the Demazure operators of ``word``, the word that straightens
     an affine weight to ``top`` (see ``_word``), to the monomial of
@@ -296,52 +289,23 @@ def _demazure_from(rs, level, top, word, bound):
     (an internal error otherwise), so every value is exactly P(2**width),
     whatever its digits look like on the way.  Each c(g) is a graded weight
     multiplicity of the word's module, which lies in the stable module D of
-    the weight, so it is at most dim D; where ``_dimension`` knows dim D,
-    the chain runs once with 2**width > dim D.  Elsewhere a first pass sizes
-    the digits (``_sizes``): D_0 commutes with forgetting the grade, so the
-    chain at width 0 gives m(w) = P(1), which bounds every c(g) of w.  Then
-    the base-2**width digits of P(2**width) are the c(g).  ``_unpack``
-    refuses a value below 0 or a digit above grade delta, and each builder
-    checks a total from ``_sizes``.  A carry lowers the digit sum by
-    2**width - 1 >= bound, so a wrong dim D is caught unless the true one
-    exceeds it by a multiple of 2**width - 1, more than doubling it: each
-    sized ``demazure_character`` checks the paper's dimension identity.
+    the weight, so it is at most dim D.  ``demazure_character`` always
+    bounds by dim D, from ``_dimension`` or else from the D_u route
+    (``_isotypic_dimension``); ``graded_isotypic`` does where ``_dimension``
+    knows it, and elsewhere runs its word once without grades first: D_0
+    commutes with forgetting the grade, so the chain at width 0 gives m(w)
+    = P(1), which bounds every c(g) of w.  Then the base-2**width digits of
+    P(2**width) are the c(g).  ``_unpack`` refuses a value below 0 or a
+    digit above grade delta, and each builder checks the digits' sum
+    against its total.  A carry lowers the digit sum by 2**width - 1 >=
+    bound, so a wrong dim D is caught unless the true one exceeds it by a
+    multiple of 2**width - 1, more than doubling it: each
+    ``demazure_character`` checks the paper's dimension identity, or the D_u
+    route, whose word differs from its own.
     """
     width = 8 * _digit_bytes(bound)
     chain = _run(rs, level, word, _Chain({_pack(rs, top.finite): 1 << width * top.delta}, width))
     return _unpack(rs, chain, top.delta)
-
-
-def _q_system(rs, level, nodes, seed):
-    """``{a: Q^(a)_level for a in nodes}`` on a simply-laced type, nodes
-    0-indexed: Q^(a)_0 = 1, Q^(a)_1 = ``seed(a)`` and
-
-        (Q^(a)_m)^2 = Q^(a)_(m+1) Q^(a)_(m-1) + product over neighbours b of Q^(b)_m,
-
-    so Q^(a)_m is dim D(m, m*omega_a) (Kirillov-Reshetikhin 1987;
-    Hatayama-Kuniba-Okado-Takagi-Yamada 1999).  Q^(a)_level needs Q_m only
-    at nodes within level - m steps of a, so only their seeds are taken.  A
-    division that is not exact is an internal error."""
-    adjacent = [[b for b, c in enumerate(row) if c == -1] for row in rs.cartan]
-    dist = dict.fromkeys(nodes, 0)
-    queue = list(nodes)
-    for a in queue:  # breadth first: the queue grows as it is read
-        for b in adjacent[a]:
-            if b not in dist:
-                dist[b] = dist[a] + 1
-                queue.append(b)
-    q = {a: [1, seed(a)] for a in queue if dist[a] < level}
-    for m in range(1, level):
-        for a in queue:
-            if dist[a] < level - m:
-                value, rest = divmod(q[a][m] ** 2 - prod(q[b][m] for b in adjacent[a]), q[a][m - 1])
-                if rest:
-                    raise RuntimeError(
-                        f"internal error: the Q-system of {rs.name} does not divide at node {a + 1},"
-                        f" m = {m + 1}"
-                    )
-                q[a].append(value)
-    return {a: q[a][level] for a in nodes}
 
 
 def _kr_summands(rs, level, a):
@@ -380,33 +344,27 @@ def _dimension(rs, level, weight):
     is V(lam0) fused with s_a copies of each node's KR module, so dim D =
     dim V(lam0) * product of (dim D(level, kr_weight(a, level)))^s_a.  A
     smaller s_a only raises lam0(h_theta), so no other split can apply when
-    the greedy one does not.  On types A-D each KR dimension is the sum of
-    Weyl's formula over Chari's summands (``_kr_summands``); on E6-E8 it
-    comes from the Q-system (``_q_system``) seeded by dim D(1, omega_a).
-    One rule sizes each E seed and each F4 or G2 KR factor D(lvl, w): when
-    w(h_theta) <= lvl it is V(w) (Fourier-Littelmann 2007), sized by Weyl's
-    formula; otherwise its grade-free chain (``_sizes``), unless that is
-    the request's own, which gives None: each builder then sizes its own
-    chain by its grade-free pass."""
+    the greedy one does not.  Two rules size a KR factor D(level, w): on
+    types A-D it is the sum of Weyl's formula over Chari's summands
+    (``_kr_summands``); on E6-E8, F4 and G2 it is V(w) by Weyl's formula
+    when w(h_theta) <= level (Fourier-Littelmann 2007), else it is sized by
+    the D_u route (``_isotypic_dimension``), unless it is the request
+    itself, which gives None."""
     steps = [d * level for d in rs.d_simple]
     lam0 = tuple(c % step for c, step in zip(weight, steps))
     if rs.theta_pairing(lam0) > level:
         return None
-    powers = {a: c // step for a, (c, step) in enumerate(zip(weight, steps)) if c >= step}
+    powers = {a: c // step for a, (c, step) in enumerate(zip(weight, steps), 1) if c >= step}
 
-    def size(lvl, w):
-        if rs.theta_pairing(w) <= lvl:
+    def size(a):
+        w = rs.kr_weight(a, level)
+        if rs.series in "ABCD":
+            return sum(map(rs.weyl_dimension, _kr_summands(rs, level, a)))
+        if rs.theta_pairing(w) <= level:
             return rs.weyl_dimension(w)
-        if (lvl, w) == (level, weight):
-            return None
-        return _sizes(rs, lvl, *_word(rs, lvl, _lowest(rs, w)), None)[1]
+        return None if w == weight else _isotypic_dimension(rs, level, w)
 
-    if rs.series in "ABCD":
-        factors = {a: sum(map(rs.weyl_dimension, _kr_summands(rs, level, a + 1))) for a in powers}
-    elif rs.pairing_scale == 1:  # E6-E8
-        factors = _q_system(rs, level, powers, lambda a: size(1, rs.fundamental_weight(a + 1)))
-    else:
-        factors = {a: size(level, rs.kr_weight(a + 1, level)) for a in powers}
+    factors = {a: size(a) for a in powers}
     if None in factors.values():
         return None
     return prod((factors[a] ** s for a, s in powers.items()), start=rs.weyl_dimension(lam0))
@@ -418,23 +376,28 @@ def demazure_character(rs, level, weight):
 
     The result has all grades >= 0, its grade-0 slice is the irreducible
     character of ``weight``, and ``weight`` itself carries multiplicity 1.
-    At level 0 only the zero weight is admissible (trivial module).  Where
-    ``_dimension`` knows the module's dimension, the chain runs once.  A
-    walk past its step cap or a weight bound too wide for the key fields
-    is refused (``_word``) before that dimension is computed, which for
-    such a weight is a power too large to hold.
+    At level 0 only the zero weight is admissible (trivial module).  The
+    chain runs once, its digits sized by the module's dimension: the
+    paper's factorization where ``_dimension`` knows it, else the D_u
+    route's (``_isotypic_dimension``), whose word differs from this one.
+    Either way the digits must sum to it.  A walk past its step cap or a
+    weight bound too wide for the key fields is refused (``_word``) before
+    that dimension is computed, which for such a weight is a power too
+    large to hold.
     """
     weight = _check_stable_input(rs, level, weight)
     if level == 0:
         return GradedCharacter.unit(rs)
     top, word = _word(rs, level, _lowest(rs, weight))
-    bound, total = _sizes(rs, level, top, word, _dimension(rs, level, weight))
-    char = _demazure_from(rs, level, top, word, bound)
+    dim = _dimension(rs, level, weight)
+    if dim is None:
+        dim = _isotypic_dimension(rs, level, weight)
+    char = _demazure_from(rs, level, top, word, dim)
     got = sum(char.terms.values())
-    if got != total:
+    if got != dim:
         raise RuntimeError(
-            f"internal error: the graded Demazure chain's {8 * _digit_bytes(bound)}-bit digits sum to"
-            f" {got}, not to the module's dimension {total}"
+            f"internal error: the graded Demazure chain's {8 * _digit_bytes(dim)}-bit digits sum to"
+            f" {got}, not to the module's dimension {dim}"
         )
     return char
 
@@ -453,15 +416,20 @@ def graded_isotypic(rs, level, weight):
     would contradict the stability and is an internal error.  Where
     ``_dimension`` knows dim D, the chain runs once and the sum over lam of
     m_lam * dim V(lam) must be dim D: Bott's rule and Weyl's formula meet
-    the paper's factorization, which share no code with the chain.  Else
-    its digits must sum to its grade-free pass's total.
+    the paper's factorization, which share no code with the chain.  Else a
+    first pass of the same word without grades sizes the digits (see
+    ``_demazure_from``), and they must sum to its total.
     """
     weight = _check_stable_input(rs, level, weight)
     if level == 0:
         return {(weight, 0): 1}
     top, word = _word(rs, level, weight)
     dim = _dimension(rs, level, weight)
-    bound, total = _sizes(rs, level, top, word, dim)
+    if dim is None:
+        counts = _run(rs, level, word, _Chain({_pack(rs, top.finite): 1}, 0)).terms.values()
+        bound, total = max(counts), sum(counts)
+    else:
+        bound = total = dim
     char = _demazure_from(rs, level, top, word, bound)
     out, last = {}, None
     for (mu, g), m in char.terms.items():  # a weight's grades are adjacent and share its tuple
@@ -469,18 +437,30 @@ def graded_isotypic(rs, level, weight):
             last, hit = mu, rs.dot_straighten(mu)
         if hit is not None:
             out[hit[0], g] = out.get((hit[0], g), 0) + hit[1] * m
-    summed = {}
     for (lam, g), m in out.items():
         if m < 0 or g < 0:
             raise RuntimeError(
                 f"internal error: multiplicity {m} of {lam} at grade {g} in the module of {weight}"
             )
-        summed[lam] = summed.get(lam, 0) + m
-    got = sum(char.terms.values()) if dim is None else sum(
-        m * rs.weyl_dimension(lam) for lam, m in summed.items())
+    got = sum(char.terms.values()) if dim is None else _weyl_total(rs, out)
     if got != total:  # the digits against the grade-free pass, or Bott's rule against dim D
         raise RuntimeError(f"internal error: the level-{level} module of {weight} totals {got}, not {total}")
     return {key: out[key] for key in sorted(out) if out[key]}
+
+
+def _weyl_total(rs, components):
+    """The sum of m * dim V(lam) over ``{(lam, grade): m}``, summed over
+    grades first, so one Weyl dimension per distinct lam."""
+    summed = {}
+    for (lam, _), m in components.items():
+        summed[lam] = summed.get(lam, 0) + m
+    return sum(m * rs.weyl_dimension(lam) for lam, m in summed.items())
+
+
+def _isotypic_dimension(rs, level, weight):
+    """dim D(level, weight) by the D_u route: Bott's rule on the module's
+    ``graded_isotypic``, and Weyl's formula on each component."""
+    return _weyl_total(rs, graded_isotypic(rs, level, weight))
 
 
 def kr_character(rs, level, node):

@@ -188,7 +188,7 @@ def _cmd_char(args):
     if args.kind == "weyl":
         if args.weight is None:
             raise ValueError("--weight is required for --kind weyl")
-        key = CacheKey(rs.name, "weyl", 0, args.weight)
+        key = CacheKey(rs.name, "weyl", 0, rs.check_dominant(args.weight))
     else:
         if args.level is None:
             raise ValueError("--level is required for Demazure characters")

@@ -14,7 +14,9 @@ stabilization windows are cut from the full-word Demazure character,
 truncated irreducible affine characters are held to the Weyl-Kac formula
 by walking affine Weyl orbits one node at a time, and the graded isotypic
 decompositions of simply-laced fusion products of KR modules are summed
-by the fermionic formula from rigged-configuration data alone.
+by the fermionic formula from rigged-configuration data alone, and the
+dimensions of simply-laced KR modules follow from the level-1 ones by
+the Q-system.
 The divided-difference operators here keep each term as a
 ``(weight tuple, grade)`` key: the oracle of the library's packed-integer
 Demazure chain.
@@ -25,6 +27,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from operator import add, mul
 
 from demkit.affine import AffineWeight, straighten
@@ -403,3 +406,35 @@ def fermionic_isotypic(rs, level, s):
             for e, c in poly.items():
                 out[lam, -(twice_charge // 2 + e)] += c
     return dict(out)
+
+
+def q_system(rs, level, nodes, seed):
+    """``{a: Q^(a)_level for a in nodes}`` on a simply-laced type, nodes
+    0-indexed: Q^(a)_0 = 1, Q^(a)_1 = ``seed(a)`` and
+
+        (Q^(a)_m)^2 = Q^(a)_(m+1) Q^(a)_(m-1) + product over neighbours b of Q^(b)_m,
+
+    so Q^(a)_m is dim D(m, m*omega_a) (Kirillov-Reshetikhin 1987;
+    Hatayama-Kuniba-Okado-Takagi-Yamada 1999).  Q^(a)_level needs Q_m only
+    at nodes within level - m steps of a, so only their seeds are taken.  A
+    division that is not exact is an internal error."""
+    adjacent = [[b for b, c in enumerate(row) if c == -1] for row in rs.cartan]
+    dist = dict.fromkeys(nodes, 0)
+    queue = list(nodes)
+    for a in queue:  # breadth first: the queue grows as it is read
+        for b in adjacent[a]:
+            if b not in dist:
+                dist[b] = dist[a] + 1
+                queue.append(b)
+    q = {a: [1, seed(a)] for a in queue if dist[a] < level}
+    for m in range(1, level):
+        for a in queue:
+            if dist[a] < level - m:
+                value, rest = divmod(q[a][m] ** 2 - prod(q[b][m] for b in adjacent[a]), q[a][m - 1])
+                if rest:
+                    raise RuntimeError(
+                        f"internal error: the Q-system of {rs.name} does not divide at node {a + 1},"
+                        f" m = {m + 1}"
+                    )
+                q[a].append(value)
+    return {a: q[a][level] for a in nodes}

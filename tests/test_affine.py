@@ -9,8 +9,8 @@ import pytest
 
 from conftest import (
     affine_apply_word, affine_pairing, affine_reflect, demazure_weyl_character, dominant_box, fermionic_isotypic,
-    is_affine_dominant, monomial, root_coords_oracle, seeded, tuple_chain, tuple_demazure_from, weyl_kac_defect,
-    tuple_demazure_operator,
+    is_affine_dominant, monomial, q_system, root_coords_oracle, seeded, tuple_chain, tuple_demazure_from,
+    weyl_kac_defect, tuple_demazure_operator,
 )
 from demkit import affine, rootsystem
 from demkit.affine import (
@@ -392,8 +392,9 @@ def test_each_builder_checks_its_total(monkeypatch):
 @pytest.mark.parametrize("name,level,weight", [("A2", 2, (2, 1)), ("C3", 2, (0, 2, 0)), ("G2", 1, (0, 1))])
 def test_unpack_consumes_its_chain(monkeypatch, name, level, weight):
     # the decode pops every weight's value from the chain it is given, so
-    # the chain is empty once the character is made, on a build sized up
-    # front and on one sized by its grade-free pass alike
+    # the chain is empty once the character is made: on a build sized up
+    # front its one chain, and on G2's, sized by the D_u route, the D_u
+    # chain and then the full word's
     rs, unpack, seen = root_system(name), affine._unpack, []
 
     def recording(rs, chain, delta):
@@ -402,8 +403,8 @@ def test_unpack_consumes_its_chain(monkeypatch, name, level, weight):
 
     monkeypatch.setattr(affine, "_unpack", recording)
     char = demazure_character(rs, level, weight)
-    (terms, held), = seen
-    assert terms == {} and held == len({w for w, _ in char.terms})
+    assert [terms for terms, _ in seen] == [{}] * (1 + (name == "G2"))
+    assert seen[-1][1] == len({w for w, _ in char.terms})
     assert (affine._dimension(rs, level, weight) is not None) == (name != "G2")
 
 
@@ -643,12 +644,15 @@ def test_demazure_chain_matches_the_tuple_oracle(monkeypatch, name):
 
 @pytest.mark.parametrize("name", CHAIN_SWEEP)
 def test_width_zero_chain_is_the_collapse(monkeypatch, name):
-    # the grade-free pass that sizes the digits holds each weight's
-    # multiplicity summed over grades: for the whole word that is the
-    # collapsed character, for the straightening word alone the collapsed
-    # tuple-key chain of the same word; each builder runs it on its own
-    # chain exactly when no dimension is known up front (a pass that sizes
-    # a factor inside ``_dimension`` runs another module's word)
+    # a chain run without grades holds each weight's multiplicity summed
+    # over grades: for the whole word that is the collapsed character, for
+    # the straightening word alone the collapsed tuple-key chain of the
+    # same word.  Only graded_isotypic runs one, on its own D_u word,
+    # exactly when no dimension is known up front (also inside an unsized
+    # demazure_character, which sizes its chain by the D_u route); no
+    # builder runs the whole word without grades, so the test runs it (a
+    # pass that sizes a factor inside ``_dimension`` runs another module's
+    # word)
     rs = root_system(name)
     runs, run, unsized = [], affine._run, 0
 
@@ -666,14 +670,16 @@ def test_width_zero_chain_is_the_collapse(monkeypatch, name):
             full = demazure_character(rs, level, weight).collapse()
             graded_isotypic(rs, level, weight)
             part = tuple_demazure_from(rs, level, weight).collapse()
-            words = {affine._word(rs, level, affine._lowest(rs, weight))[1], affine._word(rs, level, weight)[1]}
-            own = [terms for lvl, word, terms in runs if (lvl, word) in {(level, w) for w in words}]
-            assert own == [] if known else own == [
-                {affine._pack(rs, w): m for (w, _), m in char.terms.items()} for char in (full, part)
-            ]
+            full_word = affine._word(rs, level, affine._lowest(rs, weight))[1]
+            assert all((lvl, word) != (level, full_word) for lvl, word, _ in runs)
+            own = [terms for lvl, word, terms in runs if (lvl, word) == (level, affine._word(rs, level, weight)[1])]
+            assert own == [] if known else own == [{affine._pack(rs, w): m for (w, _), m in part.terms.items()}] * 2
+            runs.clear()
+            assert grade_free_pass(rs, level, weight) == {affine._pack(rs, w): m for (w, _), m in full.terms.items()}
+            assert [word for _, word, _ in runs] == [full_word]
             unsized += not known
     # Chari's rule sizes every KR factor of types A-D, so these sweeps size
-    # every build there; on E, F and G some seed or factor runs its own chain
+    # every build there; on E, F and G some module is its own factor
     assert bool(unsized) == (name[0] in "EFG")
 
 
@@ -711,32 +717,44 @@ def test_a_build_straightens_its_own_weight_once(monkeypatch, name):
     assert sized[True] and sized[False]
 
 
+def grade_free_pass(rs, level, weight):
+    """``{packed weight: multiplicity summed over grades}`` of D(level,
+    weight): its whole word run once without grades."""
+    top, word = affine._word(rs, level, affine._lowest(rs, weight))
+    return affine._run(rs, level, word, affine._Chain({affine._pack(rs, top.finite): 1}, 0)).terms
+
+
 def grade_free_total(rs, level, weight):
-    """dim D(level, weight) as ``_sizes``' total of the module's own
-    grade-free pass."""
-    return affine._sizes(rs, level, *affine._word(rs, level, affine._lowest(rs, weight)), None)[1]
+    """dim D(level, weight) as the total of its whole word's grade-free
+    pass, a route no builder takes."""
+    return sum(grade_free_pass(rs, level, weight).values())
 
 
-E6_LEVEL1 = [(1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0),
-             (1, 1, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 1)]
+E6_HAND = {
+    1: [(1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0),
+        (1, 1, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 1)],
+    2: [(2, 0, 0, 0, 0, 1), (1, 2, 0, 0, 0, 0), (1, 0, 0, 0, 0, 2), (0, 2, 0, 0, 0, 1), (2, 0, 0, 0, 0, 2)],
+}
 
 
 @pytest.mark.parametrize("name,levels", [
     *(pytest.param(name, (1, 2, 3), id=name) for name in ("A1", "A2", "A3", "A4", "D4", "B2", "B3", "C3", "G2")),
-    pytest.param("E6", (1,), id="E6"),
+    pytest.param("E6", (1, 2), id="E6"),
 ])
 def test_dimension_is_the_grade_free_total(name, levels):
-    # the paper's factorization, with Chari's rule on types A-D, the
-    # Q-system on E6 and Weyl's formula for each level-dominant factor,
-    # gives the total of the module's own grade-free chain, on the 0/1 box
-    # and on each KR weight plus the box (a hand list on E6); only a module
-    # whose lam0 lies past the level, or that is its own factor and not
-    # level-dominant, gets None, and on types A-D only the first
+    # the paper's factorization, with Chari's rule on types A-D, Weyl's
+    # formula for each level-dominant factor and the D_u route for every
+    # other E-G factor, gives the total of the module's whole word run
+    # without grades, on the 0/1 box and on each KR weight plus the box (a
+    # hand list on E6, two of whose level-2 weights hold the factor D(2,
+    # 2*omega_2) past the level); only a module whose lam0 lies past the
+    # level, or that is its own factor and not level-dominant, gets None,
+    # and on types A-D only the first
     rs = root_system(name)
     known = own = 0
     for level in levels:
         if name == "E6":
-            weights = E6_LEVEL1
+            weights = E6_HAND[level]
         else:
             box = dominant_box(rs, 1)
             weights = set(box) | {rs.add(rs.kr_weight(a, level), w) for a in range(1, rs.rank + 1) for w in box}
@@ -784,7 +802,7 @@ def test_chari_rule_gives_each_kr_module():
 def test_dimension_hand_values():
     B2, B3, D4 = root_system("B2"), root_system("B3"), root_system("D4")
     assert affine._dimension(D4, 1, (0, 1, 0, 0)) == 28 + 1  # Chari: V(omega_2) + V(0)
-    assert affine._dimension(root_system("E6"), 1, (0, 1, 0, 0, 0, 0)) is None  # its own seed
+    assert affine._dimension(root_system("E6"), 1, (0, 1, 0, 0, 0, 0)) is None  # its own factor
     assert affine._dimension(B3, 1, (1, 0, 0)) == 7  # V(omega_1), by Weyl's formula
     assert affine._dimension(root_system("A4"), 3, (1, 0, 1, 6)) == 45 * 35**2  # V(omega_1 + omega_3), V(3*omega_4)^2
     assert affine._dimension(B2, 1, (6, 6)) == 5**6 * 11**3  # 6 copies of V(omega_1), 3 of D(1, 2*omega_2)
@@ -794,6 +812,10 @@ def test_dimension_hand_values():
     assert affine._dimension(B3, 8, B3.kr_weight(2, 8)) == 197835  # the char benchmark's KR builds
     assert affine._dimension(root_system("C3"), 5, (0, 10, 0)) == 774592
     assert affine._dimension(root_system("G2"), 2, (0, 2)) is None  # a KR module past the level, its own
+    E6, E7 = root_system("E6"), root_system("E7")
+    assert affine._dimension(E6, 2, (0, 2, 0, 0, 0, 1)) == 27 * (2430 + 78 + 1)  # V(omega_6), D_u-sized D(2, 2*omega_2)
+    assert affine._dimension(E7, 2, E7.kr_weight(7, 2)) == 1463  # V(2*omega_7), by Weyl's formula
+    assert affine._dimension(E6, 2, E6.kr_weight(2, 2)) is None  # its own factor, like G2's
 
 
 @pytest.mark.parametrize("name,top", [("A2", 4), ("A3", 3), ("D4", 3), ("E6", 2)])
@@ -806,12 +828,12 @@ def test_q_system_gives_the_kr_dimensions(monkeypatch, name, top):
     dims = [[kr_character(rs, m, a + 1).dimension() for a in range(rs.rank)] for m in range(top + 1)]
     adjacent = [{b for b, c in enumerate(row) if c == -1} for row in rs.cartan]
     for m in range(1, top + 1):
-        assert list(affine._q_system(rs, m, range(rs.rank), dims[1].__getitem__).values()) == dims[m]
+        assert list(q_system(rs, m, range(rs.rank), dims[1].__getitem__).values()) == dims[m]
         for a in range(rs.rank):
             seeds, near = [], {a}
             for _ in range(m - 1):
                 near |= {b for c in near for b in adjacent[c]}
-            value = affine._q_system(rs, m, [a], lambda b: seeds.append(b) or dims[1][b])
+            value = q_system(rs, m, [a], lambda b: seeds.append(b) or dims[1][b])
             assert value == {a: dims[m][a]} and sorted(seeds) == sorted(near)
 
 

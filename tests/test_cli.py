@@ -428,6 +428,9 @@ def test_verify_demprop_roundtrip(capsys):
 def test_verify_exit_codes(capsys):
     code, _, _ = run(capsys, "verify", "demprop", "--system", "A1", "--level", "1", "--parts", "2", "--lambda", "2")
     assert code == 3
+    # no parts: the evaluation case, the module V(lambda) itself
+    code, out, _ = run(capsys, "verify", "demprop", "--system", "A2", "--level", "1", "--parts", "", "--lambda", "1,0")
+    assert code == 0 and json.loads(out)["verdict"] == "verified"
     code, _, _ = run(capsys, "verify", "stabilization", "--system", "A1", "--level", "1", "--lambda", "0", "--max-grade", "2", "--n-max", "2")
     assert code == 4
     code, _, _ = run(capsys, "verify", "minuscule", "--system", "B3")
@@ -506,6 +509,10 @@ def test_invalid_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense", "--system", "A1"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "mapsdem", "--system", "A2", "--level", "1", "--parts", "1", "--lambda", "1,0"])
+    assert exc.value.code == 2
+    assert "argument --parts: malformed part '1'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("label", ["D3", "E9", "A0", "B1", "G3"])
@@ -535,7 +542,7 @@ def test_char_missing_flags_exit_3(capsys, isolated_cache, argv, error):
     assert not isolated_cache.exists()
 
 
-def test_domain_errors_exit_3(capsys):
+def test_domain_errors_exit_3(capsys, isolated_cache):
     code, _, err = run(capsys, "char", "--system", "A1", "--level", "0", "--weight", "2")
     assert code == 3 and "error" in err
     code, _, err = run(capsys, "char", "--system", "A1", "--level", "1", "--weight", "-1")
@@ -553,6 +560,19 @@ def test_domain_errors_exit_3(capsys):
     for jobs in ("0", "-3"):
         code, _, err = run(capsys, "scan", "--system", "A1", "--height-bound", "1", "--jobs", jobs)
         assert code == 3 and err == "error: jobs must be >= 1\n"
+    code, _, err = run(capsys, "presentation", "--system", "A2", "--level", "0", "--weight", "1,0")
+    assert code == 3 and err == "error: presentation requires level >= 1\n"
+    code, _, err = run(capsys, "verify", "ev0", "--system", "A2", "--level", "1", "--lambda", "1,0,0")
+    assert code == 3 and err == "error: weight (1, 0, 0) is not a length-2 integer vector\n"
+    # a Weyl weight is checked before it names a cache file: 130
+    # coordinates make a file name too long to open, with the cache or not
+    isolated_cache.mkdir()
+    long = ",".join(["1"] * 130)
+    for extra in ((), ("--no-cache",)):
+        code, out, err = run(capsys, "char", "--system", "A2", "--kind", "weyl", "--weight", long, *extra)
+        assert (code, out) == (3, "") and err.startswith("error: weight (1, 1, ") and err.count("\n") == 1
+        assert err.endswith(") is not a length-2 integer vector\n")
+    assert os.listdir(isolated_cache) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -704,6 +724,29 @@ def test_a_wrong_weyl_dimension_exit_5(capsys, monkeypatch, isolated_cache):
     assert code == 5 and out == ""
     assert err == ("error: internal error: the graded Demazure chain's 8-bit digits sum to 3, not to"
                    " the module's dimension 8\n")
+    assert not isolated_cache.exists() or not os.listdir(isolated_cache)
+
+
+@pytest.mark.parametrize("name,level,weight,dim", [("A3", 2, (1, 1, 1), 70), ("G2", 2, (0, 2), 92)],
+                         ids=["A3-lam0-past-the-level", "G2-own-factor"])
+def test_a_wrong_du_dimension_fails_an_unsized_build_exit_5(capsys, monkeypatch, isolated_cache, name, level,
+                                                            weight, dim):
+    # a module with no dimension up front sizes its whole-word chain by
+    # the D_u route, whose word differs: one more than that route's
+    # dimension makes the digits' sum disagree, in the library and in char
+    from demkit import affine
+
+    rs = demkit.root_system(name)
+    assert affine._dimension(rs, level, weight) is None
+    real = affine._isotypic_dimension
+    monkeypatch.setattr(affine, "_isotypic_dimension", lambda rs, level, weight: real(rs, level, weight) + 1)
+    error = (f"internal error: the graded Demazure chain's 8-bit digits sum to {dim}, not to the module's"
+             f" dimension {dim + 1}")
+    with pytest.raises(RuntimeError, match=f"^{re.escape(error)}$"):
+        affine.demazure_character(rs, level, weight)
+    code, out, err = run(capsys, "char", "--system", name, "--level", str(level), "--graded",
+                         "--weight", ",".join(map(str, weight)))
+    assert (code, out, err) == (5, "", f"error: {error}\n")
     assert not isolated_cache.exists() or not os.listdir(isolated_cache)
 
 

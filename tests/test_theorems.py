@@ -256,6 +256,8 @@ def test_twofold_corollary_thresholds_force_level_dominance():
                     if twofold_corollary_thresholds(rs, j, level, m):
                         lam = rs.scale(rs.d_simple[j - 1] * m, rs.fundamental_weight(j))
                         assert rs.theta_pairing(lam) <= level, (name, j, level, m)
+    with pytest.raises(ValueError, match="^source level must be >= 1$"):
+        twofold_corollary_thresholds(root_system("A2"), 1, 1, 0)
 
 
 def test_twofold_corollary_wrapper():
