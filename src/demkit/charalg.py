@@ -31,7 +31,7 @@ __all__ = ["GradedCharacter"]
 
 _CHUNK_LINES = 1024  # to_jsonl joins this many lines at a time, never every line string at once
 _INT = "(?:0|-?[1-9][0-9]*)"  # an int as str() spells it: no sign on 0, no leading zeros
-_HEADER = re.compile(r'\{"system":"([A-G][0-9]+)","kind":"(plain|graded)"\}\n')
+_HEADER = re.compile(r'\{"system":"([A-G](?:0|[1-9][0-9]*))","kind":"(plain|graded)"\}\n')
 
 
 def _record_pattern(rank):
@@ -217,9 +217,9 @@ class GradedCharacter:
         from .rootsystem import root_system
 
         header = _HEADER.match(text)
-        rs = header and root_system(header[1])
-        if not header or rs.name != header[1]:
+        if not header:
             raise ValueError("bad character header %r" % text.partition("\n")[0])
+        rs = root_system(header[1])
         start = header.end()  # where the body begins
         record = _record_pattern(rs.rank)
         terms, last, w = {}, None, ()

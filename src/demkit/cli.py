@@ -121,13 +121,13 @@ def _weight_arg(value):
 
 
 def _parts_arg(value):
-    if not value.strip():
+    if not value:
         return []
     return [_weight_arg(p) for p in value.split(";")]
 
 
 def _leveled_parts_arg(value):
-    if not value.strip():
+    if not value:
         return []
     out = []
     for item in value.split(";"):
@@ -138,6 +138,12 @@ def _leveled_parts_arg(value):
             raise ValueError(f"malformed part level in {item!r}")
         out.append((int(lvl), _weight_arg(coords)))
     return out
+
+
+def _path_arg(value):
+    if not value:  # "" would read as the flag not given
+        raise ValueError("expected a path, not ''")
+    return value
 
 
 def _emit(text, out_path):
@@ -181,10 +187,17 @@ def _pretty_character(char):
 # char
 
 
+# the flags of ``char`` that each --kind does not take
+_NOT_FOR_KIND = {"weyl": ("level", "index"), "demazure": ("index",), "kr": ("weight",)}
+
+
 def _cmd_char(args):
     from .cache import CacheKey, CharacterCache, resolve_cache_dir
 
     rs = root_system(args.system)
+    for dest in _NOT_FOR_KIND[args.kind]:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"--{dest} does not apply to --kind {args.kind}")
     if args.kind == "weyl":
         if args.weight is None:
             raise ValueError("--weight is required for --kind weyl")
@@ -330,9 +343,9 @@ _SYSTEM = ("--system", "system", _system_arg, _REQUIRED, "simple type, e.g. A2 o
 _LEVEL = ("--level", "level", _int_arg, _REQUIRED, "level of the Demazure module")
 _INDEX = ("--index", "index", _int_arg, _REQUIRED, "node index")
 _LAMBDA = ("--lambda", "lam", _weight_arg, _REQUIRED, "weight lambda, e.g. 1,0")
-_OUT = ("--out", "out", str, None, "write the output to this file")
+_OUT = ("--out", "out", _path_arg, None, "write the output to this file")
 _NO_TIMING = ("--no-timing", "no_timing", None, False, "leave out the elapsed fields")
-_CACHE_DIR = ("--cache-dir", "cache_dir", str, None, "cache directory (else $DEMKIT_CACHE)")
+_CACHE_DIR = ("--cache-dir", "cache_dir", _path_arg, None, "cache directory (else $DEMKIT_CACHE)")
 
 
 def _claim(text, *specs, unused=()):
@@ -389,7 +402,7 @@ _COMMANDS = {
     "scan": (_cmd_scan, "exhaustive surjection scan", (
         _SYSTEM, ("--height-bound", "height_bound", _int_arg, _REQUIRED, "largest coordinate scanned"),
         ("--jobs", "jobs", _int_arg, 1, "accepted (>= 1) but unused: the scan is serial"),
-        ("--out", "out", str, None, "directory for the certificate stream"), _NO_TIMING,
+        ("--out", "out", _path_arg, None, "directory for the certificate stream"), _NO_TIMING,
     ), {}),
     "cache path": (_cmd_cache, "print the cache directory", (_CACHE_DIR,), {}),
     "cache stats": (_cmd_cache, "count the cache entries", (_CACHE_DIR,), {}),

@@ -23,7 +23,6 @@ because d divides D = ``pairing_scale``, the lcm of the d-values.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from math import gcd, lcm, prod
 from operator import mul, sub
@@ -51,18 +50,17 @@ _RANK_RULES = {  # series -> (lowest rank, highest rank)
     "G": (2, 2),
 }
 
-_SYSTEM_RE = re.compile(r"^([A-G])(\d+)$")
-
 WALK_STEP_CAP = 10**6
 
 
 def parse_system(name):
-    """Parse a system label like ``"A2"`` into ``(series, rank)``; a label
-    that names no simple type (``"D3"``, ``"E9"``) is refused too."""
-    m = _SYSTEM_RE.match(name.strip())
-    if not m:
+    """Parse a system label, one letter A-G then the rank as ``str(rank)``
+    spells it (``"A2"``), into ``(series, rank)``.  Other spellings (``" A2"``,
+    ``"A02"``) and labels naming no simple type (``"D3"``, ``"E9"``) raise."""
+    series, digits = name[:1], name[1:]
+    if not (series in _RANK_RULES and digits.isascii() and digits.isdigit() and str(int(digits)) == digits):
         raise ValueError(f"malformed system label {name!r}; expected e.g. 'A2' or 'G2'")
-    series, rank = m.group(1), int(m.group(2))
+    rank = int(digits)
     _validate_type(series, rank)
     return series, rank
 
@@ -452,9 +450,9 @@ _SHARED = {}  # (series, rank) -> the one instance of that type
 def root_system(label):
     """The shared, immutable root system of a label such as ``"A2"``.
 
-    The label is parsed first, so each type has one instance however its
-    label is spelled (``"A2"``, ``" A2"``), and characters built on it
-    always combine and compare with each other.
+    The label is parsed first (:func:`parse_system`, which admits one
+    spelling per type), and each type has one instance, so characters
+    built on it always combine and compare with each other.
     """
     key = parse_system(label)
     rs = _SHARED.get(key)

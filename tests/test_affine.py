@@ -937,6 +937,53 @@ def test_presentation_decomposition_is_exact():
                 assert (rel.nilpotency_order is None) == (rel.m == cap)
 
 
+def _contradicts(grades_at, lam, root, rel):
+    """Whether the chain-built character of D(level, lam), given as
+    ``grades_at`` (weight -> {grade: multiplicity}), contradicts ``rel`` at
+    the positive root ``root`` of positive pairing."""
+    def grades(k):  # of lam - k*root
+        return grades_at.get(tuple(a - k * b for a, b in zip(lam, root.coords)), {})
+
+    if max(grades(1), default=None) != rel.s - 1:
+        return True
+    if root.height > 1:
+        return False
+    n, top = rel.nilpotency_order, rel.s - 1
+    return grades(1) != dict.fromkeys(range(rel.s), 1) or n is not None and (
+        grades(n - 1).get((n - 1) * top) != 1 or n * top in grades(n))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "C3", "G2"])
+def test_presentation_agrees_with_the_chain(name):
+    """A second route to ``presentation``: the chain's character of D(level, lam).
+
+    At each positive root alpha of positive pairing, s - 1 is the highest
+    grade of lam - alpha: the lowering operator at alpha and t-power s - 1
+    is the last one that does not kill the highest weight vector.  At a
+    simple root alpha_i only that operator's t-powers reach lam - k*alpha_i,
+    and they commute, so lam - alpha_i has multiplicity 1 at each grade
+    0..s-1 and none elsewhere, and the nilpotency order n shows as
+    multiplicity 1 at (lam - (n-1)*alpha_i, (n-1)(s-1)) and none at
+    (lam - n*alpha_i, n(s-1)).  At a root that is not simple, products over
+    other roots share the weights lam - k*alpha and their grades; a
+    character counts those vectors but does not show which of them vanish,
+    so n is not read there.  Raising one s, or moving one n, is caught."""
+    rs = root_system(name)
+    for level in (1, 2):
+        for lam in dominant_box(rs, 2)[1:]:
+            grades_at = {}
+            for (w, g), mult in demazure_character(rs, level, lam).terms.items():
+                grades_at.setdefault(w, {})[g] = mult
+            for rel, root in zip(presentation(rs, level, lam), rs.positive_roots):
+                if rel.pairing == 0:
+                    continue
+                assert not _contradicts(grades_at, lam, root, rel), (level, lam, rel)
+                assert _contradicts(grades_at, lam, root, rel._replace(s=rel.s + 1))
+                if root.height == 1 and rel.nilpotency_order is not None:
+                    for moved in (rel.nilpotency_order - 1, rel.nilpotency_order + 1):
+                        assert _contradicts(grades_at, lam, root, rel._replace(nilpotency_order=moved))
+
+
 # ---------------------------------------------------------------------------
 # truncated irreducible affine characters
 

@@ -196,10 +196,12 @@ def test_serialization_round_trip():
     assert GradedCharacter.from_jsonl(big.to_jsonl(kind="graded")) == big
 
 
-def test_round_trip_over_a_respelled_label():
-    # every spelling of a label names the one instance, so a character built
-    # on " A2" equals its own round trip and combines with one built on "A2"
-    x = weyl_character(root_system(" A2"), (1, 0))
+def test_a_respelled_label_names_no_system():
+    # a label has one spelling, so no character is built on " A2"; one built
+    # on "A2" equals its own round trip and combines with another on "A2"
+    with pytest.raises(ValueError, match="^malformed system label"):
+        root_system(" A2")
+    x = weyl_character(root_system("A2"), (1, 0))
     assert GradedCharacter.from_jsonl(x.to_jsonl(kind="plain")) == x
     assert (x * weyl_character(root_system("A2"), (0, 1))).dimension() == 9
 

@@ -513,6 +513,12 @@ def test_invalid_flags_exit_2(capsys):
         main(["verify", "mapsdem", "--system", "A2", "--level", "1", "--parts", "1", "--lambda", "1,0"])
     assert exc.value.code == 2
     assert "argument --parts: malformed part '1'" in capsys.readouterr().err
+    # only an empty value means no parts; a blank one is a malformed part
+    for claim, error in (("demprop", "malformed weight '  '"), ("mapsdem", "malformed part '  '")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", claim, "--system", "A2", "--level", "1", "--parts", "  ", "--lambda", "1,0"])
+        assert exc.value.code == 2
+        assert f"argument --parts: {error}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("label", ["D3", "E9", "A0", "B1", "G3"])
@@ -531,6 +537,44 @@ def test_labels_naming_no_simple_type_exit_2(capsys, isolated_cache, label, argv
     assert not isolated_cache.exists()
 
 
+@pytest.mark.parametrize("label", [" A02 ", "A\u0662"], ids=["padded-zero", "arabic-indic"])
+@pytest.mark.parametrize("argv", [
+    ("char", "--level", "1", "--weight", "1,0"),
+    ("scan", "--height-bound", "1"),
+    ("verify", "minuscule"),
+], ids=["char", "scan", "verify-minuscule"])
+def test_labels_spelled_otherwise_exit_2(capsys, isolated_cache, label, argv):
+    # int() reads both as A2, but a label has one spelling
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--system", label])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument --system: malformed system label {label!r}" in err
+    assert not isolated_cache.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("char", "--system", "A1", "--level", "1", "--weight", "1", "--cache-dir", ""),
+    ("char", "--system", "A1", "--level", "1", "--weight", "1", "--out", ""),
+    ("scan", "--system", "A1", "--height-bound", "1", "--out", ""),
+    ("presentation", "--system", "A1", "--level", "1", "--weight", "1", "--out", ""),
+    ("verify", "minuscule", "--system", "A2", "--out", ""),
+    ("cache", "clear", "--cache-dir", ""),
+], ids=["char-cache-dir", "char-out", "scan-out", "presentation-out", "verify-out", "cache-cache-dir"])
+def test_an_empty_path_exits_2(capsys, monkeypatch, tmp_path, argv):
+    # "" would read as the flag not given: the default cache or stdout
+    monkeypatch.setenv("DEMKIT_CACHE", "")  # an empty variable still means unset
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 2
+    assert f"argument {argv[-2]}: expected a path, not ''" in err
+    assert not (tmp_path / "xdg").exists()
+    assert run(capsys, "cache", "path") == (0, str(tmp_path / "xdg" / "demkit") + "\n", "")
+
+
 @pytest.mark.parametrize("argv,error", [
     (("--kind", "weyl"), "--weight is required for --kind weyl"),
     (("--level", "1"), "--weight is required for --kind demazure"),
@@ -538,6 +582,18 @@ def test_labels_naming_no_simple_type_exit_2(capsys, isolated_cache, label, argv
     (("--kind", "kr", "--level", "1"), "--index is required for --kind kr"),
 ], ids=["weyl-weight", "demazure-weight", "level", "kr-index"])
 def test_char_missing_flags_exit_3(capsys, isolated_cache, argv, error):
+    assert run(capsys, "char", "--system", "A1", "--graded", *argv) == (3, "", f"error: {error}\n")
+    assert not isolated_cache.exists()
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("--kind", "kr", "--index", "1", "--level", "1", "--weight", "5"), "--weight does not apply to --kind kr"),
+    (("--kind", "weyl", "--weight", "1", "--level", "1"), "--level does not apply to --kind weyl"),
+    (("--kind", "weyl", "--weight", "1", "--index", "1"), "--index does not apply to --kind weyl"),
+    (("--level", "1", "--weight", "1", "--index", "1"), "--index does not apply to --kind demazure"),
+], ids=["kr-weight", "weyl-level", "weyl-index", "demazure-index"])
+def test_char_flags_of_another_kind_exit_3(capsys, isolated_cache, argv, error):
+    # each would otherwise be dropped without a word
     assert run(capsys, "char", "--system", "A1", "--graded", *argv) == (3, "", f"error: {error}\n")
     assert not isolated_cache.exists()
 

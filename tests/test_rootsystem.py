@@ -71,16 +71,23 @@ def test_parse_system():
     # a classical series goes up to rank MAX_RANK and no further
     assert parse_system(f"D{MAX_RANK}") == ("D", MAX_RANK)
     # well spelled, but no simple type has that rank, or it is above the cap
-    for label in ("D3", "E9", "A0", "B1", "G3", f"A{MAX_RANK + 1}", f"C{MAX_RANK + 1}"):
+    for label in ("D3", "E9", "A0", "B1", "G3", "A160", f"A{MAX_RANK + 1}", f"C{MAX_RANK + 1}"):
         with pytest.raises(ValueError, match=r"^invalid simple type"):
             parse_system(label)
         with pytest.raises(ValueError, match=r"^invalid simple type"):
             root_system(label)
+    # a label has one spelling: the letter, then the rank as str() writes it
+    for label in (" A2", "A2 ", "\tA2", "A2\n", "A02", "A\u0662", "A00", "A\u00b2", "A+2", "A1_0", "a2", ""):
+        with pytest.raises(ValueError, match=r"^malformed system label"):
+            parse_system(label)
 
 
-def test_one_instance_per_type_however_spelled():
-    assert root_system(" A2") is root_system("A2") is root_system("A2\n")
+def test_one_instance_per_type():
+    assert root_system("A2") is root_system("A2")
     assert root_system("B2") is not root_system("C2")
+    for label in (" A2", "A2\n"):
+        with pytest.raises(ValueError, match=r"^malformed system label"):
+            root_system(label)
 
 
 def test_rank1_theta_is_the_simple_root():
