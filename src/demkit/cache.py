@@ -22,6 +22,7 @@ Neither direction loads ``json``.
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import tempfile
@@ -92,14 +93,16 @@ class CharacterCache:
     def load(self, key):
         """``(char, text)`` for the cached character, where ``text`` is its
         character file as ``store`` returns it, or None on a miss.  Stale,
-        misfiled, corrupt or malformed entries count as misses; any other
-        failure to read raises, so the request fails before it builds
-        anything."""
+        misfiled, corrupt or malformed entries count as misses, and so does
+        a file name too long to store anything under; any other failure to
+        read raises, so the request fails before it builds anything."""
         try:
             with open(self._path(key), "rb") as fh:
                 data = fh.read()
-        except FileNotFoundError:  # no entry, or no cache directory yet
-            return None
+        except OSError as exc:  # no entry, no cache directory yet, or no such name possible
+            if exc.errno in (errno.ENOENT, errno.ENAMETOOLONG):
+                return None
+            raise
         seal = _SEAL_LINE.match(data)
         if not seal:
             return None

@@ -8,8 +8,9 @@ the on-disk character cache).
 Exit codes: 0 success/verified, 1 refuted, 2 invalid flags, 3 hypothesis
 violations and other domain errors, 4 inconclusive, 5 internal error (a failed
 internal consistency check, or any other unexpected exception), 6 I/O error
-(an output path or cache directory that cannot be written or read); 3, 5 and 6
-are reported as one ``error:`` line on stderr.  All primary output is UTF-8
+(an output path or cache directory that cannot be written or read, or a
+stdout that is closed, full or a broken pipe); 3, 5 and 6 are reported as one
+``error:`` line on stderr, if stderr can take it.  All primary output is UTF-8
 JSON or JSON-lines; ``--no-timing`` strips the elapsed fields so reruns are
 byte-identical.  Each ``verify`` subcommand runs ``theorems.verify_<name>`` on
 the arguments its parser names; only ``char`` and ``cache`` touch the cache,
@@ -42,19 +43,21 @@ usage error prints a usage line and one ``demkit <path>: error: ...`` line
 on stderr and exits 2.
 
 The process entry, :func:`main_entry` (``python -m demkit.cli`` and the
-``demkit`` script), turns the cyclic garbage collector off for the request
-and freezes the heap before the interpreter exits, help and usage exits
-included, so shutdown skips its full collections over it; ``atexit`` and
-the flush of the standard streams still run.  A request makes no reference
-cycles, so those collections free nothing (the tests pin ``gc.collect() ==
-0`` after each benchmark request they replay), yet on a 2-vCPU host they
-cost each request about 6 ms, 5.4 of it at shutdown.  :func:`main` leaves
-the collector as it finds it, for library callers.
+``demkit`` script), turns the cyclic garbage collector off for the request,
+which makes no reference cycles (the tests pin ``gc.collect() == 0`` after
+each benchmark request they replay).  The request ends at its last write:
+stdout is flushed under the request's error mapping, so a failed flush exits
+6, and ``os._exit`` skips the interpreter's teardown, about 1.5 ms of each
+request on a 2-vCPU host.  A request needs none of it: every file it writes
+is closed by a ``with`` block, and it starts no thread and registers no
+``atexit`` callback (the tests pin both).  :func:`main` leaves the collector
+as it finds it and flushes nothing, for library callers.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import gc
 import os
 import sys
@@ -152,10 +155,13 @@ def _path_arg(value):
     return value
 
 
-def _emit(text, out_path):
+def _emit(text, out_path=None):
     """Write ``text`` to ``out_path``, or to stdout without one, a slice
     of ``_EMIT_SLICE`` characters at a time: a text stream encodes what it
-    is given at once, so a whole character file would be copied."""
+    is given at once, so a whole character file would be copied.  Every
+    command writes stdout through here."""
+    if not out_path and sys.stdout is None:  # fd 1 was closed at start-up
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
     with open(out_path, "w", encoding="utf-8") if out_path else contextlib.nullcontext(sys.stdout) as fh:
         for start in range(0, len(text), _EMIT_SLICE):
             fh.write(text[start:start + _EMIT_SLICE])
@@ -315,7 +321,7 @@ def _cmd_scan(args):
     text = "".join(c.to_json(include_timing=not args.no_timing) + "\n" for c in certs)
     _emit(text, args.out and os.path.join(args.out, f"scan_{rs.name}_h{args.height_bound}.jsonl"))
     summary = theorems.scan_summary(certs)
-    sys.stdout.write(_json_line(summary))
+    _emit(_json_line(summary))
     return EXIT_OK if summary["refuted"] == 0 else EXIT_REFUTED
 
 
@@ -329,12 +335,12 @@ def _cmd_cache(args):
     directory = resolve_cache_dir(args.cache_dir)
     cache = CharacterCache(directory)
     if args.cache_command == "path":
-        sys.stdout.write(directory + "\n")
+        _emit(directory + "\n")
     elif args.cache_command == "stats":
-        sys.stdout.write(_json_line(cache.stats()))
+        _emit(_json_line(cache.stats()))
     else:  # clear
         cache.clear()
-        sys.stdout.write(_json_line({"cleared": True}))
+        _emit(_json_line({"cleared": True}))
     return EXIT_OK
 
 
@@ -440,7 +446,7 @@ def _usage(words):
 
 
 def _fail(words, message):
-    sys.stderr.write(f"{_usage(words)}\n{' '.join(['demkit', *words])}: error: {message}\n")
+    _complain(f"{_usage(words)}\n{' '.join(['demkit', *words])}: error: {message}\n")
     raise SystemExit(EXIT_USAGE)
 
 
@@ -454,8 +460,7 @@ def _help(words):
         head = "Exact Demazure and Weyl characters, with verification certificates.\n\ncommands:"
         rows = [(path, _COMMANDS[path][1]) for path in _below(words)]
     width = 2 + max(len(name) for name, _ in rows)
-    sys.stdout.write(f"{_usage(words)}\n\n{head}\n")
-    sys.stdout.write("".join(f"  {name:{width}}{text}\n" for name, text in rows))
+    _emit("".join([f"{_usage(words)}\n\n{head}\n", *(f"  {name:{width}}{text}\n" for name, text in rows)]))
     raise SystemExit(EXIT_OK)
 
 
@@ -521,36 +526,61 @@ def _parse(argv):
     return args
 
 
-def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _parse(argv)
+def _complain(text):
+    """Write ``text`` to stderr and flush it, unless stderr is closed (None
+    when fd 2 was closed at start-up) or fails: a lost message must not
+    change the exit code."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            sys.stderr.write(text)
+            sys.stderr.flush()
+
+
+def _mapped(call, *args):
+    """``call(*args)``, or the exit code of the exception it raises, which
+    is reported as one ``error:`` line on stderr; help and usage exits pass
+    through as SystemExit."""
     try:
-        return args.func(args)
+        return call(*args)
     except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _complain(f"error: {exc}\n")
         return EXIT_HYPOTHESIS
     except RuntimeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _complain(f"error: {exc}\n")
         return EXIT_INTERNAL
     except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _complain(f"error: {exc}\n")
         return EXIT_IO
     except Exception as exc:  # a crash must never read as exit 1, "refuted"
-        sys.stderr.write(f"error: internal error: {type(exc).__name__}: {exc}\n")
+        _complain(f"error: internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
+
+
+def _run(argv):
+    args = _parse(argv)
+    return args.func(args)
+
+
+def main(argv=None):
+    return _mapped(_run, sys.argv[1:] if argv is None else argv)
+
+
+def _flushed(code):
+    """``code``, once stdout has been flushed; stderr is flushed at each
+    write."""
+    if sys.stdout is not None:  # None when fd 1 was closed at start-up
+        sys.stdout.flush()
+    return code
 
 
 def main_entry():
-    # The collector is off for the request and the heap is frozen before
-    # exit, so shutdown skips its full collections.  That is safe while a
-    # request makes no reference cycles, which tests/test_cli.py pins:
-    # gc.collect() == 0 after each.
+    # no collection and no teardown: see the module docstring
     gc.disable()
     try:
-        sys.exit(main())
-    finally:
-        gc.freeze()
+        code = main()
+    except SystemExit as exc:  # help, or a usage error
+        code = exc.code
+    os._exit(_mapped(_flushed, code))
 
 
 if __name__ == "__main__":

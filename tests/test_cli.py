@@ -294,6 +294,31 @@ def test_a_failed_store_leaves_no_temporary_file_and_exits_6(capsys, monkeypatch
     assert os.listdir(isolated_cache) == []
 
 
+@pytest.mark.parametrize("flags", [("--cache-dir", "{cache}"), ("--cache-dir", "{missing}"), ("--no-cache",)],
+                         ids=["directory", "no-directory", "no-cache"])
+def test_a_cache_name_too_long_is_a_miss(capsys, tmp_path, flags):
+    # nothing can be stored under a file name past the file system's limit,
+    # so the lookup misses and the request fails where the build refuses
+    # the weight, whether the cache directory exists or not
+    (tmp_path / "cache").mkdir()
+    flags = [f.format(cache=tmp_path / "cache", missing=tmp_path / "missing") for f in flags]
+    code, out, err = run(capsys, "char", "--system", "A2", "--level", "1", "--weight", "1" * 300 + ",1", *flags)
+    assert code == 5 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: internal error: chamber walk exceeded 1000000 steps")
+    assert os.listdir(tmp_path / "cache") == [] and not (tmp_path / "missing").exists()
+
+
+def test_a_cache_load_that_fails_otherwise_raises(tmp_path):
+    from demkit.cache import CacheKey, CharacterCache
+
+    cache = CharacterCache(str(tmp_path))
+    assert cache.load(CacheKey("A2", "demazure", 1, (10 ** 300, 1))) is None
+    key = CacheKey("A1", "demazure", 1, (2,))
+    os.mkdir(tmp_path / key.filename())  # an entry that cannot be read
+    with pytest.raises(IsADirectoryError):
+        cache.load(key)
+
+
 # a warm hit prints the entry it has just checked, and serializes only a
 # collapsed output
 @pytest.mark.parametrize("args,cold_calls,warm_calls", [
@@ -1196,8 +1221,9 @@ def test_no_benchmark_request_reaches_a_memo_cap(capsys, isolated_cache):
 def _cyclic_garbage(argv):
     """The exit code of one request through ``main`` run with the cyclic
     collector off, as ``main_entry`` runs it, and the count of unreachable
-    objects the collector then finds: ``main_entry`` freezes the heap before
-    exit rather than collecting it, which is safe only while that count is 0."""
+    objects the collector then finds: ``main_entry`` never collects, and
+    leaves through ``os._exit`` without a teardown that would, which is safe
+    only while that count is 0."""
     gc.collect()
     gc.disable()
     try:
@@ -1274,26 +1300,115 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, enabled):
         gc.enable()
 
 
+def _entry_env(tmp_path):
+    """The environment of a ``python -m demkit.cli`` run: the package on
+    the path, a cache of its own, and stdout block-buffered, as it is
+    without ``PYTHONUNBUFFERED``, so the request's last write is the
+    process entry's flush."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(demkit.__file__).parents[1]),
+               DEMKIT_CACHE=str(tmp_path / "entry-cache"))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 @pytest.mark.parametrize("argv,code,err_lines", [
     (("char", "--help"), 0, 0),
     (("char", "--system", "A1", "--level", "x"), 2, 2),
     (("char", "--system", "A1", "--level", "1"), 3, 1),
-], ids=["help", "usage-error", "domain-error"])
-def test_process_entry_exits_as_main_does(capsys, tmp_path, argv, code, err_lines):
+    (("verify", "minuscule", "--system", "D4", "--no-timing"), 0, 0),
+    (("scan", "--system", "A2", "--height-bound", "2", "--no-timing"), 0, 0),
+    (("char", "--system", "B2", "--level", "1", "--weight", "2,2", "--graded", "--out", "{out}"), 0, 0),
+], ids=["help", "usage-error", "domain-error", "verify", "scan", "char-out"])
+def test_process_entry_exits_as_main_does(capsys, tmp_path, isolated_cache, argv, code, err_lines):
     """``python -m demkit.cli`` runs ``main_entry``, which turns the
-    collector off and freezes the heap before exit: its exit code and both
-    streams are those of ``main`` in process."""
+    collector off, flushes stdout and leaves through ``os._exit``: its exit
+    code, both streams, the file it writes and the cache entry it stores
+    are those of ``main`` in process."""
     try:
-        want = main(list(argv))
+        want = main([a.format(out=tmp_path / "main.out") for a in argv])
     except SystemExit as exc:
         want = exc.code
     out, err = capsys.readouterr()
     assert want == code and err.count("\n") == err_lines
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(demkit.__file__).parents[1]),
-               DEMKIT_CACHE=str(tmp_path / "cache"))
-    proc = subprocess.run([sys.executable, "-m", "demkit.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-m", "demkit.cli", *(a.format(out=tmp_path / "entry.out") for a in argv)],
+                          env=_entry_env(tmp_path), capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    if "--out" in argv:
+        assert (tmp_path / "entry.out").read_bytes() == (tmp_path / "main.out").read_bytes() != b""
+        entries = os.listdir(isolated_cache)
+        assert len(entries) == 1 and os.listdir(tmp_path / "entry-cache") == entries
+        assert (tmp_path / "entry-cache" / entries[0]).read_bytes() == (isolated_cache / entries[0]).read_bytes()
+
+
+def _entry_redirected(tmp_path, argv, redirect):
+    """The exit code and stderr of ``python -m demkit.cli argv`` with its
+    streams redirected as the shell's ``redirect`` says."""
+    proc = subprocess.run(["/bin/sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "demkit.cli", *argv],
+                          env=_entry_env(tmp_path), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          timeout=60)
+    return proc.returncode, proc.stderr
+
+
+VERIFY_D4 = ("verify", "minuscule", "--system", "D4", "--no-timing")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [VERIFY_D4, ("--help",)], ids=["verify", "help"])
+def test_a_full_stdout_exits_6(tmp_path, argv):
+    # the output fits stdout's buffer, so only the last flush meets the
+    # full device: exit 6 and one line, not Python's own 120 and its
+    # "Exception ignored" report
+    assert _entry_redirected(tmp_path, argv, ">/dev/full") == (6, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("argv", [
+    VERIFY_D4,
+    ("scan", "--system", "A2", "--height-bound", "2", "--no-timing"),
+    ("cache", "path"),
+    ("--help",),
+], ids=["verify", "scan", "cache-path", "help"])
+def test_a_broken_pipe_exits_6(tmp_path, argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader has exited before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "demkit.cli", *argv], env=_entry_env(tmp_path), stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (6, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv,redirect,code,err", [
+    (("--help",), ">&-", 6, "error: [Errno 9] Bad file descriptor: '<stdout>'\n"),
+    (VERIFY_D4, ">&-", 6, "error: [Errno 9] Bad file descriptor: '<stdout>'\n"),
+    (("char", "--system", "A1", "--level", "1", "--weight", "2", "--out", "{out}"), ">&-", 0, ""),
+    (("char", "--system", "A1", "--level", "x"), "2>&-", 2, ""),
+    (("char", "--system", "A1", "--level", "1"), "2>&-", 3, ""),
+    (VERIFY_D4, "2>&-", 0, ""),
+], ids=["stdout-help", "stdout-verify", "stdout-char-out", "stderr-usage", "stderr-domain", "stderr-verify"])
+def test_a_closed_stream_never_exits_1(tmp_path, argv, redirect, code, err):
+    # a closed stdout fails the first write to it as an I/O error, and a
+    # request that writes only its --out file still succeeds; a closed
+    # stderr loses the error line but not the exit code
+    argv = [a.format(out=tmp_path / "out") for a in argv]
+    assert _entry_redirected(tmp_path, argv, redirect) == (code, err)
+    assert ("--out" not in argv) or (tmp_path / "out").read_text(encoding="utf-8").startswith('{"system":"A1"')
+
+
+def test_no_pinned_request_registers_an_atexit_callback_or_starts_a_thread(tmp_path):
+    """``main_entry`` leaves through ``os._exit``, which runs no ``atexit``
+    callback and waits for no thread: every pinned benchmark request,
+    replayed in one fresh interpreter (without ``site``, which may register
+    its own), leaves neither, and each exits as pinned."""
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
+    probe = ("import atexit, contextlib, io, sys, threading\nfrom demkit.cli import main\ncodes = []\n"
+             "for key in sys.argv[1:]:\n    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        codes.append(main(key.split()))\n"
+             "print(*codes, atexit._ncallbacks(), threading.active_count())\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, *expected], env=_entry_env(tmp_path),
+                          capture_output=True, text=True, timeout=300)
+    want = [str(expected[key]["exit"]) for key in expected]
+    assert (proc.stdout.split(), proc.stderr) == ([*want, "0", "1"], "")
 
 
 @pytest.mark.parametrize("attempt", [
