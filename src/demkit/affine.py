@@ -39,8 +39,6 @@ depth below the highest weight, which is the grading the direct-limit
 comparison needs.
 """
 
-from __future__ import annotations
-
 import struct
 from collections import namedtuple
 from itertools import combinations_with_replacement, compress

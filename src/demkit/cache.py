@@ -20,8 +20,6 @@ and concurrent writers of the same key simply race to identical content.
 Neither direction loads ``json``.
 """
 
-from __future__ import annotations
-
 import errno
 import os
 import re

@@ -22,8 +22,6 @@ tuple, and raises ``ValueError`` on any other spelling.  Neither direction
 loads ``json``.
 """
 
-from __future__ import annotations
-
 import functools
 import re
 from operator import add

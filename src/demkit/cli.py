@@ -42,19 +42,18 @@ a usage error and ``--lambda=-1,0`` reaches the claim.  Help exits 0; a
 usage error prints a usage line and one ``demkit <path>: error: ...`` line
 on stderr and exits 2.
 
-The process entry, :func:`main_entry` (``python -m demkit.cli`` and the
-``demkit`` script), turns the cyclic garbage collector off for the request,
-which makes no reference cycles (the tests pin ``gc.collect() == 0`` after
-each benchmark request they replay).  The request ends at its last write:
-stdout is flushed under the request's error mapping, so a failed flush exits
-6, and ``os._exit`` skips the interpreter's teardown, about 1.5 ms of each
-request on a 2-vCPU host.  A request needs none of it: every file it writes
-is closed by a ``with`` block, and it starts no thread and registers no
-``atexit`` callback (the tests pin both).  :func:`main` leaves the collector
-as it finds it and flushes nothing, for library callers.
+Each write is flushed where it is made (stdout in ``_emit``, stderr in
+``_complain``), so :func:`main`, the one error mapping, sees every failure
+to deliver output.  The process entry, :func:`main_entry` (``python -m
+demkit.cli`` and the ``demkit`` script), turns the cyclic garbage collector
+off, runs :func:`main` (or takes the code of its help or usage exit) and
+leaves through ``os._exit``, which skips the interpreter's teardown, about
+1.5 ms of each request on a 2-vCPU host.  A request needs neither: it makes
+no reference cycles (the tests pin ``gc.collect() == 0`` after each
+benchmark request they replay), closes every file it writes in a ``with``
+block, and starts no thread and registers no ``atexit`` callback (the tests
+pin both).  :func:`main` leaves the collector as it finds it.
 """
-
-from __future__ import annotations
 
 import contextlib
 import errno
@@ -159,12 +158,14 @@ def _emit(text, out_path=None):
     """Write ``text`` to ``out_path``, or to stdout without one, a slice
     of ``_EMIT_SLICE`` characters at a time: a text stream encodes what it
     is given at once, so a whole character file would be copied.  Every
-    command writes stdout through here."""
+    command writes stdout through here, and the write is flushed here, so
+    a failure to deliver it raises inside ``main``."""
     if not out_path and sys.stdout is None:  # fd 1 was closed at start-up
         raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
     with open(out_path, "w", encoding="utf-8") if out_path else contextlib.nullcontext(sys.stdout) as fh:
         for start in range(0, len(text), _EMIT_SLICE):
             fh.write(text[start:start + _EMIT_SLICE])
+        fh.flush()
 
 
 def _json_line(doc):
@@ -312,9 +313,8 @@ def _cmd_scan(args):
 
     if args.jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if args.height_bound < 0:  # before --out is made
-        raise ValueError("height bound must be non-negative")
     rs = root_system(args.system)
+    theorems.scan_box(rs, args.height_bound)  # an oversized box is refused before --out is made
     if args.out:
         os.makedirs(args.out, exist_ok=True)  # an unusable directory fails before the scan
     certs = theorems.schur_scan(rs, args.height_bound)
@@ -536,12 +536,13 @@ def _complain(text):
             sys.stderr.flush()
 
 
-def _mapped(call, *args):
-    """``call(*args)``, or the exit code of the exception it raises, which
-    is reported as one ``error:`` line on stderr; help and usage exits pass
-    through as SystemExit."""
+def main(argv=None):
+    """The exit code of the request ``argv`` names (else ``sys.argv[1:]``):
+    an exception it raises is reported as one ``error:`` line on stderr;
+    help and usage exits pass through as SystemExit."""
     try:
-        return call(*args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        return args.func(args)
     except ValueError as exc:
         _complain(f"error: {exc}\n")
         return EXIT_HYPOTHESIS
@@ -556,23 +557,6 @@ def _mapped(call, *args):
         return EXIT_INTERNAL
 
 
-def _run(argv):
-    args = _parse(argv)
-    return args.func(args)
-
-
-def main(argv=None):
-    return _mapped(_run, sys.argv[1:] if argv is None else argv)
-
-
-def _flushed(code):
-    """``code``, once stdout has been flushed; stderr is flushed at each
-    write."""
-    if sys.stdout is not None:  # None when fd 1 was closed at start-up
-        sys.stdout.flush()
-    return code
-
-
 def main_entry():
     # no collection and no teardown: see the module docstring
     gc.disable()
@@ -580,7 +564,7 @@ def main_entry():
         code = main()
     except SystemExit as exc:  # help, or a usage error
         code = exc.code
-    os._exit(_mapped(_flushed, code))
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -22,8 +22,6 @@ equivariant map exists exactly when every isotypic multiplicity of the
 target is at most the corresponding multiplicity of the source.
 """
 
-from __future__ import annotations
-
 import functools
 from operator import add
 

@@ -21,8 +21,6 @@ root alpha; the form follows as D*(mu, alpha) = (D // d)*mu(h_alpha), exact
 because d divides D = ``pairing_scale``, the lcm of the d-values.
 """
 
-from __future__ import annotations
-
 import functools
 from collections import namedtuple
 from math import gcd, lcm, prod

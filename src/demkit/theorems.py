@@ -19,8 +19,6 @@ minimal witness: one without it is an internal error (``RuntimeError``,
 CLI exit 5).
 """
 
-from __future__ import annotations
-
 import json
 from functools import reduce
 from itertools import chain, product
@@ -45,12 +43,16 @@ __all__ = [
     "verify_stabilization",
     "verify_minuscule",
     "min_condition_failure",
+    "scan_box",
     "scan_tuples",
     "schur_scan",
     "scan_summary",
 ]
 
 VERDICTS = ("verified", "refuted", "hypothesis-violated", "inconclusive")
+# the most a scan box's irreducibles' dimensions may sum to: B2 h2 holds 206,
+# D4 h1 7,667 and A5 h1 71,456, while F4 h1 holds 2*10^7 and E8 h1 10^36
+SCAN_DIMENSION_CAP = 10**5
 _OUTCOMES = {True: "verified", False: "refuted", None: "inconclusive"}
 
 
@@ -615,14 +617,30 @@ def verify_stabilization(rs, level, lam, max_grade, n_max):
 # exhaustive surjection scan
 
 
+def scan_box(rs, height_bound):
+    """The dominant weights with every coordinate in 0..``height_bound``, in
+    lexicographic order.  A box whose irreducibles' dimensions sum past
+    ``SCAN_DIMENSION_CAP`` is refused (ValueError) before any character is
+    built; each dimension is at least 1, so a box of more weights than the
+    cap is refused before any dimension is computed."""
+    if height_bound < 0:
+        raise ValueError("height bound must be non-negative")
+    if (height_bound + 1) ** rs.rank <= SCAN_DIMENSION_CAP:
+        box = list(product(range(height_bound + 1), repeat=rs.rank))
+        if sum(map(rs.weyl_dimension, box)) <= SCAN_DIMENSION_CAP:
+            return box
+    raise ValueError(f"the scan box of {rs.name} at height bound {height_bound} is too large: "
+                     f"its irreducibles' dimensions sum past {SCAN_DIMENSION_CAP}")
+
+
 def scan_tuples(rs, height_bound):
     """All (lam1, lam2, mu1, mu2) with equal sums and coordinates bounded by
     ``height_bound`` that satisfy the minimum conditions, in enumeration
-    order: lam1, lam2 and mu1 run over the dominant box in lexicographic
-    order, and mu2 balances the sums.  So only the minimum conditions are
-    checked (``min_condition_failure`` of (lam1, lam2) below (mu1, mu2)),
-    on pairing vectors computed once per box weight."""
-    box = list(product(range(height_bound + 1), repeat=rs.rank))
+    order: lam1, lam2 and mu1 run over ``scan_box`` in order, and mu2
+    balances the sums.  So only the minimum conditions are checked
+    (``min_condition_failure`` of (lam1, lam2) below (mu1, mu2)), on
+    pairing vectors computed once per box weight."""
+    box = scan_box(rs, height_bound)
     pairings = {w: rs.pairings(w) for w in box}
     out = []
     for lam1 in box:
@@ -646,9 +664,8 @@ def schur_scan(rs, height_bound):
     scan reads one product table (``_product_decompositions``), built
     before the first certificate: each product is decomposed once and its
     payload shared by every certificate that names it.  A certificate's
-    ``elapsed_ms`` covers its own domination check only."""
-    if height_bound < 0:
-        raise ValueError("height bound must be non-negative")
+    ``elapsed_ms`` covers its own domination check only.  An oversized box
+    is refused first (``scan_box``)."""
     tuples = scan_tuples(rs, height_bound)
     sides = _product_decompositions(rs, [pair for t in tuples for pair in (t[2:], t[:2])])
     certs = []

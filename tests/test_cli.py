@@ -546,6 +546,24 @@ def test_negative_height_bound_leaves_no_out_directory(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("system,bound", [("E8", "1"), ("F4", "1"), ("A1", "1000000")])
+def test_an_oversized_scan_box_is_refused_up_front(capsys, tmp_path, monkeypatch, system, bound):
+    # E8 h1's irreducibles sum to 10^36 dimensions and F4 h1's to 2*10^7:
+    # exit 3 before any character is built or --out is made
+    from demkit import finite
+
+    built = []
+    monkeypatch.setattr(finite, "weyl_character", lambda *a: built.append(a))
+    out_dir = tmp_path / "scans"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scan", "--system", system, "--height-bound", bound, "--out", str(out_dir))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, built) == (3, "", [])
+    assert err == (f"error: the scan box of {system} at height bound {bound} is too large: "
+                   f"its irreducibles' dimensions sum past {demkit.theorems.SCAN_DIMENSION_CAP}\n")
+    assert not out_dir.exists()
+
+
 def test_invalid_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["char", "--system", "H9", "--weight", "1"])
@@ -978,7 +996,8 @@ def test_io_errors_exit_6_before_the_work(capsys, monkeypatch, tmp_path, argv, m
 
 # loaded for dataclasses, Fraction and argparse alone, at a cost every
 # request paid
-SLOW_IMPORTS = {"dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext", "locale"}
+# __future__ is no slower than the rest, but no module uses what it enables
+SLOW_IMPORTS = {"dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext", "locale", "__future__"}
 
 COMMANDS = {
     "char": ["char", "--system", "A1", "--level", "1", "--weight", "2"],
@@ -1303,8 +1322,8 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, enabled):
 def _entry_env(tmp_path):
     """The environment of a ``python -m demkit.cli`` run: the package on
     the path, a cache of its own, and stdout block-buffered, as it is
-    without ``PYTHONUNBUFFERED``, so the request's last write is the
-    process entry's flush."""
+    without ``PYTHONUNBUFFERED``, so output reaches fd 1 only through the
+    flush that follows each write."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(demkit.__file__).parents[1]),
                DEMKIT_CACHE=str(tmp_path / "entry-cache"))
     env.pop("PYTHONUNBUFFERED", None)
@@ -1321,7 +1340,7 @@ def _entry_env(tmp_path):
 ], ids=["help", "usage-error", "domain-error", "verify", "scan", "char-out"])
 def test_process_entry_exits_as_main_does(capsys, tmp_path, isolated_cache, argv, code, err_lines):
     """``python -m demkit.cli`` runs ``main_entry``, which turns the
-    collector off, flushes stdout and leaves through ``os._exit``: its exit
+    collector off, runs ``main`` and leaves through ``os._exit``: its exit
     code, both streams, the file it writes and the cache entry it stores
     are those of ``main`` in process."""
     try:
@@ -1352,10 +1371,20 @@ def _entry_redirected(tmp_path, argv, redirect):
 VERIFY_D4 = ("verify", "minuscule", "--system", "D4", "--no-timing")
 
 
+def test_library_main_leaves_its_output_flushed(capsys, monkeypatch):
+    """``main`` flushes each write, so a library caller's block-buffered
+    stdout holds the whole output when ``main`` returns."""
+    code, want, _ = run(capsys, *VERIFY_D4)
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))
+    assert main(list(VERIFY_D4)) == code == 0
+    assert raw.getvalue().decode("utf-8") == want != ""
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [VERIFY_D4, ("--help",)], ids=["verify", "help"])
 def test_a_full_stdout_exits_6(tmp_path, argv):
-    # the output fits stdout's buffer, so only the last flush meets the
+    # the output fits stdout's buffer, so only the flush after it meets the
     # full device: exit 6 and one line, not Python's own 120 and its
     # "Exception ignored" report
     assert _entry_redirected(tmp_path, argv, ">/dev/full") == (6, "error: [Errno 28] No space left on device\n")

@@ -12,6 +12,7 @@ from demkit.theorems import (
     expected_minuscule_nodes,
     min_condition_failure,
     minuscule_nodes,
+    scan_box,
     scan_summary,
     scan_tuples,
     schur_scan,
@@ -482,6 +483,34 @@ def _scan_tuples_by_min_condition(rs, height_bound):
             if all(min(a, b) <= min(c, d) for a, b, c, d in zip(*map(rs.pairings, (lam1, lam2, mu1, mu2)))):
                 out.append((lam1, lam2, mu1, mu2))
     return out
+
+
+@pytest.mark.parametrize("name,height_bound", [
+    ("A1", 3), ("A2", 2), ("A3", 1), ("B2", 2), ("G2", 2), ("D4", 1),
+])
+def test_every_scanned_box_is_well_under_the_cap(name, height_bound):
+    # every box the tests and the benchmark scan (B2 h2 is the largest
+    # benchmark box, at 206), and D4 h1 at 7,667
+    rs = root_system(name)
+    box = scan_box(rs, height_bound)
+    assert box == dominant_box(rs, height_bound)
+    assert sum(map(rs.weyl_dimension, box)) * 10 < demkit.theorems.SCAN_DIMENSION_CAP
+
+
+def test_an_oversized_scan_box_is_refused_before_any_character(monkeypatch):
+    built, sized = [], []
+    monkeypatch.setattr(demkit.finite, "weyl_character", lambda *a: built.append(a))
+    with pytest.raises(ValueError, match="scan box of F4 at height bound 1 is too large"):
+        schur_scan(root_system("F4"), 1)
+    # a box of more weights than the cap is refused without a dimension
+    rs = root_system("A2")
+    monkeypatch.setattr(type(rs), "weyl_dimension", lambda self, w: sized.append(w) or 1)
+    with pytest.raises(ValueError, match="too large"):
+        scan_box(rs, 1000)
+    with pytest.raises(ValueError, match="height bound must be non-negative"):
+        scan_box(rs, -1)
+    assert (built, sized) == ([], [])
+    assert len(scan_box(rs, 2)) == len(sized) == 9
 
 
 @pytest.mark.parametrize("name,height_bound", [
