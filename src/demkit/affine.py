@@ -41,7 +41,7 @@ comparison needs.
 
 import struct
 from collections import namedtuple
-from itertools import combinations_with_replacement, compress
+from itertools import compress
 from math import prod
 
 from .charalg import GradedCharacter
@@ -306,33 +306,6 @@ def _demazure_from(rs, level, top, word, bound):
     return _unpack(rs, chain, top.delta)
 
 
-def _kr_summands(rs, level, a):
-    """The highest weights of the irreducible summands of the KR module
-    D(level, ``kr_weight(a, level)``) on types A-D, each summand once, by
-    Chari's decompositions (Chari 2001; Kleber 1998; HKOTT 2002): the sums
-    of ``level`` units, repeats allowed, from the node's units below, where
-    omega_0 is the zero weight.
-      B_n, a < n, and D_n, a <= n - 2: omega_j for j = a, a - 2, ... >= 0;
-      B_n, a = n: 2*omega_n, and omega_j for j = n - 2, n - 4, ... >= 0;
-      C_n, a < n: 2*omega_j for j = a, a - 1, ..., 0.
-    Every other node's one unit is d_a*omega_a, its whole module V(level *
-    d_a*omega_a) (level-dominant, as omega_a(h_theta) = 1 there)."""
-    n, series = rs.rank, rs.series
-
-    def omega(j):
-        return rs.fundamental_weight(j) if j else rs.zero_weight()
-
-    if series == "C" and a < n:
-        units = [rs.scale(2, omega(j)) for j in range(a, -1, -1)]
-    elif series == "B" and a == n:
-        units = [rs.scale(2, omega(n)), *map(omega, range(n - 2, -1, -2))]
-    elif series == "B" or series == "D" and a <= n - 2:
-        units = list(map(omega, range(a, -1, -2)))
-    else:
-        units = [rs.kr_weight(a, 1)]
-    return [tuple(map(sum, zip(*parts))) for parts in combinations_with_replacement(units, level)]
-
-
 def _dimension(rs, level, weight):
     """The exact dimension of D(level, weight), for a dominant weight at
     level >= 1, or None; never a bound.
@@ -342,12 +315,11 @@ def _dimension(rs, level, weight):
     is V(lam0) fused with s_a copies of each node's KR module, so dim D =
     dim V(lam0) * product of (dim D(level, kr_weight(a, level)))^s_a.  A
     smaller s_a only raises lam0(h_theta), so no other split can apply when
-    the greedy one does not.  Two rules size a KR factor D(level, w): on
-    types A-D it is the sum of Weyl's formula over Chari's summands
-    (``_kr_summands``); on E6-E8, F4 and G2 it is V(w) by Weyl's formula
-    when w(h_theta) <= level (Fourier-Littelmann 2007), else it is sized by
-    the D_u route (``_isotypic_dimension``), unless it is the request
-    itself, which gives None."""
+    the greedy one does not.  One rule sizes a KR factor D(level, w) on
+    every type: it is V(w) by Weyl's formula when w(h_theta) <= level
+    (Fourier-Littelmann 2007), else it is sized by the D_u route
+    (``_isotypic_dimension``), unless it is the request itself, which
+    gives None."""
     steps = [d * level for d in rs.d_simple]
     lam0 = tuple(c % step for c, step in zip(weight, steps))
     if rs.theta_pairing(lam0) > level:
@@ -356,8 +328,6 @@ def _dimension(rs, level, weight):
 
     def size(a):
         w = rs.kr_weight(a, level)
-        if rs.series in "ABCD":
-            return sum(map(rs.weyl_dimension, _kr_summands(rs, level, a)))
         if rs.theta_pairing(w) <= level:
             return rs.weyl_dimension(w)
         return None if w == weight else _isotypic_dimension(rs, level, w)
@@ -376,8 +346,9 @@ def demazure_character(rs, level, weight):
     character of ``weight``, and ``weight`` itself carries multiplicity 1.
     At level 0 only the zero weight is admissible (trivial module).  The
     chain runs once, its digits sized by the module's dimension: the
-    paper's factorization where ``_dimension`` knows it, else the D_u
-    route's (``_isotypic_dimension``), whose word differs from this one.
+    paper's factorization where ``_dimension`` knows it, else (a lam0 past
+    the level, or a lone KR module past it, on any type) the D_u route's
+    (``_isotypic_dimension``), whose word differs from this one.
     Either way the digits must sum to it.  A walk past its step cap or a
     weight bound too wide for the key fields is refused (``_word``) before
     that dimension is computed, which for such a weight is a power too

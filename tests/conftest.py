@@ -16,7 +16,8 @@ by walking affine Weyl orbits one node at a time, and the graded isotypic
 decompositions of simply-laced fusion products of KR modules are summed
 by the fermionic formula from rigged-configuration data alone, and the
 dimensions of simply-laced KR modules follow from the level-1 ones by
-the Q-system.
+the Q-system, and the isotypic components of the KR modules of types B,
+C and D are listed by Chari's rule.
 The divided-difference operators here keep each term as a
 ``(weight tuple, grade)`` key: the oracle of the library's packed-integer
 Demazure chain.
@@ -471,3 +472,30 @@ def q_system(rs, level, nodes, seed):
                     )
                 q[a].append(value)
     return {a: q[a][level] for a in nodes}
+
+
+def chari_summands(rs, level, a):
+    """The highest weights of the irreducible summands of the KR module
+    D(level, ``kr_weight(a, level)``) on types A-D, each summand once, by
+    Chari's decompositions (Chari 2001; Kleber 1998; HKOTT 2002): the sums
+    of ``level`` units, repeats allowed, from the node's units below, where
+    omega_0 is the zero weight.
+      B_n, a < n, and D_n, a <= n - 2: omega_j for j = a, a - 2, ... >= 0;
+      B_n, a = n: 2*omega_n, and omega_j for j = n - 2, n - 4, ... >= 0;
+      C_n, a < n: 2*omega_j for j = a, a - 1, ..., 0.
+    Every other node's one unit is d_a*omega_a, its whole module V(level *
+    d_a*omega_a) (level-dominant, as omega_a(h_theta) = 1 there)."""
+    n, series = rs.rank, rs.series
+
+    def omega(j):
+        return rs.fundamental_weight(j) if j else rs.zero_weight()
+
+    if series == "C" and a < n:
+        units = [rs.scale(2, omega(j)) for j in range(a, -1, -1)]
+    elif series == "B" and a == n:
+        units = [rs.scale(2, omega(n)), *map(omega, range(n - 2, -1, -2))]
+    elif series == "B" or series == "D" and a <= n - 2:
+        units = list(map(omega, range(a, -1, -2)))
+    else:
+        units = [rs.kr_weight(a, 1)]
+    return [tuple(map(sum, zip(*parts))) for parts in itertools.combinations_with_replacement(units, level)]

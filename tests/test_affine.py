@@ -11,7 +11,7 @@ import conftest
 from conftest import (
     affine_apply_word, affine_pairing, affine_reflect, demazure_weyl_character, dominant_box, fermionic_isotypic,
     is_affine_dominant, monomial, q_binomial, q_system, root_coords_oracle, seeded, tuple_chain,
-    tuple_demazure_from, weyl_kac_defect, tuple_demazure_operator,
+    tuple_demazure_from, weyl_kac_defect, tuple_demazure_operator, chari_summands,
 )
 from demkit import affine, rootsystem
 from demkit.affine import (
@@ -757,7 +757,7 @@ def test_width_zero_chain_is_the_collapse(monkeypatch, name):
     # pass that sizes a factor inside ``_dimension`` runs another module's
     # word)
     rs = root_system(name)
-    runs, run, unsized = [], affine._run, 0
+    runs, run, sized = [], affine._run, 0
 
     def recording(rs, level, word, chain):
         out = run(rs, level, word, chain)
@@ -769,6 +769,7 @@ def test_width_zero_chain_is_the_collapse(monkeypatch, name):
     for level in (1, 2, 3):
         for weight in [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)] + [rs.kr_weight(1, level)]:
             known = affine._dimension(rs, level, weight) is not None
+            assert known != unsized(rs, level, weight), (level, weight)
             runs.clear()
             full = demazure_character(rs, level, weight).collapse()
             graded_isotypic(rs, level, weight)
@@ -780,25 +781,34 @@ def test_width_zero_chain_is_the_collapse(monkeypatch, name):
             runs.clear()
             assert grade_free_pass(rs, level, weight) == {affine._pack(rs, w): m for (w, _), m in full.terms.items()}
             assert [word for _, word, _ in runs] == [full_word]
-            unsized += not known
-    # Chari's rule sizes every KR factor of types A-D, so these sweeps size
-    # every build there; on E, F and G some module is its own factor
-    assert bool(unsized) == (name[0] in "EFG")
+            sized += known
+    assert sized
 
 
 def test_sized_graded_isotypic_applies_its_word_once(monkeypatch):
-    # a module whose dimension is known up front runs one D_u chain: one
-    # operator per letter of the straightening word, and no grade-free pass
-    calls, real = [], affine.demazure_operator
+    # a module whose dimension is known up front runs one D_u chain: its
+    # straightening word once, with grades, last, and no grade-free pass;
+    # the chains before it size its KR factors past the level (B2's
+    # D(1, 2*omega_2), C3's D(3, 6*omega_2), D4's D(2, 2*omega_2)), each
+    # by its own module's words
+    calls, runs = [], []
+    operator, run = affine.demazure_operator, affine._run
     monkeypatch.setattr(affine, "demazure_operator",
-                        lambda rs, i, chain, level: calls.append(i) or real(rs, i, chain, level))
+                        lambda rs, i, chain, level: calls.append(i) or operator(rs, i, chain, level))
+    monkeypatch.setattr(affine, "_run",
+                        lambda rs, level, word, chain: runs.append((word, chain.width, len(calls)))
+                        or run(rs, level, word, chain))
     for name, level, weight in [("A2", 2, (3, 1)), ("B2", 1, (6, 6)), ("C3", 3, (0, 6, 1)),
                                 ("D4", 2, (2, 2, 0, 1))]:
         rs = root_system(name)
         assert affine._dimension(rs, level, weight) is not None
         calls.clear()
+        runs.clear()
         graded_isotypic(rs, level, weight)
-        assert calls == list(straighten(rs, AffineWeight(weight, level, 0))[1]), (name, weight)
+        word = straighten(rs, AffineWeight(weight, level, 0))[1]
+        assert [(w, width > 0) for w, width, _ in runs if w == word] == [(word, True)], (name, weight)
+        assert runs[-1][0] == word and calls[runs[-1][2]:] == list(word), (name, weight)
+        assert (len(runs) > 1) == (name != "A2"), (name, weight)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2"])
@@ -827,6 +837,15 @@ def grade_free_pass(rs, level, weight):
     return affine._run(rs, level, word, affine._Chain({affine._pack(rs, top.finite): 1}, 0)).terms
 
 
+def unsized(rs, level, weight):
+    """Whether ``_dimension`` knows no size for D(level, weight), on every
+    type: exactly when lam0(h_theta) > level, or the module is a lone KR
+    module past the level, its own factor."""
+    lam0 = tuple(c % (d * level) for c, d in zip(weight, rs.d_simple))
+    lone = weight in {rs.kr_weight(a, level) for a in range(1, rs.rank + 1)}
+    return rs.theta_pairing(lam0) > level or lone and rs.theta_pairing(weight) > level
+
+
 def grade_free_total(rs, level, weight):
     """dim D(level, weight) as the total of its whole word's grade-free
     pass, a route no builder takes."""
@@ -845,46 +864,42 @@ E6_HAND = {
     pytest.param("E6", (1, 2), id="E6"),
 ])
 def test_dimension_is_the_grade_free_total(name, levels):
-    # the paper's factorization, with Chari's rule on types A-D, Weyl's
-    # formula for each level-dominant factor and the D_u route for every
-    # other E-G factor, gives the total of the module's whole word run
-    # without grades, on the 0/1 box and on each KR weight plus the box (a
-    # hand list on E6, two of whose level-2 weights hold the factor D(2,
-    # 2*omega_2) past the level); only a module whose lam0 lies past the
-    # level, or that is its own factor and not level-dominant, gets None,
-    # and on types A-D only the first
+    # the paper's factorization, with Weyl's formula for each level-dominant
+    # KR factor and the D_u route for every other one, gives the total of
+    # the module's whole word run without grades, on the 0/1 box and on
+    # each KR weight plus the box (a hand list on E6, two of whose level-2
+    # weights hold the factor D(2, 2*omega_2) past the level); on every
+    # type, only a module whose lam0 lies past the level, or that is its
+    # own factor and not level-dominant, gets None
     rs = root_system(name)
-    known = own = 0
+    known = 0
     for level in levels:
         if name == "E6":
             weights = E6_HAND[level]
         else:
             box = dominant_box(rs, 1)
             weights = set(box) | {rs.add(rs.kr_weight(a, level), w) for a in range(1, rs.rank + 1) for w in box}
-        factors = {rs.kr_weight(a, level) for a in range(1, rs.rank + 1)}
         for weight in sorted(weights):
             dim = affine._dimension(rs, level, weight)
-            if dim is None:
-                lam0 = tuple(c % (d * level) for c, d in zip(weight, rs.d_simple))
-                if rs.theta_pairing(lam0) <= level:
-                    assert weight in factors and rs.theta_pairing(weight) > level, (level, weight)
-                    own += 1
-            else:
+            assert (dim is None) == unsized(rs, level, weight), (level, weight)
+            if dim is not None:
                 known += 1
                 assert dim == grade_free_total(rs, level, weight), (level, weight)
-    assert known and bool(own) == (name[0] in "EFG")
-    for a in range(1, rs.rank + 1):  # on E-G the request's own chain, unless V(omega_a) is minuscule
+    assert known
+    for a in range(1, rs.rank + 1):  # at level 1 omega_a is its own KR factor or its own lam0
         omega = rs.fundamental_weight(a)
-        assert (affine._dimension(rs, 1, omega) is None) == (rs.theta_pairing(omega) > 1 and name[0] in "EFG")
+        assert (affine._dimension(rs, 1, omega) is None) == (rs.theta_pairing(omega) > 1)
 
 
 def test_chari_rule_gives_each_kr_module():
     # on 89 KR modules, B2-B5 and C2-C5 at every node and level <= 3 (<= 2
     # above node 2 from rank 4 on), D4-D6 at nodes a <= n - 2 and level <= 2
-    # (1 above node 2 from rank 5 on), Chari's summands are the module's
-    # isotypic components, each of multiplicity 1, and their Weyl dimensions
-    # sum to the total of its grade-free chain; so dropping the zero-weight
-    # unit or the factor 2 on C_n is caught
+    # (1 above node 2 from rank 5 on), Chari's summands (conftest) are the
+    # module's isotypic components, each of multiplicity 1, and their Weyl
+    # dimensions sum to the total of its grade-free chain, to its D_u-route
+    # dimension and, within the level, to Weyl's formula for the module's
+    # own weight; so dropping the zero-weight unit or the factor 2 on C_n
+    # is caught
     cases = [(f"{series}{n}", a, level) for series in "BC" for n in (2, 3, 4, 5) for a in range(1, n + 1)
              for level in range(1, 3 if n >= 4 and a > 2 else 4)]
     cases += [(f"D{n}", a, level) for n in (4, 5, 6) for a in range(1, n - 1)
@@ -896,24 +911,30 @@ def test_chari_rule_gives_each_kr_module():
         components = Counter()
         for (mu, _), m in graded_isotypic(rs, level, weight).items():
             components[mu] += m
-        summands = affine._kr_summands(rs, level, a)
+        summands = chari_summands(rs, level, a)
         assert components == Counter(summands) and len(set(summands)) == len(summands), (name, a, level)
-        assert sum(map(rs.weyl_dimension, summands)) == grade_free_total(rs, level, weight)
-        assert affine._dimension(rs, level, weight) == sum(map(rs.weyl_dimension, summands))
+        total = sum(map(rs.weyl_dimension, summands))
+        assert total == grade_free_total(rs, level, weight) == affine._isotypic_dimension(rs, level, weight)
+        assert affine._dimension(rs, level, weight) == (None if rs.theta_pairing(weight) > level else total)
 
 
 def test_dimension_hand_values():
     B2, B3, D4 = root_system("B2"), root_system("B3"), root_system("D4")
-    assert affine._dimension(D4, 1, (0, 1, 0, 0)) == 28 + 1  # Chari: V(omega_2) + V(0)
+    assert affine._dimension(D4, 1, (0, 1, 0, 0)) is None  # its own factor, past the level
+    assert affine._isotypic_dimension(D4, 1, (0, 1, 0, 0)) == 28 + 1  # Chari: V(omega_2) + V(0)
     assert affine._dimension(root_system("E6"), 1, (0, 1, 0, 0, 0, 0)) is None  # its own factor
     assert affine._dimension(B3, 1, (1, 0, 0)) == 7  # V(omega_1), by Weyl's formula
     assert affine._dimension(root_system("A4"), 3, (1, 0, 1, 6)) == 45 * 35**2  # V(omega_1 + omega_3), V(3*omega_4)^2
-    assert affine._dimension(B2, 1, (6, 6)) == 5**6 * 11**3  # 6 copies of V(omega_1), 3 of D(1, 2*omega_2)
-    assert affine._dimension(D4, 6, D4.kr_weight(2, 6)) == 146916  # Chari: sum over k <= 6 of dim V(k*omega_2)
+    assert affine._dimension(B2, 1, (6, 6)) == 5**6 * 11**3  # 6 copies of V(omega_1), 3 of D_u-sized D(1, 2*omega_2)
+    # Chari: sum over k <= 6 of dim V(k*omega_2)
+    assert affine._isotypic_dimension(D4, 6, D4.kr_weight(2, 6)) == 146916
     for weight in [(1, 1, 1), (3, 1, 1)]:  # lam0 = (1,1,1), and lam0(h_theta) = 3 > 2
         assert affine._dimension(root_system("A3"), 2, weight) is None
-    assert affine._dimension(B3, 8, B3.kr_weight(2, 8)) == 197835  # the char benchmark's KR builds
-    assert affine._dimension(root_system("C3"), 5, (0, 10, 0)) == 774592
+    assert affine._isotypic_dimension(B3, 8, B3.kr_weight(2, 8)) == 197835  # the char benchmark's KR builds
+    assert affine._isotypic_dimension(root_system("C3"), 5, (0, 10, 0)) == 774592
+    for rs, level, weight in [(D4, 6, D4.kr_weight(2, 6)), (B3, 8, B3.kr_weight(2, 8)),
+                              (root_system("C3"), 5, (0, 10, 0))]:
+        assert affine._dimension(rs, level, weight) is None  # each its own factor, past the level
     assert affine._dimension(root_system("G2"), 2, (0, 2)) is None  # a KR module past the level, its own
     E6, E7 = root_system("E6"), root_system("E7")
     assert affine._dimension(E6, 2, (0, 2, 0, 0, 0, 1)) == 27 * (2430 + 78 + 1)  # V(omega_6), D_u-sized D(2, 2*omega_2)

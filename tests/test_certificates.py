@@ -323,6 +323,16 @@ def test_certificates_are_built_only_by_the_spine():
     assert offenders == []
 
 
+def test_the_affine_engine_reads_no_type_label():
+    """No code in ``affine`` reads a ``series`` attribute: the engine sizes
+    and builds every module by one rule on every type, so a per-type table
+    has no place to hang."""
+    path = pathlib.Path(demkit.__file__).parent / "affine.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "series"]
+    assert reads == []
+
+
 # ---------------------------------------------------------------------------
 # the factorization claims, swept and hashed: every --no-timing certificate
 # of demprop, krdecom and both mapsdem clauses over small inputs, in order;

@@ -872,7 +872,8 @@ def test_a_wrong_du_dimension_fails_an_unsized_build_exit_5(capsys, monkeypatch,
 
 
 # the benchmark's stabilization and genschurpos requests: each reads its
-# modules from graded_isotypic, whose dimension is known up front
+# modules from graded_isotypic, and some of their dimensions are known up
+# front (B2's lone KR modules past the level, such as D(1, 2*omega_2), are not)
 SIZED_VERIFY = [
     ("verify", "stabilization", "--system", "B2", "--level", "1", "--lambda", "0,0", "--max-grade", "3",
      "--n-max", "4", "--no-timing", "--no-cache"),
@@ -884,14 +885,20 @@ SIZED_VERIFY = [
 @pytest.mark.parametrize("argv", SIZED_VERIFY, ids=["stabilization", "genschurpos"])
 def test_a_wrong_dimension_fails_a_verify_claim_exit_5(capsys, monkeypatch, argv):
     # graded_isotypic holds Bott's rule and Weyl's formula to the paper's
-    # factorization: one more than the true dimension fails the claim with
-    # one error line and no certificate, where the true one verifies it
+    # factorization: one more than each true dimension it knows fails the
+    # claim with one error line and no certificate, where the true ones
+    # verify it
     from demkit import affine
 
     code, out, _ = run(capsys, *argv)
     assert code == 0 and json.loads(out)["verdict"] == "verified"
     real = affine._dimension
-    monkeypatch.setattr(affine, "_dimension", lambda rs, level, weight: real(rs, level, weight) + 1)
+
+    def one_more(rs, level, weight):
+        dim = real(rs, level, weight)
+        return None if dim is None else dim + 1
+
+    monkeypatch.setattr(affine, "_dimension", one_more)
     code, out, err = run(capsys, *argv)
     assert code == 5 and out == ""
     assert err.startswith("error: internal error: the level-") and err.count("\n") == 1
